@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,9 @@ from .prng import FAMILIES, GeneratorSpec, KBitStream, derive_seed
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
+# int()'s default limit on decimal strings; it also keeps '1e999999999'
+# from building a billion-digit integer
+_MAX_INT_DIGITS = 4300
 
 
 def _fmt(x: float, fmt: str) -> str:
@@ -60,14 +64,26 @@ def _space_from(args) -> BucketSpace:
     return BucketSpace.power_of_two(bits if bits is not None else DEFAULT_BITS)
 
 
+def _exact_int(text: str) -> int:
+    """An exact integer, also in scientific form ('1e6'); '1.5' is refused."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if (not value.is_finite() or value != value.to_integral_value()
+            or value.adjusted() >= _MAX_INT_DIGITS):
+        raise argparse.ArgumentTypeError(f"expected an exact integer, got {text!r}")
+    return int(value)
+
+
 def _parse_range(text: str, lo_default, hi_default, integer: bool):
     if text is None:
         return lo_default, hi_default
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"--range must be lo:hi, got {text!r}")
-    conv = int if integer else float
-    lo, hi = conv(float(parts[0])), conv(float(parts[1]))
+    conv = _exact_int if integer else float
+    lo, hi = conv(parts[0]), conv(parts[1])
     if lo > hi:
         raise ValueError(f"--range must have lo <= hi, got {text!r}")
     return lo, hi
@@ -75,7 +91,7 @@ def _parse_range(text: str, lo_default, hi_default, integer: bool):
 
 def _add_common(sub, n=True, space=True, out=True, fmt=True):
     if n:
-        sub.add_argument("--n", type=lambda s: int(float(s)), default=None,
+        sub.add_argument("--n", type=_exact_int, default=None,
                          help=f"sample size (default {DEFAULT_N})")
     if space:
         sub.add_argument("--bits", type=int, default=None,
@@ -387,7 +403,8 @@ def main(argv=None) -> int:
         if cmd == "inspect":
             return cmd_inspect(args.value, args.format)
         raise ValueError(f"unknown subcommand {cmd!r}")
-    except (DomainError, CapacityError, BracketingError, ValueError, OSError) as exc:
+    except (DomainError, CapacityError, BracketingError, ValueError, OSError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

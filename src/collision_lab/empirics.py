@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import struct
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -59,36 +58,55 @@ def _key(value):
     return value
 
 
+def _keys(values) -> np.ndarray:
+    """One integer key per element, equal exactly where the ``_key``s are."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype.kind == "f":
+            # widening a signalling NaN sets the invalid flag; it is a key here
+            with np.errstate(invalid="ignore"):
+                return values.astype(np.float64, copy=False).view(np.uint64)
+        if values.dtype.kind in "iu":
+            return values
+    if not isinstance(values, list):
+        values = list(values)
+    types = set(map(type, values))
+    if types == {float}:
+        return np.array(values, dtype=np.float64).view(np.uint64)
+    if types == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    # mixed, wide or non-numeric values: dense codes of the distinct _keys
+    codes = {}
+    return np.fromiter((codes.setdefault(_key(v), len(codes)) for v in values),
+                       dtype=np.int64, count=len(values))
+
+
+def _tally(keys: np.ndarray):
+    """Counts of the distinct keys and the mask of first-occurrence duplicates."""
+    _, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
+    is_dup = np.ones(keys.size, dtype=bool)
+    is_dup[first_idx] = False
+    return counts, is_dup
+
+
 def count_duplicates(values: Sequence) -> int:
     """Number of elements equal to at least one earlier element."""
-    seen = set()
-    dup = 0
-    for v in values:
-        k = _key(v)
-        if k in seen:
-            dup += 1
-        else:
-            seen.add(k)
-    return dup
+    counts, is_dup = _tally(_keys(values))
+    return int(is_dup.size - counts.size)
 
 
 def count_ties(values: Sequence) -> int:
     """Total multiplicity of all values appearing more than once."""
-    counts = Counter(_key(v) for v in values)
-    return sum(c for c in counts.values() if c >= 2)
+    counts, _ = _tally(_keys(values))
+    return int(counts[counts >= 2].sum())
 
 
 def collision_positions(values: Sequence) -> list:
     """1-based indices of duplicate occurrences, ascending."""
-    seen = set()
-    positions = []
-    for i, v in enumerate(values, start=1):
-        k = _key(v)
-        if k in seen:
-            positions.append(i)
-        else:
-            seen.add(k)
-    return positions
+    _, is_dup = _tally(_keys(values))
+    return (np.flatnonzero(is_dup) + 1).tolist()
 
 
 @dataclass
@@ -173,11 +191,8 @@ def trace_collisions(stream: KBitStream, n: int,
     degrading to approximate counting.
     """
     _check_cap(n, max_distinct)
-    draws = stream.take_kbits(n)
-    _, first_idx, counts = np.unique(draws, return_index=True, return_counts=True)
+    counts, is_dup = _tally(stream.take_kbits(n))
     summary = TieSummary.from_multiplicities(n, counts)
-    is_dup = np.ones(n, dtype=bool)
-    is_dup[first_idx] = False
     trace = CollisionTrace(
         positions=np.flatnonzero(is_dup) + 1,
         cumulative=np.cumsum(is_dup),

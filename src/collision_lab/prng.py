@@ -2,8 +2,10 @@
 
 Three families:
 
-* ``mt19937`` -- the standard Mersenne Twister with the Knuth-multiplier
-  initialization (init_genrand).  Native output is 32 bits.
+* ``mt19937`` -- the standard Mersenne Twister: numpy's ``MT19937`` bit
+  generator in the state of the classic Knuth-multiplier initialization
+  (init_genrand, as numpy's legacy ``RandomState`` seeds it).  Native
+  output is 32 bits.
 * ``cmrg`` -- L'Ecuyer's combined multiple recursive generator MRG32k3a
   with the published parameters; the native value in [0, m1) is reduced
   to 32 bits by scaling.
@@ -13,8 +15,8 @@ Three families:
 Requesting fewer than the native bits truncates to the top bits; requesting
 more (from a 32-bit family) concatenates two successive native outputs.
 Identical GeneratorSpec values always yield bitwise-identical streams; the
-block-generating fast paths are exact reproductions of the one-step
-recurrences (tested against scalar references).
+MRG32k3a block-generating fast path is an exact reproduction of the one-step
+recurrence (tested against a scalar reference).
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Parallel work derives one seed per worker via ``derive_seed``.
@@ -101,59 +103,21 @@ class GeneratorSpec:
 # --------------------------------------------------------------------------
 # MT19937
 
-_MT_N, _MT_M = 624, 397
-_MT_MATRIX_A = np.uint32(0x9908B0DF)
-_MT_UPPER = np.uint32(0x80000000)
-_MT_LOWER = np.uint32(0x7FFFFFFF)
-
 
 class _Mt19937Core:
-    """Mersenne Twister generating tempered words one 624-block at a time."""
+    """numpy's MT19937 bit generator in its classic init_genrand state."""
 
     native_bits = 32
 
     def __init__(self, seed: int):
-        # init_genrand: the 64-bit seed field is reduced to its low 32 bits.
-        mt = np.empty(_MT_N, dtype=np.uint32)
-        s = seed & _MASK32
-        mt[0] = s
-        for i in range(1, _MT_N):
-            s = (1812433253 * (s ^ (s >> 30)) + i) & _MASK32
-            mt[i] = s
-        self._mt = mt
-
-    def _twist(self) -> np.ndarray:
-        mt = self._mt
-        y = (mt & _MT_UPPER) | (np.roll(mt, -1) & _MT_LOWER)
-        mag = np.where((y & np.uint32(1)).astype(bool), _MT_MATRIX_A, np.uint32(0))
-        sh = y >> np.uint32(1)
-        new = np.empty(_MT_N, dtype=np.uint32)
-        step = _MT_N - _MT_M
-        new[:step] = mt[_MT_M:] ^ sh[:step] ^ mag[:step]
-        # later words read words produced in this same twist: fill in
-        # dependency-respecting chunks of length N - M
-        start = step
-        while start < _MT_N - 1:
-            end = min(start + step, _MT_N - 1)
-            new[start:end] = new[start - step:end - step] ^ sh[start:end] ^ mag[start:end]
-            start = end
-        y_last = (int(mt[_MT_N - 1]) & 0x80000000) | (int(new[0]) & 0x7FFFFFFF)
-        new[_MT_N - 1] = (int(new[_MT_M - 1]) ^ (y_last >> 1)
-                          ^ (0x9908B0DF if y_last & 1 else 0))
-        self._mt = new
-        return new
+        # RandomState seeds with init_genrand; the 64-bit seed field is
+        # reduced to its low 32 bits
+        self._bg = np.random.MT19937()
+        self._bg.state = np.random.RandomState(seed & _MASK32).get_state(legacy=False)
 
     def blocks(self, count: int):
-        """Yield uint32 blocks totalling at least ``count`` words."""
-        produced = 0
-        while produced < count:
-            state = self._twist()
-            y = state ^ (state >> np.uint32(11))
-            y = y ^ ((y << np.uint32(7)) & np.uint32(0x9D2C5680))
-            y = y ^ ((y << np.uint32(15)) & np.uint32(0xEFC60000))
-            y = y ^ (y >> np.uint32(18))
-            produced += _MT_N
-            yield y
+        """Yield one uint32 block of exactly ``count`` words."""
+        yield self._bg.random_raw(count).astype(np.uint32)
 
 
 # --------------------------------------------------------------------------
@@ -392,10 +356,6 @@ class KBitStream:
     def take_units(self, count: int) -> np.ndarray:
         """Next ``count`` unit-interval doubles, each next_kbit / 2^k."""
         return self.take_kbits(count).astype(np.float64) * self._unit_scale
-
-    def next_unit(self) -> float:
-        """Next double in [0, 1): next_kbit / 2^k."""
-        return self.next_kbit() * self._unit_scale
 
 
 def rand_int_rejection(stream: KBitStream, n: int, max_rejections: int = 10 ** 6) -> int:

@@ -53,6 +53,24 @@ class TestExpect:
         assert code == 1
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    def test_fractional_n_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["expect", "--n", "1.5"])
+        assert exc.value.code == 2
+        assert "1.5" in capsys.readouterr().err
+
+    def test_scientific_n_accepted_exactly(self, capsys):
+        code, out, _ = run(capsys, "expect", "--n", "1e6", "--format", "csv")
+        assert code == 0
+        assert csv_rows(out)[1][0][0] == "1000000"
+
+    def test_seventeen_digit_n_echoed_exactly(self, capsys):
+        # int(float(s)) would round this to ...568
+        code, out, _ = run(capsys, "expect", "--n", "12345678901234567",
+                           "--format", "csv")
+        assert code == 0
+        assert csv_rows(out)[1][0][0] == "12345678901234567"
+
 
 class TestScan:
     def test_scan_across_bit_range(self, capsys):
@@ -71,6 +89,13 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--n", "1000", "--range", "35:37")
         _, rows = csv_rows(out)
         assert [int(r[0]) for r in rows] == [35, 36, 37]
+
+    def test_range_bounds_parsed_exactly(self, capsys):
+        code, out, _ = run(capsys, "scan", "--n", "1000", "--range", "3.5e1:36")
+        assert code == 0
+        assert [int(r[0]) for r in csv_rows(out)[1]] == [35, 36]
+        code, out, err = run(capsys, "scan", "--n", "1000", "--range", "35:36.5")
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"

@@ -1,5 +1,7 @@
 import io
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +29,84 @@ def stream(family="mt19937", seed=1, bits=32):
     return KBitStream(GeneratorSpec(family, seed, bits))
 
 
+# slow reference: the per-element loops the counting kernel replaced
+
+def oracle_key(value):
+    # floats compare by bit payload: -0.0 != 0.0, NaNs equal per payload
+    if isinstance(value, (float, np.floating)):
+        return struct.unpack("<Q", struct.pack("<d", float(value)))[0], "f"
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
+
+
+def oracle_duplicates(values):
+    seen = set()
+    dup = 0
+    for v in values:
+        k = oracle_key(v)
+        if k in seen:
+            dup += 1
+        else:
+            seen.add(k)
+    return dup
+
+
+def oracle_ties(values):
+    counts = Counter(oracle_key(v) for v in values)
+    return sum(c for c in counts.values() if c >= 2)
+
+
+def oracle_positions(values):
+    seen = set()
+    positions = []
+    for i, v in enumerate(values, start=1):
+        k = oracle_key(v)
+        if k in seen:
+            positions.append(i)
+        else:
+            seen.add(k)
+    return positions
+
+
+def f64_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+NAN_BITS_64 = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002,
+               0x7FF0000000000001]
+FLOAT_POOL = [0.0, -0.0, 1.0, 0.5, -2.5, math.inf, -math.inf,
+              *map(f64_from_bits, NAN_BITS_64)]
+MIXED_POOL = [*FLOAT_POOL, 1, 0, -1, True, False, 2 ** 63, 2 ** 64 - 1, -2 ** 63 - 1,
+              np.float64(1.0), np.float64(-0.0), np.float32(0.5), np.int64(1),
+              np.uint64(2 ** 64 - 1), "1", "a", "", None]
+# float32 and float64 bit patterns: signed zeros, ones, infinities and NaNs
+# whose payloads differ (quiet and signalling)
+BITS_32 = [0, 0x80000000, 0x3F800000, 0x7F800000, 0xFF800000, 0x7FC00000,
+           0x7FC00001, 0xFFC00002, 0x7F800001]
+BITS_64 = [0, 0x8000000000000000, 0x3FF0000000000000, 0x7FF0000000000000,
+           0xFFF0000000000000, *NAN_BITS_64]
+
+mixed_lists = st.lists(st.one_of(st.sampled_from(MIXED_POOL),
+                                 st.integers(-3, 3),
+                                 st.integers(2 ** 63 - 2, 2 ** 63 + 1)),
+                       max_size=40)
+float_lists = st.lists(st.one_of(st.sampled_from(FLOAT_POOL),
+                                 st.floats(-4, 4, width=16)), max_size=40)
+int_lists = st.lists(st.one_of(st.integers(-5, 5),
+                               st.integers(2 ** 63 - 2, 2 ** 63 + 1),
+                               st.integers(-2 ** 63 - 1, -2 ** 63)), max_size=40)
+
+
+def assert_matches_oracle(make):
+    """``make()`` returns a fresh copy of the input (generators run once)."""
+    assert count_duplicates(make()) == oracle_duplicates(make())
+    assert count_ties(make()) == oracle_ties(make())
+    positions = collision_positions(make())
+    assert isinstance(positions, list)
+    assert positions == oracle_positions(make())
+
+
 class TestTieConventions:
     # the three worked examples: (values, duplicates, ties)
     CASES = [
@@ -51,6 +131,14 @@ class TestTieConventions:
         assert count_duplicates([0.0, 0.0]) == 1
         # NaNs with identical payloads collide
         assert count_duplicates([math.nan, math.nan]) == 1
+        # ... and NaNs with distinct payloads do not
+        assert count_duplicates([f64_from_bits(NAN_BITS_64[0]),
+                                 f64_from_bits(NAN_BITS_64[1])]) == 0
+        # 1 and 1.0 differ; np.float64 equals the float of the same bits;
+        # integers beyond int64 stay exact
+        assert count_duplicates([1, 1.0]) == 0
+        assert count_duplicates([1.0, np.float64(1.0)]) == 1
+        assert count_duplicates([2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 2]) == 1
 
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=60),
            st.randoms(use_true_random=False))
@@ -70,6 +158,47 @@ class TestTieConventions:
             assert t == 0
         else:
             assert c + 1 <= t <= 2 * c
+
+
+class TestCountingKernelMatchesOracle:
+    @given(st.one_of(mixed_lists, float_lists, int_lists))
+    @settings(max_examples=300)
+    def test_lists(self, values):
+        assert_matches_oracle(lambda: list(values))
+
+    @given(st.one_of(mixed_lists, float_lists, int_lists))
+    @settings(max_examples=100)
+    def test_generators_and_tuples(self, values):
+        assert_matches_oracle(lambda: (v for v in values))
+        assert_matches_oracle(lambda: tuple(values))
+
+    @given(st.integers(-50, 50), st.integers(-50, 50),
+           st.integers(1, 7).flatmap(lambda s: st.sampled_from([s, -s])))
+    @settings(max_examples=50)
+    def test_ranges(self, start, stop, step):
+        assert_matches_oracle(lambda: range(start, stop, step))
+
+    @given(st.lists(st.sampled_from(BITS_32), max_size=40),
+           st.lists(st.sampled_from(BITS_64), max_size=40))
+    @settings(max_examples=200)
+    def test_float_arrays_by_bit_pattern(self, bits32, bits64):
+        a32 = np.array(bits32, dtype=np.uint32).view(np.float32)
+        a64 = np.array(bits64, dtype=np.uint64).view(np.float64)
+        assert_matches_oracle(lambda: a32)
+        assert_matches_oracle(lambda: a64)
+        assert_matches_oracle(lambda: a64[::2])
+
+    @given(st.lists(st.integers(-5, 5), max_size=40),
+           st.lists(st.sampled_from([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]),
+                    max_size=40))
+    @settings(max_examples=100)
+    def test_int_arrays(self, small, wide):
+        assert_matches_oracle(lambda: np.array(small, dtype=np.int64))
+        assert_matches_oracle(lambda: np.array(wide, dtype=np.uint64))
+
+    def test_unhashable_elements_refused(self):
+        with pytest.raises(TypeError):
+            count_duplicates([[1], [1]])
 
 
 class TestTieSummary:

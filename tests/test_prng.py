@@ -39,6 +39,20 @@ class TestMt19937:
         got = stream(seed=12345).take_kbits(2000)
         assert np.array_equal(got, ref.astype(np.uint64))
 
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1])
+    def test_long_run_against_numpy_legacy_randomstate(self, seed):
+        # 10^5 words span 160 twist blocks
+        ref = np.random.RandomState(seed).randint(0, 2 ** 32, size=10 ** 5,
+                                                  dtype=np.uint32)
+        got = stream(seed=seed).take_kbits(10 ** 5)
+        assert np.array_equal(got, ref.astype(np.uint64))
+
+    @pytest.mark.parametrize("seed,low32", [(2 ** 40 + 3, 3),
+                                            (2 ** 64 - 1, 2 ** 32 - 1)])
+    def test_seed_reduced_to_low_32_bits(self, seed, low32):
+        assert np.array_equal(stream(seed=seed).take_kbits(5000),
+                              stream(seed=low32).take_kbits(5000))
+
     def test_block_boundaries(self):
         # 624-word twist blocks must be invisible in the output
         a = stream(seed=9).take_kbits(2000)
