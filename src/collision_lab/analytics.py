@@ -6,8 +6,9 @@ a unit in the last place of 1.0 (b = 2^k with k >= 54), collapsing the
 whole expression to n.  The stable rewrite n + b*expm1(n*log1p(-1/b))
 never forms the doomed difference.  The same treatment applies to the
 birthday-problem collision probability 1 - prod(1 - i/b), rewritten as
--expm1(sum log1p(-i/b)).  Both literal forms are kept alongside the stable
-ones so the error curves can be measured.
+-expm1(sum log1p(-i/b)), whose sum is taken at constant cost from exact
+power sums.  Both literal forms are kept alongside the stable ones so the
+error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
@@ -17,6 +18,7 @@ and S the Stirling numbers of the second kind.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -35,6 +37,7 @@ __all__ = [
     "collision_probability_naive",
     "collision_probability_pbirthday",
     "collision_probability",
+    "LITERAL_CAP",
     "stirling2",
     "collision_pmf_exact",
     "min_bits_for_expected",
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+
+# the literal forms multiply O(n) factors; above this n they refuse
+LITERAL_CAP = 10 ** 8
 
 # C's FLT_EPSILON, the fuzz R's colon operator adds before truncating a length
 _FLT_EPSILON = 2.0 ** -23
@@ -132,14 +138,23 @@ def expected_collisions(n, space: BucketSpace) -> float:
     return max(0.0, value)
 
 
+def _check_literal_cap(n: int):
+    if n > LITERAL_CAP:
+        raise CapacityError(
+            f"literal products are capped at n = {LITERAL_CAP}, got {n}; "
+            f"collision_probability has no cap")
+
+
 def collision_probability_naive(n: int, space: BucketSpace) -> float:
     """Literal birthday probability 1 - prod_{i=1}^{n-1} (1 - i/b).
 
     The product runs over exactly n-1 factors, each evaluated in double
-    precision, multiplied left to right.
+    precision, multiplied left to right.  Raises CapacityError for
+    n > LITERAL_CAP.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    _check_literal_cap(n)
     if n <= 1:
         return 0.0
     bf = float(space.count)
@@ -175,10 +190,12 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     accumulated in double, a rounding-level difference.  Once the running
     product reaches 0 (a zero factor, or underflow) the result is exactly 1:
     multiplying on would meet the overflowing factors past a zero and give
-    NaN, as ``collision_probability_naive`` does for n far above b.
+    NaN, as ``collision_probability_naive`` does for n far above b.  Raises
+    CapacityError for n > LITERAL_CAP.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    _check_literal_cap(n)
     c = float(space.count)
     length = pbirthday_sequence_length(n, space)
     total = max(length, n) if n else 0
@@ -193,23 +210,59 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
 
 
 def collision_probability(n: int, space: BucketSpace) -> float:
-    """Stable birthday probability -expm1(sum_{i<n} log1p(-i/b)), in [0, 1].
+    """Stable birthday probability -expm1(L), L = sum_{i<n} log1p(-i/b), in [0, 1].
 
-    Returns 0 for n <= 1 and (pigeonhole) exactly 1 for n > b; otherwise the
-    log-domain sum is accumulated with compensated summation via sum_log1p.
+    Returns 0 for n <= 1 and (pigeonhole) exactly 1 for n > b.  Otherwise
+    the cost is bounded at every n; three regimes, told apart in exact
+    integers:
+
+    * saturated, n(n-1) >= 80b: L <= -n(n-1)/(2b) <= -40 because
+      log1p(-x) <= -x, and -expm1(-40) rounds to exactly 1.0, returned as is;
+    * series, 2(n-1) <= b: L = -sum_{j>=1} S_j(n-1) / (j b^j) with the
+      power sums S_j(m) = sum_{i<=m} i^j taken exactly in integers.  With
+      r = (n-1)/b, S_{j+1} <= m S_j bounds the tail after term j by
+      term_j * r/(1-r); terms stop once that is below 2^-64 of the partial
+      sum, after at most 59 of them (r = 1/2), and the exact rational
+      partial sum is rounded to a double once;
+    * otherwise, which forces n < 161: the compensated sum_log1p of the
+      n-1 terms.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n <= 1:
         return 0.0
-    if n > space.count:
+    b = space.count
+    if n > b:
         return 1.0
-    bf = float(space.count)
-    partials = []
-    for lo in range(1, n, _CHUNK):
-        i = np.arange(lo, min(n, lo + _CHUNK), dtype=np.float64)
-        partials.append(sum_log1p(-(i / bf)))
-    return -math.expm1(math.fsum(partials))
+    m = n - 1
+    if n * m >= 80 * b:
+        return 1.0
+    if 2 * m <= b:
+        return -math.expm1(-_log_falling_series(m, b)[0])
+    return -math.expm1(sum_log1p(-np.arange(1, n) / float(b)))
+
+
+def _log_falling_series(m: int, b: int) -> tuple[float, int]:
+    """sum_{j>=1} S_j(m) / (j b^j) = -sum_{i<=m} log1p(-i/b) for 2m <= b,
+    truncated below 2^-64 relative and rounded to a double once, with the
+    number of terms taken (at most 59, reached at m/b = 1/2)."""
+    # (m+1)^(j+1) - 1 = sum_{r<=j} C(j+1, r) S_r(m) gives each S_j from the
+    # ones before it, starting from S_0(m) = m
+    sums = [m]
+    # the partial sum is num / (lcm * b^j), lcm = lcm(1..j), all exact
+    num, lcm, j = 0, 1, 0
+    while True:
+        j += 1
+        rest = sum(math.comb(j + 1, r) * s for r, s in enumerate(sums))
+        sums.append(((m + 1) ** (j + 1) - 1 - rest) // (j + 1))
+        grow = j // math.gcd(lcm, j)
+        lcm *= grow
+        term = sums[j] * (lcm // j)
+        num = num * grow * b + term
+        # the tail is at most term * r/(1-r) with r = m/b
+        if (term * m) << 64 < num * (b - m):
+            return num / (lcm * b ** j), j
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from . import analytics, empirics, ieee754
 from .analytics import BucketSpace
 from .errors import BracketingError, CapacityError, DomainError
 from .prng import FAMILIES, GeneratorSpec, KBitStream, derive_seed
+from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
@@ -156,10 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def cmd_expect(cfg: RunConfig) -> int:
-    naive = analytics.expected_collisions_naive(cfg.n, cfg.space)
-    stable = analytics.expected_collisions(cfg.n, cfg.space)
-    rel = abs(stable - naive) / abs(stable) if stable != 0 else None
+def _write_comparison(cfg: RunConfig, label: str, report: StableEvalReport) -> None:
+    """One naive/stable point as CSV or as aligned human-readable lines."""
+    naive, stable, rel = report.naive_value, report.stable_value, report.relative_error
     with _open_out(cfg.output_path) as out:
         if cfg.format == "csv":
             out.write("n,buckets,naive,stable,relative_difference\n")
@@ -168,10 +168,18 @@ def cmd_expect(cfg: RunConfig) -> int:
                                 "" if rel is None else _fmt(rel, "csv")]) + "\n")
         else:
             out.write(f"n = {cfg.n}, buckets = {cfg.space}\n")
-            out.write(f"expected collisions (stable) = {_fmt(stable, 'human')}\n")
-            out.write(f"expected collisions (naive)  = {_fmt(naive, 'human')}\n")
+            out.write(f"{label} (stable) = {_fmt(stable, 'human')}\n")
+            out.write(f"{label} (naive)  = {_fmt(naive, 'human')}\n")
             if rel is not None:
-                out.write(f"relative difference          = {_fmt(rel, 'human')}\n")
+                out.write(f"{'relative difference':{len(label) + 10}}= "
+                          f"{_fmt(rel, 'human')}\n")
+
+
+def cmd_expect(cfg: RunConfig) -> int:
+    _write_comparison(cfg, "expected collisions", StableEvalReport.compare(
+        input=float(cfg.n),
+        naive=analytics.expected_collisions_naive(cfg.n, cfg.space),
+        stable=analytics.expected_collisions(cfg.n, cfg.space)))
     return 0
 
 
@@ -187,33 +195,23 @@ def cmd_scan(cfg: RunConfig, k_lo: int, k_hi: int) -> int:
 
 
 def cmd_prob(cfg: RunConfig, errcmp: bool, k_lo: int, k_hi: int) -> int:
+    if not errcmp:
+        _write_comparison(cfg, "collision probability", StableEvalReport.compare(
+            input=float(cfg.n),
+            naive=analytics.collision_probability_naive(cfg.n, cfg.space),
+            stable=analytics.collision_probability(cfg.n, cfg.space)))
+        return 0
     with _open_out(cfg.output_path) as out:
-        if errcmp:
-            # error-curve data; zero-error rows are flagged so log-scale
-            # plotting tools can drop them
-            out.write("k,relative_error,zero_error\n")
-            for report in analytics.probability_error_curve(cfg.n, k_lo, k_hi):
-                k = int(report.input)
-                if report.relative_error is None:
-                    out.write(f"{k},,stable_zero\n")
-                else:
-                    flag = "zero" if report.relative_error == 0.0 else ""
-                    out.write(f"{k},{_fmt(report.relative_error, 'csv')},{flag}\n")
-            return 0
-        naive = analytics.collision_probability_naive(cfg.n, cfg.space)
-        stable = analytics.collision_probability(cfg.n, cfg.space)
-        rel = abs(stable - naive) / abs(stable) if stable != 0 else None
-        if cfg.format == "csv":
-            out.write("n,buckets,naive,stable,relative_difference\n")
-            out.write(",".join([str(cfg.n), str(cfg.space), _fmt(naive, "csv"),
-                                _fmt(stable, "csv"),
-                                "" if rel is None else _fmt(rel, "csv")]) + "\n")
-        else:
-            out.write(f"n = {cfg.n}, buckets = {cfg.space}\n")
-            out.write(f"collision probability (stable) = {_fmt(stable, 'human')}\n")
-            out.write(f"collision probability (naive)  = {_fmt(naive, 'human')}\n")
-            if rel is not None:
-                out.write(f"relative difference            = {_fmt(rel, 'human')}\n")
+        # error-curve data; zero-error rows are flagged so log-scale
+        # plotting tools can drop them
+        out.write("k,relative_error,zero_error\n")
+        for report in analytics.probability_error_curve(cfg.n, k_lo, k_hi):
+            k = int(report.input)
+            if report.relative_error is None:
+                out.write(f"{k},,stable_zero\n")
+            else:
+                flag = "zero" if report.relative_error == 0.0 else ""
+                out.write(f"{k},{_fmt(report.relative_error, 'csv')},{flag}\n")
     return 0
 
 

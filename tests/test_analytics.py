@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from collision_lab.analytics import (
+    LITERAL_CAP,
     BucketSpace,
+    _log_falling_series,
     StirlingTable,
     collision_pmf_exact,
     collision_probability,
@@ -22,12 +25,45 @@ from collision_lab.analytics import (
     stirling_log_row,
 )
 from collision_lab.errors import BracketingError, CapacityError
+from collision_lab.stable_math import sum_log1p
 
 N_HEADLINE = 10 ** 6
 
 
 def k(bits):
     return BucketSpace.power_of_two(bits)
+
+
+def oracle_collision_probability(n, space, chunk=1 << 20):
+    """Slow reference: -expm1 of the compensated sum of all n-1 log1p(-i/b)
+    terms, chunked, the O(n) evaluation the power-sum series replaced."""
+    if n <= 1:
+        return 0.0
+    if n > space.count:
+        return 1.0
+    bf = float(space.count)
+    partials = []
+    for lo in range(1, n, chunk):
+        i = np.arange(lo, min(n, lo + chunk), dtype=np.float64)
+        partials.append(sum_log1p(-(i / bf)))
+    return -math.expm1(math.fsum(partials))
+
+
+def exact_collision_probability(n, b):
+    """1 - prod_{i<n} (b - i)/b as an exact rational."""
+    prod = Fraction(1)
+    for i in range(n):
+        prod *= Fraction(b - i, b)
+    return 1 - prod
+
+
+def ulps_apart(x, y):
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+spaces = st.one_of(st.integers(1, 64).map(k),
+                   st.integers(1, 2 ** 63).map(BucketSpace.exact),
+                   st.integers(1, 4 * 10 ** 5).map(BucketSpace.exact))
 
 
 class TestBucketSpace:
@@ -172,6 +208,77 @@ class TestCollisionProbability:
     def test_nondecreasing_in_n(self):
         values = [collision_probability(n, k(20)) for n in range(0, 3000, 37)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    @given(st.integers(0, 10 ** 5), spaces)
+    @settings(max_examples=150, deadline=None)
+    def test_within_two_ulps_of_the_log1p_sum(self, n, space):
+        assert ulps_apart(collision_probability(n, space),
+                          oracle_collision_probability(n, space)) <= 2
+
+    @given(st.integers(0, 200), st.integers(1, 2 ** 63))
+    @settings(max_examples=150)
+    def test_exact_rational_oracle(self, n, b):
+        # every regime is reached: saturated, series and the short loop
+        exact = float(exact_collision_probability(n, b))
+        assert ulps_apart(collision_probability(n, BucketSpace.exact(b)), exact) <= 2
+
+    @pytest.mark.parametrize("n, b", [
+        # b at, below and above n(n-1)/80: saturated up to it, then the
+        # loop or the series
+        (81, 81), (81, 82), (96, 113), (96, 114), (96, 115),
+        (161, 321), (161, 322), (161, 323),
+        (10 ** 6, 12_499_987_499), (10 ** 6, 12_499_987_500),
+        (10 ** 6, 12_499_987_501),
+        # b at, below and above 2(n-1): the loop below, the series from it
+        (100, 197), (100, 198), (100, 199), (2, 2), (2, 3),
+    ])
+    def test_regime_boundaries(self, n, b):
+        space = BucketSpace.exact(b)
+        got = collision_probability(n, space)
+        assert ulps_apart(got, oracle_collision_probability(n, space)) <= 2
+        if n <= 200:
+            assert ulps_apart(got, float(exact_collision_probability(n, b))) <= 2
+
+    @pytest.mark.parametrize("n", [LITERAL_CAP + 1, 2 ** 31, 10 ** 9, 10 ** 10,
+                                   38 * 10 ** 9])
+    def test_large_n_matches_two_term_expansion(self, n):
+        # -L = S_1/b + S_2/(2b^2) + O(S_3/b^3): the third term is below
+        # 1e-12 of the first at b = 2^64 up to the saturation bound, which
+        # 38e9 is just below
+        b = 2 ** 64
+        m = n - 1
+        assert n * m < 80 * b
+        two_term = Fraction(m * (m + 1), 2 * b) + Fraction(m * (m + 1) * (2 * m + 1), 12 * b * b)
+        log_sum, terms = _log_falling_series(m, b)
+        assert log_sum == pytest.approx(float(two_term), rel=1e-12)
+        assert terms <= 4
+        expected = -math.expm1(-float(two_term))
+        assert collision_probability(n, k(64)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n, b, terms", [
+        # r = (n-1)/b = 1/2, the slowest convergence the series regime allows
+        (2, 2, 59), (3, 4, 59), (128, 254, 55),
+        (10 ** 6, 2 ** 64, 2),
+    ])
+    def test_series_term_count(self, n, b, terms):
+        assert _log_falling_series(n - 1, b)[1] == terms
+
+    @given(st.integers(1, 10 ** 6), st.integers(0, 10 ** 9))
+    @settings(max_examples=200)
+    def test_series_needs_at_most_59_terms(self, m, extra):
+        assert _log_falling_series(m, 2 * m + extra)[1] <= 59
+
+    def test_numpy_integer_n(self):
+        # n * (n - 1) would wrap in int64
+        assert collision_probability(np.int64(2 ** 32), k(64)) == \
+            collision_probability(2 ** 32, k(64))
+        with pytest.raises(TypeError):
+            collision_probability(1000.0, k(64))
+
+    def test_literal_forms_capped(self):
+        for literal in (collision_probability_naive, collision_probability_pbirthday):
+            with pytest.raises(CapacityError):
+                literal(LITERAL_CAP + 1, k(64))
 
     def test_error_curve_reports(self):
         reports = probability_error_curve(1000, 32, 40)

@@ -53,6 +53,14 @@ class TestExpect:
         assert code == 1
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    def test_human_layout(self, capsys):
+        code, out, _ = run(capsys, "expect", "--n", "1000000", "--bits", "40")
+        assert code == 0
+        assert out == ("n = 1000000, buckets = 2^40\n"
+                       "expected collisions (stable) = 0.4547468\n"
+                       "expected collisions (naive)  = 0.4547119\n"
+                       "relative difference          = 7.662346e-05\n")
+
     def test_fractional_n_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["expect", "--n", "1.5"])
@@ -121,6 +129,20 @@ class TestProb:
         code, out, _ = run(capsys, "prob", "--n", "3", "--bits", "54")
         assert code == 0
         assert "1.665335e-16" in out
+
+    def test_human_layout(self, capsys):
+        code, out, _ = run(capsys, "prob", "--n", "23", "--buckets", "365")
+        assert code == 0
+        assert out == ("n = 23, buckets = 365\n"
+                       "collision probability (stable) = 0.5072972\n"
+                       "collision probability (naive)  = 0.5072972\n"
+                       "relative difference            = 0\n")
+
+    def test_literal_cap_refuses_at_once(self, capsys):
+        # the naive product would take minutes; the stable form is O(1)
+        code, out, err = run(capsys, "prob", "--n", "1e10", "--bits", "64")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "100000000" in err
 
     def test_errcmp_csv(self, capsys):
         code, out, _ = run(capsys, "prob", "--n", "1000", "--errcmp",
