@@ -12,7 +12,9 @@ error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
-and S the Stirling numbers of the second kind.
+and S the Stirling numbers of the second kind.  In floats it comes from
+Knuth's occupancy recurrence in plain probabilities: O(n^2), about 0.1 s
+at n = 10^4, within 1e-12 relative, subnormal entries flushed to 0.
 """
 
 from __future__ import annotations
@@ -374,7 +376,8 @@ class CollisionPmf:
     """Distribution of the collision count C for n draws into b buckets.
 
     probs[c] = P(C = c) for c = 0..n-1, as Fractions (exact-rational mode)
-    or floats (log-domain mode).
+    or floats (float mode: the occupancy recurrence, see collision_pmf_exact;
+    the representation name "log-domain-float" is historical).
     """
 
     n: int
@@ -395,18 +398,24 @@ class CollisionPmf:
         return math.fsum(c * p for c, p in enumerate(self.probs))
 
     def prob_any_collision(self) -> float:
-        return float(1 - self.probs[0])
+        """P(C > 0); summed in float mode, as 1 - P(C = 0) would cancel."""
+        if self.representation == "exact-rational":
+            return float(1 - self.probs[0])
+        return math.fsum(self.probs[1:])
 
 
 def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
                         exact_cap: int = EXACT_PMF_CAP,
                         log_cap: int = LOG_PMF_CAP) -> CollisionPmf:
-    """Exact PMF of the collision count via Stirling numbers.
+    """Exact PMF of the collision count.
 
-    P(C = c) = (b)_(n-c) / b^n * S(n, n-c).  Rational mode evaluates this in
-    exact integer arithmetic (n <= exact_cap); log-domain mode computes the
-    falling factorial as a compensated sum of log1p(-i/b) terms and the
-    Stirling factor in log space, exponentiating at the end (n <= log_cap).
+    P(C = c) = (b)_(n-c) / b^n * S(n, n-c), in exact rationals for
+    n <= exact_cap.  Float mode ("log", a historical name; n <= log_cap)
+    gets the same numbers as q_n(n - c), where q_t(l) = P(t draws occupy
+    exactly l buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
+    q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1, in
+    plain probabilities: O(n^2), about 0.1 s at n = 10^4, entries from
+    1e-290 up within 1e-12 relative, those below 2^-1022 flushed to 0.
     """
     if n < 1:
         raise ValueError(f"pmf needs n >= 1, got {n}")
@@ -418,44 +427,35 @@ def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
         return _pmf_exact_rational(n, space)
     if mode == "log":
         if n > log_cap:
-            raise CapacityError(f"log-domain pmf capped at n = {log_cap}, got {n}")
+            raise CapacityError(f"float-mode pmf capped at n = {log_cap}, got {n}")
         return _pmf_log_domain(n, space)
     raise ValueError(f"mode must be auto, exact or log, got {mode!r}")
 
 
 def _pmf_exact_rational(n: int, space: BucketSpace) -> CollisionPmf:
-    b = space.count
-    bn = b ** n
-    table = StirlingTable(n)
-    probs = []
-    falling = 1  # (b)_l built up as l grows; hits 0 once l exceeds b
-    ff_by_l = [1]
-    for l in range(1, n + 1):
-        falling *= b - (l - 1)
-        ff_by_l.append(falling)
-    for c in range(n):
-        l = n - c
-        probs.append(Fraction(ff_by_l[l] * table.value(n, l), bn))
+    bn, table = space.count ** n, StirlingTable(n)
+    falling = [1]  # (b)_l for l = 0..n; hits 0 once l exceeds b
+    for l in range(n):
+        falling.append(falling[-1] * (space.count - l))
+    probs = [Fraction(falling[l] * table.value(n, l), bn) for l in range(n, 0, -1)]
     return CollisionPmf(n=n, space=space, probs=probs,
                         representation="exact-rational")
 
 
 def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
-    b = space.count
-    log_b = space.log2_count * math.log(2.0)
-    # prefix[l] = sum_{i=0}^{l-1} log1p(-i/b) = log((b)_l / b^l); only the
-    # first min(n, b) terms are in log1p's domain, beyond them (b)_l = 0
-    valid = min(n, b)
-    i = np.arange(valid, dtype=np.float64)
-    prefix = np.concatenate([[0.0], np.cumsum(np.log1p(-(i / float(b))))])
-    log_s = stirling_log_row(n)
-    probs = np.zeros(n)
-    for c in range(n):
-        l = n - c
-        if l > b:
-            continue  # pigeonhole: cannot land n draws in fewer than l buckets
-        probs[c] = math.exp(prefix[l] - c * log_b + log_s[l])
-    return CollisionPmf(n=n, space=space, probs=probs,
+    # q[l] after t draws; only l <= min(t, b) is reachable (pigeonhole)
+    b, bf = space.count, float(space.count)
+    l = np.arange(min(n, b) + 1, dtype=np.float64)
+    hit, miss = l / bf, (bf - l) / bf
+    q = np.zeros(n + 1)
+    q[1] = 1.0
+    for t in range(2, n + 1):
+        top = min(t, b)
+        carry = q[:top] * miss[:top]
+        q[1:top + 1] *= hit[1:top + 1]
+        q[1:top + 1] += carry
+    q[q < np.finfo(float).tiny] = 0.0  # subnormals stop decaying: flush them
+    return CollisionPmf(n=n, space=space, probs=q[:0:-1].copy(),
                         representation="log-domain-float")
 
 

@@ -427,6 +427,38 @@ def brute_force_pmf(n, b):
     return [Fraction(c, total) for c in counts]
 
 
+def occupancy_counts(n, b):
+    """N[l] = number of the b^n outcomes of n draws that occupy exactly l
+    buckets, in integers: N_t(l) = l N_{t-1}(l) + (b - l + 1) N_{t-1}(l - 1)."""
+    counts = [1]  # t = 0: no bucket occupied
+    for t in range(1, n + 1):
+        counts = [0] + [l * (counts[l] if l < t else 0) + (b - l + 1) * counts[l - 1]
+                        for l in range(1, t + 1)]
+    return counts
+
+
+def assert_float_pmf_matches(probs, exact):
+    """Each float entry against its exact (numerator, denominator): exact
+    zeros are 0.0, entries from 1e-290 up are within 1e-12 relative."""
+    assert len(probs) == len(exact)
+    for c, (p, (num, den)) in enumerate(zip(probs, exact)):
+        want = num / den
+        if num == 0:
+            assert p == 0.0, c
+        elif want >= 1e-290:
+            assert abs(p - want) <= 1e-12 * want, (c, p, want)
+
+
+def exact_expected_collisions(n, b):
+    """E[C] = n - b + (b-1)^n / b^(n-1), rounded once from exact integers."""
+    den = b ** (n - 1)
+    return ((n - b) * den + (b - 1) ** n) / den
+
+
+def space_of(b):
+    return k(b.bit_length() - 1) if b > 1 and b & (b - 1) == 0 else BucketSpace.exact(b)
+
+
 class TestCollisionPmf:
     def test_two_draws_two_buckets(self):
         pmf = collision_pmf_exact(2, BucketSpace.exact(2))
@@ -484,6 +516,41 @@ class TestCollisionPmf:
         assert all(0.0 <= p <= 1.0 for p in pmf.probs)
         e = expected_collisions(1000, k(32))
         assert pmf.mean() == pytest.approx(e, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [65, 100, 300])
+    @pytest.mark.parametrize("b", ["n//3", "n-1", "n", 2 ** 16, 2 ** 32, 2 ** 64,
+                                   2 ** 60 + 33])
+    def test_float_mode_matches_integer_occupancy_counts(self, n, b):
+        b = {"n//3": n // 3, "n-1": n - 1, "n": n}.get(b, b)
+        counts = occupancy_counts(n, b)
+        pmf = collision_pmf_exact(n, space_of(b), mode="log")
+        assert_float_pmf_matches(pmf.probs, [(counts[n - c], b ** n) for c in range(n)])
+
+    @given(st.integers(1, 64), spaces)
+    @settings(max_examples=60, deadline=None)
+    def test_float_mode_matches_exact_mode(self, n, space):
+        exact = collision_pmf_exact(n, space, mode="exact")
+        logd = collision_pmf_exact(n, space, mode="log")
+        assert_float_pmf_matches(logd.probs, [(p.numerator, p.denominator)
+                                              for p in exact.probs])
+
+    @pytest.mark.parametrize("n, b", [
+        (10 ** 4, 1310), (4172, 1310), (10 ** 4, 9999), (10 ** 4, 2 ** 16),
+        (10 ** 4, 2 ** 64),
+    ])
+    def test_float_mode_sum_and_mean_at_large_n(self, n, b):
+        pmf = collision_pmf_exact(n, space_of(b), mode="log")
+        assert abs(pmf.total() - 1.0) <= 1e-12
+        e = exact_expected_collisions(n, b)
+        assert abs(pmf.mean() - e) <= 1e-12 * e
+        probs = np.asarray(pmf.probs)
+        assert not np.any((probs > 0.0) & (probs < 2.0 ** -1022))
+
+    @pytest.mark.parametrize("n, bits", [(3353, 64), (6914, 57), (1000, 32)])
+    def test_float_prob_any_collision_does_not_cancel(self, n, bits):
+        pmf = collision_pmf_exact(n, k(bits), mode="log")
+        p = collision_probability(n, k(bits))
+        assert abs(pmf.prob_any_collision() - p) <= 1e-12 * p
 
     def test_caps(self):
         with pytest.raises(CapacityError):
