@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -152,6 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("csv", "human"), default="human")
 
     return p
+
+
+# parse_args leaves the parser unchanged, so one parser serves every call
+_parser = functools.cache(build_parser)
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def cmd_inspect(value_text: str, fmt: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def _resolve_simulate(args) -> RunConfig:
+def _resolve_simulate(args, n: int) -> RunConfig:
     space = _space_from(args)
     if space.bits is None:
         raise ValueError("simulate needs a power-of-two space (--bits)")
@@ -353,7 +358,7 @@ def _resolve_simulate(args) -> RunConfig:
         seeds = [derive_seed(base, i) for i in range(args.seeds)]
     return RunConfig(
         subcommand="simulate",
-        n=args.n if args.n is not None else DEFAULT_N,
+        n=n,
         space=space,
         generator=spec,
         seeds=seeds,
@@ -363,39 +368,35 @@ def _resolve_simulate(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    n_given = getattr(args, "n", None) is not None
+    n = args.n if n_given else DEFAULT_N
     try:
         cmd = args.subcommand
         if cmd == "expect":
-            cfg = RunConfig("expect", n=args.n if args.n is not None else DEFAULT_N,
-                            space=_space_from(args), output_path=args.out,
+            cfg = RunConfig("expect", n=n, space=_space_from(args), output_path=args.out,
                             format=args.format)
             return cmd_expect(cfg)
         if cmd == "scan":
             k_lo, k_hi = _parse_range(args.range, 32, 64, integer=True)
-            cfg = RunConfig("scan", n=args.n if args.n is not None else DEFAULT_N,
-                            output_path=args.out, format="csv")
+            cfg = RunConfig("scan", n=n, output_path=args.out, format="csv")
             return cmd_scan(cfg, k_lo, k_hi)
         if cmd == "prob":
             k_lo, k_hi = _parse_range(args.range, 32, 64, integer=True)
-            cfg = RunConfig("prob", n=args.n if args.n is not None else DEFAULT_N,
-                            space=_space_from(args), output_path=args.out,
+            cfg = RunConfig("prob", n=n, space=_space_from(args), output_path=args.out,
                             format=args.format)
             return cmd_prob(cfg, args.errcmp, k_lo, k_hi)
         if cmd == "pmf":
-            cfg = RunConfig("pmf", n=args.n if args.n is not None else DEFAULT_N,
-                            space=_space_from(args), output_path=args.out, format="csv")
+            cfg = RunConfig("pmf", n=n, space=_space_from(args), output_path=args.out,
+                            format="csv")
             return cmd_pmf(cfg)
         if cmd == "simulate":
-            cfg = _resolve_simulate(args)
+            cfg = _resolve_simulate(args, n)
             return cmd_simulate(cfg, args.out)
         if cmd == "solve":
             lo, hi = _parse_range(args.range, 1.0, 1e12, integer=False)
-            n_given = args.n is not None
             space_given = args.bits is not None or args.buckets is not None
-            cfg = RunConfig("solve", n=args.n if args.n is not None else DEFAULT_N,
-                            space=_space_from(args), output_path=args.out,
+            cfg = RunConfig("solve", n=n, space=_space_from(args), output_path=args.out,
                             format=args.format)
             return cmd_solve(cfg, args.target, n_given, space_given, lo, hi)
         if cmd == "inspect":

@@ -14,9 +14,11 @@ Three families:
 
 Requesting fewer than the native bits truncates to the top bits; requesting
 more (from a 32-bit family) concatenates two successive native outputs.
-Identical GeneratorSpec values always yield bitwise-identical streams; the
-MRG32k3a block-generating fast path is an exact reproduction of the one-step
-recurrence (tested against a scalar reference).
+Identical GeneratorSpec values always yield bitwise-identical streams.  The
+MRG32k3a core's state is always its scalar pair of component states; a
+large request splits into lanes, lane r starting at offset r*T by matrix
+jump-ahead and stepping the one-step recurrence, and its output is an exact
+reproduction of that recurrence (tested against a scalar reference).
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Parallel work derives one seed per worker via ``derive_seed``.
@@ -132,7 +134,8 @@ _A21, _A23N = 527612, 1370589
 _MAT1 = ((0, 1, 0), (0, 0, 1), ((_M1 - _A13N) % _M1, _A12, 0))
 _MAT2 = ((0, 1, 0), (0, 0, 1), ((_M2 - _A23N) % _M2, 0, _A21))
 
-_CMRG_LANES = 4096  # interleaved substreams per vectorized step
+_CMRG_LANES = 2048        # substreams stepped together by a large request
+_CMRG_SCALAR_BELOW = 8192  # smaller requests step the scalar recurrence
 
 
 def _mat_mul(a, b, m):
@@ -152,39 +155,22 @@ def _mat_pow(a, e, m):
     return r
 
 
-_MAT1_J = _mat_pow(_MAT1, _CMRG_LANES, _M1)
-_MAT2_J = _mat_pow(_MAT2, _CMRG_LANES, _M2)
-
-
-def _mat_apply(mat, x, m):
-    # per-term modular products: every entry and state is < m < 2^32, so each
-    # product stays below 2^64 and uint64 arithmetic is exact
-    m_ = np.uint64(m)
-    rows = []
-    for i in range(3):
-        acc = np.zeros(x.shape[1], dtype=np.uint64)
-        for k in range(3):
-            if mat[i][k]:
-                acc = (acc + (np.uint64(mat[i][k]) * x[k]) % m_) % m_
-        rows.append(acc)
-    return np.array(rows)
-
-
-def _next_component(mat, x, m):
-    m_ = np.uint64(m)
-    acc = np.zeros(x.shape[1], dtype=np.uint64)
-    for k in range(3):
-        if mat[2][k]:
-            acc = (acc + (np.uint64(mat[2][k]) * x[k]) % m_) % m_
-    return acc
+def _mat_vec(a, x, m):
+    x0, x1, x2 = x
+    return [(r0 * x0 + r1 * x1 + r2 * x2) % m for r0, r1, r2 in a]
 
 
 class _Mrg32k3aCore:
     """MRG32k3a emitting the canonical output sequence.
 
-    Small requests step the scalar recurrence; large ones switch to an
-    interleaved-substream form (lane r holds state A^r x0 and advances by
-    A^J) whose outputs are bit-identical to the scalar sequence.
+    The state is always the scalar pair of component states.  Small
+    requests step it one output at a time.  A large request of ``count``
+    words splits its stretch of the sequence into ``_CMRG_LANES`` lanes of
+    ``T = ceil(count / lanes)`` steps: lane r starts at offset r*T, at state
+    A^(rT) x0 (the substream jump-ahead of L'Ecuyer et al. 2002), all lanes
+    step the one-step recurrence together, and the lanes laid end to end
+    are the canonical sequence, bit for bit.  The state is then the last
+    lane's end state, A^(T*lanes) x0.
     """
 
     native_bits = 32
@@ -212,8 +198,6 @@ class _Mrg32k3aCore:
             raise ValueError(f"second component state must be in [0, {_M2}) and not all zero")
         self._s1 = s1
         self._s2 = s2
-        self._x1 = None  # lane states, built on first large request
-        self._x2 = None
 
     def _scalar_step(self) -> int:
         s1, s2 = self._s1, self._s2
@@ -223,38 +207,41 @@ class _Mrg32k3aCore:
         s2[0], s2[1], s2[2] = s2[1], s2[2], p2
         return (p1 - p2) % _M1
 
-    def _build_lanes(self):
-        j = _CMRG_LANES
-        x1 = np.empty((3, j), dtype=np.uint64)
-        x2 = np.empty((3, j), dtype=np.uint64)
-        for r in range(j):
-            x1[:, r] = self._s1
-            x2[:, r] = self._s2
-            self._scalar_step()
-        self._x1, self._x2 = x1, x2
-
     @staticmethod
     def _reduce32(z: np.ndarray) -> np.ndarray:
         # scale [0, m1) onto the full 32-bit range: floor(z * 2^32 / m1)
         return (z << np.uint64(32)) // np.uint64(_M1)
 
     def blocks(self, count: int):
-        """Yield uint32-valued blocks totalling at least ``count`` words."""
-        if self._x1 is None and count < _CMRG_LANES:
+        """Yield one uint32 block of at least ``count`` words."""
+        if count < _CMRG_SCALAR_BELOW:
             out = np.fromiter((self._scalar_step() for _ in range(count)),
                               dtype=np.uint64, count=count)
             yield self._reduce32(out).astype(np.uint32)
             return
-        if self._x1 is None:
-            self._build_lanes()
-        produced = 0
-        while produced < count:
-            z = (_next_component(_MAT1, self._x1, _M1) + np.uint64(_M1)
-                 - _next_component(_MAT2, self._x2, _M2)) % np.uint64(_M1)
-            self._x1 = _mat_apply(_MAT1_J, self._x1, _M1)
-            self._x2 = _mat_apply(_MAT2_J, self._x2, _M2)
-            produced += _CMRG_LANES
-            yield self._reduce32(z).astype(np.uint32)
+        lanes = _CMRG_LANES
+        steps = -(-count // lanes)
+        jump1 = _mat_pow(_MAT1, steps, _M1)
+        jump2 = _mat_pow(_MAT2, steps, _M2)
+        s1, s2 = self._s1, self._s2
+        states = []
+        for _ in range(lanes):
+            states.append(s1 + s2)
+            s1, s2 = _mat_vec(jump1, s1, _M1), _mat_vec(jump2, s2, _M2)
+        self._s1, self._s2 = s1, s2
+        # row i holds state entry i of every lane
+        x = np.array(states, dtype=np.uint64).T
+        x1, x2 = x[:3], x[3:]
+        out = np.empty((steps, lanes), dtype=np.uint32)
+        for t in range(steps):
+            # a12*s1 + m1*a13 - a13*s0 < 2^54 and a21*s2 + m2*a23 - a23*s0
+            # < 2^53 stay exact in uint64 when the addition comes first
+            p1 = (_A12 * x1[1] + _M1 * _A13N - _A13N * x1[0]) % _M1
+            p2 = (_A21 * x2[2] + _M2 * _A23N - _A23N * x2[0]) % _M2
+            x1 = [x1[1], x1[2], p1]
+            x2 = [x2[1], x2[2], p2]
+            out[t] = self._reduce32((p1 + _M1 - p2) % _M1)
+        yield out.T.ravel()
 
 
 # --------------------------------------------------------------------------
@@ -398,10 +385,11 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     Accepts and rejects exactly like ``rand_int_rejection`` and yields the
     same value sequence for the same stream state, but consumes draws in
     batches (the final batch may discard unused draws), so do not interleave
-    it with the scalar sampler on one stream.
+    it with the scalar sampler on one stream.  ``n`` must be below 2^64, the
+    range of the uint64 output.
     """
-    if n < 1:
-        raise DomainError(f"sample_ints requires n >= 1, got {n}")
+    if not 1 <= n <= _MASK64:
+        raise DomainError(f"sample_ints requires 1 <= n < 2^64, got {n}")
     out = np.empty(count, dtype=np.uint64)
     if n == 1:
         out.fill(1)
@@ -420,9 +408,12 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
             words = stream.take_kbits(batch * draws_per_pattern)
             words = words.reshape(batch, draws_per_pattern)
             acc = np.zeros(batch, dtype=np.uint64)
-            for col in range(draws_per_pattern):
+            for col in range(draws_per_pattern - 1):
                 acc = (acc << np.uint64(k)) | words[:, col]
-            v = acc >> (draws_per_pattern * k - m)
+            # take from the last draw only the top bits the pattern still
+            # needs, so no value holds more than m <= 64 bits
+            last = m - (draws_per_pattern - 1) * k
+            v = (acc << np.uint64(last)) | (words[:, -1] >> np.uint64(k - last))
         good = v[v <= n - 1][:want]
         out[filled:filled + good.size] = good + np.uint64(1)
         filled += good.size

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,30 @@ class TestInspect:
     def test_garbage_value(self, capsys):
         code, _, err = run(capsys, "inspect", "not-a-number")
         assert code == 1 and err.startswith("error:")
+
+
+class TestRepeatedCalls:
+    # flags given in one call must not carry into the next: the calls run
+    # in one process, one after another, and each must print what it
+    # prints in a fresh interpreter
+    ARGVS = (
+        ["solve", "--n", "1000", "--target", "1"],
+        ["solve", "--bits", "32", "--target", "1"],
+        ["expect", "--n", "5", "--bits", "40", "--format", "csv"],
+        ["expect"],
+        ["prob", "--errcmp", "--range", "60:62"],
+        ["simulate", "--n", "1000", "--generator", "cmrg:3:24", "--format", "csv"],
+        ["expect", "--bits", "32", "--buckets", "100"],
+    )
+
+    @staticmethod
+    def alone(argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "collision_lab.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_each_call_prints_what_it_prints_alone(self, capsys):
+        in_process = [run(capsys, *argv) for argv in self.ARGVS]
+        assert in_process == [self.alone(argv) for argv in self.ARGVS]

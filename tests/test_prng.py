@@ -7,6 +7,7 @@ from collision_lab.prng import (
     FAMILIES,
     GeneratorSpec,
     KBitStream,
+    _CMRG_LANES,
     _Mrg32k3aCore,
     derive_seed,
     mix64,
@@ -103,6 +104,32 @@ class TestMrg32k3a:
         s = stream("cmrg", seed=7)
         b_ = np.array([s.next_kbit() for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
+
+    ODD_TAKES = (1, 5003, 777, 100001, 3, 99999)
+
+    def test_lane_path_across_calls(self):
+        # successive odd counts leave T*lanes > count surplus words behind
+        # and follow lane-path calls with scalar-path ones; every call must
+        # continue the canonical sequence
+        m1 = 4294967087
+        # a call returns fewer than _CMRG_LANES surplus words
+        total = sum(self.ODD_TAKES) + len(self.ODD_TAKES) * _CMRG_LANES
+        ref = [(z << 32) // m1
+               for z in self.scalar_reference([12345] * 3, [12345] * 3, total)]
+        core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
+        at = 0
+        for count in self.ODD_TAKES:
+            got = np.concatenate(list(core.blocks(count)))
+            assert count <= got.size < count + _CMRG_LANES
+            assert list(got) == ref[at:at + got.size]
+            at += got.size
+
+    @pytest.mark.parametrize("bits", [32, 40])
+    def test_stream_takes_match_one_bulk_take(self, bits):
+        s = stream("cmrg", seed=7, bits=bits)
+        parts = [s.take_kbits(count) for count in self.ODD_TAKES]
+        bulk = stream("cmrg", seed=7, bits=bits).take_kbits(sum(self.ODD_TAKES))
+        assert np.array_equal(np.concatenate(parts), bulk)
 
     def test_bad_states_rejected(self):
         with pytest.raises(ValueError):
@@ -270,10 +297,22 @@ class TestRejectionSampler:
         vector = sample_ints(b_, 100, 500).tolist()
         assert scalar == vector
         assert min(scalar) >= 1 and max(scalar) <= 100
+        # two draws span 96 and 66 bits, more than a uint64 holds
+        for bits, n in [(48, 2 ** 59 + 12345), (33, 2 ** 64 - 1)]:
+            a = stream(seed=37, bits=bits)
+            b_ = stream(seed=37, bits=bits)
+            scalar = [rand_int_rejection(a, n) for _ in range(200)]
+            assert sample_ints(b_, n, 200).tolist() == scalar
+            assert max(scalar) > n // 2
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             rand_int_rejection(stream(), 0)
+        with pytest.raises(DomainError):
+            sample_ints(stream(), 0, 10)
+        with pytest.raises(DomainError):
+            # the uint64 output cannot hold n = 2^64
+            sample_ints(stream(), 2 ** 64, 10)
 
     def test_rejection_cap_flags_broken_generator(self):
         class Stuck:
