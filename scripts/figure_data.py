@@ -3,13 +3,17 @@
 
 Writes into the output directory (default ./figure_data):
 
-  collisions_trajectory.csv   cumulative collision count per draw index
-  collisions_positions.csv    1-based position of each duplicate draw
+  collisions_trajectory.csv   index,cumulative_collisions: cumulative
+                              collision count per draw index
+  collisions_positions.csv    collision_rank,position: 1-based position of
+                              each duplicate draw
   expected_scan.csv           k,naive,stable expected collisions, k = 32..64
-  prob_relative_error.csv     k,relative_error of R's pbirthday() vs the
-                              stable collision probability, k = 32..64
+  prob_relative_error.csv     k,relative_error,zero_error of R's pbirthday()
+                              vs the stable collision probability, k = 32..64
 
 Usage: python scripts/figure_data.py [outdir] [--n N] [--bits K] [--seed S]
+
+N is an exact integer, also in scientific form (1e6); 1.5 is refused.
 
 Everything is deterministic given the arguments; plotting is left to
 external tooling (the CSVs are gnuplot/pandas-friendly).
@@ -19,7 +23,7 @@ import argparse
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from collision_lab.cli import main as cli_main  # noqa: E402
 
@@ -33,19 +37,19 @@ def run(argv):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="figure_data")
-    ap.add_argument("--n", type=lambda s: int(float(s)), default=10 ** 6)
+    # passed through as text: the CLI parses it exactly ('1e6' yes, '1.5' no)
+    ap.add_argument("--n", default=str(10 ** 6))
     ap.add_argument("--bits", type=int, default=32)
     ap.add_argument("--seed", type=int, default=271)
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n = str(args.n)
 
-    run(["simulate", "--n", n, "--bits", str(args.bits),
+    run(["simulate", "--n", args.n, "--bits", str(args.bits),
          "--seed-base", str(args.seed), "--out", str(outdir / "collisions")])
-    run(["scan", "--n", n, "--out", str(outdir / "expected_scan.csv")])
-    run(["prob", "--n", n, "--errcmp",
+    run(["scan", "--n", args.n, "--out", str(outdir / "expected_scan.csv")])
+    run(["prob", "--n", args.n, "--errcmp",
          "--out", str(outdir / "prob_relative_error.csv")])
 
     print(f"wrote {outdir}/collisions_trajectory.csv")

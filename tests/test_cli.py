@@ -109,6 +109,13 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--n", "1000", "--range", "35:36.5")
         assert code == 1 and out == "" and err.startswith("error:")
 
+    def test_format_flag_refused(self, capsys):
+        # scan prints CSV only; a --format it would ignore is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--format", "human"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "scan.csv"
         code, out, _ = run(capsys, "scan", "--n", "1000", "--range", "32:33",
@@ -338,6 +345,27 @@ class TestInspect:
     def test_garbage_value(self, capsys):
         code, _, err = run(capsys, "inspect", "not-a-number")
         assert code == 1 and err.startswith("error:")
+
+
+class TestRefusedCallsWriteNothing:
+    # the output is computed in full before anything is written, so a
+    # refused call leaves stdout and an existing --out file as they were
+    REFUSED = {
+        "solve-both-unknowns": ["solve", "--n", "1000", "--bits", "32", "--target", "1"],
+        "solve-no-unknown": ["solve", "--target", "1"],
+        "solve-bracketing": ["solve", "--bits", "8", "--target", "1", "--range", "5:6"],
+        "errcmp-capacity": ["prob", "--errcmp", "--n", "2e8"],
+    }
+
+    @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+    def test_stdout_and_out_file_untouched(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"earlier,bytes\n1,2\n")
+        for extra in ([], ["--out", str(path)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert path.read_bytes() == b"earlier,bytes\n1,2\n"
 
 
 class TestRepeatedCalls:

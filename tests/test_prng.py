@@ -85,17 +85,17 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # 12000 outputs spans both the scalar and the lane-vectorized paths
+        # one request of 12000 outputs takes the lane-vectorized path alone
+        # (only requests below _CMRG_SCALAR_BELOW step the scalar
+        # recurrence); test_lane_path_across_calls crosses the two paths
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
 
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
         parts = []
-        have = 0
         for block in core.blocks(12000):
             parts.append(block)
-            have += block.size
         got = np.concatenate(parts)[:12000]
         assert list(got) == ref
 
