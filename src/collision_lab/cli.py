@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="count collisions in generated streams")
     _add_common(s, out=False)
     s.add_argument("--seeds", type=int, default=1, help="number of seeds (default 1)")
-    s.add_argument("--seed-base", type=int, default=1,
+    s.add_argument("--seed-base", type=int, default=None,
                    help="base seed; per-run seeds derive from it (default 1)")
     s.add_argument("--generator", default=None,
                    help="family:seed:bits, families " + "/".join(FAMILIES))
@@ -193,6 +193,8 @@ def cmd_scan(args, out) -> None:
 
 def cmd_prob(args, out) -> None:
     k_lo, k_hi = _parse_range(args.range, 32, 64, integer=True)
+    if args.range is not None and not args.errcmp:
+        raise ValueError("--range applies only with --errcmp")
     n, space = _n(args), _space_from(args)
     if not args.errcmp:
         _write_comparison(out, args.format, n, space, "collision probability",
@@ -227,8 +229,12 @@ def cmd_simulate(args, out) -> None:
     if space.bits is None:
         raise ValueError("simulate needs a power-of-two space (--bits)")
     if args.generator is None:
-        spec = GeneratorSpec("mt19937", args.seed_base, space.bits)
+        spec = GeneratorSpec("mt19937", 1 if args.seed_base is None else args.seed_base,
+                             space.bits)
     else:
+        if args.seed_base is not None:
+            raise ValueError("--seed-base does not apply with --generator; "
+                             "give the seed as family:seed:bits")
         spec = GeneratorSpec.parse(args.generator)
         if args.bits is not None and spec.output_bits != args.bits:
             raise ValueError("--generator bits disagree with --bits")
@@ -236,7 +242,13 @@ def cmd_simulate(args, out) -> None:
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     seeds = [spec.seed] if args.seeds == 1 else empirics.seeds_from_base(spec.seed, args.seeds)
-    summaries = empirics.run_seeds(spec.family, spec.output_bits, n, seeds)
+    if args.trace_prefix is None:
+        summaries = empirics.run_seeds(spec.family, spec.output_bits, n, seeds)
+    else:
+        # the traced first seed is counted in the same pass that traces it
+        stream = KBitStream(GeneratorSpec(spec.family, seeds[0], spec.output_bits))
+        first, trace = empirics.trace_collisions(stream, n)
+        summaries = [first, *empirics.run_seeds(spec.family, spec.output_bits, n, seeds[1:])]
     expected = analytics.expected_collisions(n, space)
     dups = np.array([s.duplicates for s in summaries], dtype=np.float64)
     if args.format == "csv":
@@ -255,8 +267,6 @@ def cmd_simulate(args, out) -> None:
             out.write(f", sd = {_fmt(dups.std(ddof=1), 'human')}")
         out.write(f", expected = {_fmt(expected, 'human')}\n")
     if args.trace_prefix is not None:
-        stream = KBitStream(GeneratorSpec(spec.family, seeds[0], spec.output_bits))
-        _, trace = empirics.trace_collisions(stream, n)
         with open(f"{args.trace_prefix}_trajectory.csv", "w") as fh:
             empirics.write_trajectory_csv(trace, fh)
         with open(f"{args.trace_prefix}_positions.csv", "w") as fh:
@@ -270,6 +280,8 @@ def cmd_solve(args, out) -> None:
     target = args.target
     if args.n is not None and space_given:
         raise ValueError("solve needs --n (find k) or --bits/--buckets (find n), not both")
+    if args.n is not None and args.range is not None:
+        raise ValueError("--range brackets the sample-size solve and does not apply with --n")
     if args.n is not None:
         n = args.n
         k = analytics.min_bits_for_expected(n, target)

@@ -83,8 +83,18 @@ def _keys(values) -> np.ndarray:
                        dtype=np.int64, count=len(values))
 
 
+def _summary(keys: np.ndarray) -> TieSummary:
+    """TieSummary of the keys from one counts-only sort."""
+    _, counts = np.unique(keys, return_counts=True)
+    return TieSummary.from_multiplicities(keys.size, counts)
+
+
 def _tally(keys: np.ndarray):
-    """Counts of the distinct keys and the mask of first-occurrence duplicates."""
+    """Counts of the distinct keys and the mask of first-occurrence duplicates.
+
+    Only positions need the first indices, and asking ``np.unique`` for them
+    makes its sort stable; counts alone go through ``_summary``.
+    """
     _, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
     is_dup = np.ones(keys.size, dtype=bool)
     is_dup[first_idx] = False
@@ -93,14 +103,12 @@ def _tally(keys: np.ndarray):
 
 def count_duplicates(values: Sequence) -> int:
     """Number of elements equal to at least one earlier element."""
-    counts, is_dup = _tally(_keys(values))
-    return int(is_dup.size - counts.size)
+    return _summary(_keys(values)).duplicates
 
 
 def count_ties(values: Sequence) -> int:
     """Total multiplicity of all values appearing more than once."""
-    counts, _ = _tally(_keys(values))
-    return int(counts[counts >= 2].sum())
+    return _summary(_keys(values)).ties
 
 
 def collision_positions(values: Sequence) -> list:
@@ -176,9 +184,7 @@ def collision_summary(stream: KBitStream, n: int,
                       max_distinct: Optional[int] = None) -> TieSummary:
     """TieSummary of the next ``n`` draws (no positional trace)."""
     _check_cap(n, max_distinct)
-    draws = stream.take_kbits(n)
-    _, counts = np.unique(draws, return_counts=True)
-    return TieSummary.from_multiplicities(n, counts)
+    return _summary(stream.take_kbits(n))
 
 
 def trace_collisions(stream: KBitStream, n: int,

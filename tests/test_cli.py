@@ -8,6 +8,7 @@ import pytest
 
 from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.cli import main
+from collision_lab.prng import KBitStream
 
 
 def run(capsys, *argv):
@@ -257,6 +258,22 @@ class TestSimulate:
         final = int(traj[-1].split(",")[1])
         assert final == len(pos) - 1  # cumulative total equals listed positions
 
+    def test_out_draws_each_stream_once(self, capsys, monkeypatch, tmp_path):
+        drawn = []
+        take = KBitStream.take_kbits
+
+        def counting_take(stream, count):
+            drawn.append(count)
+            return take(stream, count)
+
+        monkeypatch.setattr(KBitStream, "take_kbits", counting_take)
+        args = ("simulate", "--n", "5000", "--bits", "16", "--seeds", "3")
+        code, traced, _ = run(capsys, *args, "--out", str(tmp_path / "p"))
+        assert code == 0
+        assert sum(drawn) == 15000  # the traced first seed is not drawn again
+        code, plain, _ = run(capsys, *args)
+        assert code == 0 and traced == plain
+
     def test_capacity_error_via_env(self, capsys, monkeypatch):
         monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1000")
         code, _, err = run(capsys, "simulate", "--n", "2000", "--bits", "16")
@@ -355,6 +372,11 @@ class TestRefusedCallsWriteNothing:
         "solve-no-unknown": ["solve", "--target", "1"],
         "solve-bracketing": ["solve", "--bits", "8", "--target", "1", "--range", "5:6"],
         "errcmp-capacity": ["prob", "--errcmp", "--n", "2e8"],
+        # flags that would otherwise be ignored
+        "prob-range-without-errcmp": ["prob", "--n", "1000", "--range", "35:36"],
+        "solve-range-with-n": ["solve", "--n", "1000", "--target", "1", "--range", "1:2"],
+        "simulate-seed-base-with-generator": ["simulate", "--n", "1000", "--generator",
+                                              "cmrg:1:16", "--seed-base", "99"],
     }
 
     @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
@@ -366,6 +388,7 @@ class TestRefusedCallsWriteNothing:
             assert code == 1 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         assert path.read_bytes() == b"earlier,bytes\n1,2\n"
+        assert list(tmp_path.iterdir()) == [path]  # nor any trace file
 
 
 class TestRepeatedCalls:
