@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -70,6 +71,8 @@ def _parse_range(text: str, lo_default, hi_default, integer: bool):
         raise ValueError(f"--range must be lo:hi, got {text!r}")
     conv = _exact_int if integer else float
     lo, hi = conv(parts[0]), conv(parts[1])
+    if not integer and not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--range bounds must be finite, got {text!r}")
     if lo > hi:
         raise ValueError(f"--range must have lo <= hi, got {text!r}")
     return lo, hi
@@ -354,8 +357,8 @@ def main(argv=None) -> int:
         else:
             with open(path, "w") as fh:
                 fh.write(buf.getvalue())
-    except (DomainError, CapacityError, BracketingError, ValueError, OSError,
-            argparse.ArgumentTypeError) as exc:
+    except (DomainError, CapacityError, BracketingError, ValueError,
+            OverflowError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -231,15 +231,18 @@ def seeds_from_base(base_seed: int, count: int) -> list:
     return [derive_seed(base_seed, i) for i in range(count)]
 
 
+def _write_indexed_csv(out, header: str, values) -> None:
+    """CSV ``header`` row, then one ``i,value`` row per value, i from 1."""
+    values = np.asarray(values, dtype=np.int64).tolist()
+    out.write(header + "\n")
+    out.writelines(map("{},{}\n".format, range(1, len(values) + 1), values))
+
+
 def write_trajectory_csv(trace: CollisionTrace, out) -> None:
     """CSV `index,cumulative_collisions`: collisions as a function of sample size."""
-    out.write("index,cumulative_collisions\n")
-    for i, c in enumerate(trace.cumulative, start=1):
-        out.write(f"{i},{int(c)}\n")
+    _write_indexed_csv(out, "index,cumulative_collisions", trace.cumulative)
 
 
 def write_positions_csv(trace: CollisionTrace, out) -> None:
     """CSV `collision_rank,position`: the 1-based index of each duplicate draw."""
-    out.write("collision_rank,position\n")
-    for rank, pos in enumerate(trace.positions, start=1):
-        out.write(f"{rank},{int(pos)}\n")
+    _write_indexed_csv(out, "collision_rank,position", trace.positions)

@@ -14,11 +14,13 @@ Three families:
 
 Requesting fewer than the native bits truncates to the top bits; requesting
 more (from a 32-bit family) concatenates two successive native outputs.
-Identical GeneratorSpec values always yield bitwise-identical streams.  The
-MRG32k3a core's state is always its scalar pair of component states; a
-large request splits into lanes, lane r starting at offset r*T by matrix
-jump-ahead and stepping the one-step recurrence, and its output is an exact
-reproduction of that recurrence (tested against a scalar reference).
+Identical GeneratorSpec values always yield bitwise-identical streams.
+Each core returns exactly the words asked for, as uint64, and keeps its own
+position, so ``KBitStream`` holds no words between calls.  The MRG32k3a
+core's state is always its scalar pair of component states; a large request
+splits into lanes, lane r starting at offset r*T by matrix jump-ahead and
+stepping the one-step recurrence, and its output is an exact reproduction of
+that recurrence (tested against a scalar reference).
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Parallel work derives one seed per worker via ``derive_seed``.
@@ -117,9 +119,9 @@ class _Mt19937Core:
         self._bg = np.random.MT19937()
         self._bg.state = np.random.RandomState(seed & _MASK32).get_state(legacy=False)
 
-    def blocks(self, count: int):
-        """Yield one uint32 block of exactly ``count`` words."""
-        yield self._bg.random_raw(count).astype(np.uint32)
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words as uint64."""
+        return self._bg.random_raw(count)
 
 
 # --------------------------------------------------------------------------
@@ -165,12 +167,14 @@ class _Mrg32k3aCore:
 
     The state is always the scalar pair of component states.  Small
     requests step it one output at a time.  A large request of ``count``
-    words splits its stretch of the sequence into ``_CMRG_LANES`` lanes of
-    ``T = ceil(count / lanes)`` steps: lane r starts at offset r*T, at state
+    words splits its stretch of the sequence into at most ``_CMRG_LANES``
+    lanes of ``T = ceil(count / _CMRG_LANES)`` steps, ``lanes =
+    ceil(count / T)`` of them: lane r starts at offset r*T, at state
     A^(rT) x0 (the substream jump-ahead of L'Ecuyer et al. 2002), all lanes
     step the one-step recurrence together, and the lanes laid end to end
-    are the canonical sequence, bit for bit.  The state is then the last
-    lane's end state, A^(T*lanes) x0.
+    are the canonical sequence, bit for bit.  Word ``count`` falls in the
+    last lane, so the state after the call is read from that lane at that
+    step: A^count x0, the position just past the words returned.
     """
 
     native_bits = 32
@@ -212,15 +216,16 @@ class _Mrg32k3aCore:
         # scale [0, m1) onto the full 32-bit range: floor(z * 2^32 / m1)
         return (z << np.uint64(32)) // np.uint64(_M1)
 
-    def blocks(self, count: int):
-        """Yield one uint32 block of at least ``count`` words."""
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words as uint64."""
         if count < _CMRG_SCALAR_BELOW:
             out = np.fromiter((self._scalar_step() for _ in range(count)),
                               dtype=np.uint64, count=count)
-            yield self._reduce32(out).astype(np.uint32)
-            return
-        lanes = _CMRG_LANES
-        steps = -(-count // lanes)
+            return self._reduce32(out)
+        steps = -(-count // _CMRG_LANES)
+        lanes = -(-count // steps)
+        # word `count` is step `last` of the last lane, in [1, steps]
+        last = count - (lanes - 1) * steps
         jump1 = _mat_pow(_MAT1, steps, _M1)
         jump2 = _mat_pow(_MAT2, steps, _M2)
         s1, s2 = self._s1, self._s2
@@ -228,20 +233,22 @@ class _Mrg32k3aCore:
         for _ in range(lanes):
             states.append(s1 + s2)
             s1, s2 = _mat_vec(jump1, s1, _M1), _mat_vec(jump2, s2, _M2)
-        self._s1, self._s2 = s1, s2
         # row i holds state entry i of every lane
         x = np.array(states, dtype=np.uint64).T
         x1, x2 = x[:3], x[3:]
-        out = np.empty((steps, lanes), dtype=np.uint32)
-        for t in range(steps):
+        out = np.empty((steps, lanes), dtype=np.uint64)
+        for t in range(1, steps + 1):
             # a12*s1 + m1*a13 - a13*s0 < 2^54 and a21*s2 + m2*a23 - a23*s0
             # < 2^53 stay exact in uint64 when the addition comes first
             p1 = (_A12 * x1[1] + _M1 * _A13N - _A13N * x1[0]) % _M1
             p2 = (_A21 * x2[2] + _M2 * _A23N - _A23N * x2[0]) % _M2
             x1 = [x1[1], x1[2], p1]
             x2 = [x2[1], x2[2], p2]
-            out[t] = self._reduce32((p1 + _M1 - p2) % _M1)
-        yield out.T.ravel()
+            out[t - 1] = self._reduce32((p1 + _M1 - p2) % _M1)
+            if t == last:
+                self._s1 = [int(v[-1]) for v in x1]
+                self._s2 = [int(v[-1]) for v in x2]
+        return out.T.ravel()[:count]
 
 
 # --------------------------------------------------------------------------
@@ -260,13 +267,14 @@ class _SplitCounterCore:
         self._seed = seed & _MASK64
         self._drawn = 0
 
-    def blocks(self, count: int):
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words as uint64."""
         idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += count
         z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)  # wraps mod 2^64
         z = (z ^ (z >> np.uint64(30))) * _SM_MULT1
         z = (z ^ (z >> np.uint64(27))) * _SM_MULT2
-        yield z ^ (z >> np.uint64(31))
+        return z ^ (z >> np.uint64(31))
 
 
 def _make_core(spec: GeneratorSpec):
@@ -278,20 +286,19 @@ def _make_core(spec: GeneratorSpec):
 
 
 class KBitStream:
-    """Buffered stream of k-bit unsigned integers from one generator core.
+    """Stream of k-bit unsigned integers from one generator core.
 
     ``position`` counts emitted k-bit draws; ``next_kbit`` advances it by
     exactly one.  ``take_kbits``/``take_units`` are the bulk equivalents and
-    produce the identical sequence: leftover native words are buffered, so
-    any interleaving of single and bulk draws yields the same stream.
+    produce the identical sequence: the core returns exactly the native
+    words each call needs, so any interleaving of single and bulk draws
+    yields the same stream.
     """
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
         self._core = _make_core(spec)
         self.position = 0
-        self._words = None   # unconsumed native words
-        self._word_pos = 0
         self._unit_scale = 2.0 ** -spec.output_bits
 
     @property
@@ -299,39 +306,17 @@ class KBitStream:
         """True when distinct k-bit integers map to distinct unit doubles."""
         return self.spec.output_bits <= 52
 
-    def _native(self, count: int) -> np.ndarray:
-        """Exactly ``count`` native words, in sequence order."""
-        if self._words is not None:
-            avail = self._words.size - self._word_pos
-            if avail >= count:
-                out = self._words[self._word_pos:self._word_pos + count]
-                self._word_pos += count
-                return out
-            parts = [self._words[self._word_pos:]]
-            missing = count - avail
-        else:
-            parts = []
-            missing = count
-        parts.extend(self._core.blocks(missing))
-        words = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        # keep only the short tail; a view would pin the whole take
-        self._words = words[count:].copy()
-        self._word_pos = 0
-        return words[:count]
-
     def take_kbits(self, count: int) -> np.ndarray:
         """Next ``count`` k-bit integers as a uint64 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.empty(0, dtype=np.uint64)
         k = self.spec.output_bits
         nb = self._core.native_bits
         if k <= nb:
-            vals = self._native(count).astype(np.uint64) >> (nb - k)
+            vals = self._core.words(count) >> (nb - k)
         else:
             # two native words per draw, first word supplies the high bits
-            words = self._native(2 * count).astype(np.uint64)
+            words = self._core.words(2 * count)
             vals = ((words[0::2] << np.uint64(nb)) | words[1::2]) >> (2 * nb - k)
         self.position += count
         return vals

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Optional
 
 from .errors import DomainError
 
@@ -36,8 +34,6 @@ _DIRECT_THRESHOLD = 0.697
 
 # |x| below this uses the two-term Taylor polynomial instead of exp().
 _TAYLOR_THRESHOLD = 1e-8
-
-_SUM_CHUNK = 1 << 20
 
 
 def expm1_ref(x: float) -> float:
@@ -95,46 +91,15 @@ def log1p_fallback(x: float) -> float:
     return math.log(u) * x / (u - 1.0)
 
 
-def _as_blocks(terms) -> Iterable[np.ndarray]:
-    if isinstance(terms, np.ndarray):
-        for start in range(0, terms.size, _SUM_CHUNK):
-            yield np.asarray(terms[start:start + _SUM_CHUNK], dtype=np.float64)
-        return
-    block = []
-    for t in terms:
-        block.append(t)
-        if len(block) == _SUM_CHUNK:
-            yield np.asarray(block, dtype=np.float64)
-            block = []
-    if block:
-        yield np.asarray(block, dtype=np.float64)
-
-
-# numpy's vectorized log1p can differ from the libm scalar in the last ulp;
-# short inputs go through math.log1p so that a single-element sum is
-# bit-identical to log1p_stable
-_SCALAR_LIMIT = 1024
-
-
 def sum_log1p(terms) -> float:
     """Compensated sum of log1p over ``terms`` (each term must be > -1).
 
-    Summation uses math.fsum (exact Shewchuk accumulation, strictly stronger
-    than Kahan compensation), chunked so arbitrarily long inputs stream
-    through bounded memory.  The empty sum is 0.
+    Each term goes through ``log1p_stable`` (so a term <= -1 or NaN raises
+    DomainError) and the values are summed with math.fsum, exact Shewchuk
+    accumulation, strictly stronger than Kahan compensation.  The empty sum
+    is 0.
     """
-    partials = []
-    for block in _as_blocks(terms):
-        if block.size == 0:
-            continue
-        if not np.all(block > -1.0):
-            bad = block[~(block > -1.0)][0]
-            raise DomainError(f"sum_log1p requires every term > -1, got {bad!r}")
-        if block.size <= _SCALAR_LIMIT:
-            partials.append(math.fsum(math.log1p(float(t)) for t in block))
-        else:
-            partials.append(math.fsum(np.log1p(block)))
-    return math.fsum(partials)
+    return math.fsum(map(log1p_stable, map(float, terms)))
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,13 @@ class TestRefusedCallsWriteNothing:
         "solve-range-with-n": ["solve", "--n", "1000", "--target", "1", "--range", "1:2"],
         "simulate-seed-base-with-generator": ["simulate", "--n", "1000", "--generator",
                                               "cmrg:1:16", "--seed-base", "99"],
+        # n beyond the double range, and a bound that float() makes infinite
+        "expect-n-overflow": ["expect", "--n", "1e400"],
+        "scan-n-overflow": ["scan", "--n", "1e400"],
+        "prob-n-overflow": ["prob", "--n", "1e400"],
+        "solve-n-overflow": ["solve", "--n", "1e400", "--target", "1"],
+        "solve-range-infinite": ["solve", "--bits", "64", "--target", "1",
+                                 "--range", "1:1e400"],
     }
 
     @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())

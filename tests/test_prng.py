@@ -7,8 +7,8 @@ from collision_lab.prng import (
     FAMILIES,
     GeneratorSpec,
     KBitStream,
-    _CMRG_LANES,
     _Mrg32k3aCore,
+    _make_core,
     derive_seed,
     mix64,
     rand_int_rejection,
@@ -80,7 +80,7 @@ class TestMrg32k3a:
     def test_known_vector_from_canonical_state(self):
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
         want_z = [545508589, 1368065410, 1327943761, 3546985096, 951893194]
-        got = np.concatenate(list(core.blocks(5)))[:5]
+        got = core.words(5)
         want = [(z << 32) // 4294967087 for z in want_z]
         assert list(got) == want
 
@@ -93,10 +93,7 @@ class TestMrg32k3a:
         ref = [(z << 32) // m1 for z in ref_z]
 
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
-        parts = []
-        for block in core.blocks(12000):
-            parts.append(block)
-        got = np.concatenate(parts)[:12000]
+        got = core.words(12000)
         assert list(got) == ref
 
     def test_single_draw_path_matches_bulk(self):
@@ -105,24 +102,24 @@ class TestMrg32k3a:
         b_ = np.array([s.next_kbit() for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    ODD_TAKES = (1, 5003, 777, 100001, 3, 99999)
+    # 8192 is the first lane-path count; 10240 fills lanes * steps exactly
+    ODD_TAKES = (1, 5003, 777, 100001, 3, 99999, 8192, 10240)
 
     def test_lane_path_across_calls(self):
-        # successive odd counts leave T*lanes > count surplus words behind
-        # and follow lane-path calls with scalar-path ones; every call must
-        # continue the canonical sequence
+        # odd counts leave the last lane part-filled (T*lanes > count), and
+        # lane-path calls follow scalar-path ones; every call must return
+        # exactly its count and continue the canonical sequence
         m1 = 4294967087
-        # a call returns fewer than _CMRG_LANES surplus words
-        total = sum(self.ODD_TAKES) + len(self.ODD_TAKES) * _CMRG_LANES
+        total = sum(self.ODD_TAKES)
         ref = [(z << 32) // m1
                for z in self.scalar_reference([12345] * 3, [12345] * 3, total)]
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
         at = 0
         for count in self.ODD_TAKES:
-            got = np.concatenate(list(core.blocks(count)))
-            assert count <= got.size < count + _CMRG_LANES
-            assert list(got) == ref[at:at + got.size]
-            at += got.size
+            got = core.words(count)
+            assert got.size == count
+            assert list(got) == ref[at:at + count]
+            at += count
 
     @pytest.mark.parametrize("bits", [32, 40])
     def test_stream_takes_match_one_bulk_take(self, bits):
@@ -194,6 +191,14 @@ class TestStreamContract:
         mixed = [s.next_kbit(), s.next_kbit(), *s.take_kbits(50).tolist()]
         ref = stream(seed=6, bits=64).take_kbits(52).tolist()
         assert mixed == ref
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_core_returns_exactly_the_words_asked(self, family):
+        # 8191/8192 straddle the MRG32k3a scalar/lane boundary
+        core = _make_core(GeneratorSpec(family, 5, 32))
+        for count in (0, 1, 8191, 8192, 10001):
+            words = core.words(count)
+            assert words.dtype == np.uint64 and words.size == count
 
     def test_max_seed_accepted(self):
         s = stream(seed=2 ** 64 - 1)

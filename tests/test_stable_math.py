@@ -134,15 +134,15 @@ class TestSumLog1p:
     def test_ndarray_matches_iterable(self):
         rng = np.random.default_rng(7)
         terms = rng.uniform(-0.9, 2.0, size=5000)
-        assert sum_log1p(terms) == pytest.approx(sum_log1p(list(terms)), rel=1e-15)
+        assert sum_log1p(terms) == sum_log1p(list(terms))
 
     def test_large_block_against_fsum_reference(self):
-        # crosses the vectorized-block threshold; reference is the direct
-        # exact sum of scalar log1p values
+        # every term goes through the scalar log1p, whatever the length;
+        # reference is the direct exact sum of scalar log1p values
         i = np.arange(1, 200001, dtype=np.float64)
         terms = -(i / 2.0 ** 40)
         ref = math.fsum(math.log1p(float(t)) for t in terms)
-        assert abs(sum_log1p(terms) - ref) <= 1e-15 * abs(ref)
+        assert sum_log1p(terms) == ref
 
     def test_compensation_beats_naive_accumulation(self):
         # many tiny terms after one big one: naive running addition loses
