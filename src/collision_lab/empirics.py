@@ -83,22 +83,37 @@ def _keys(values) -> np.ndarray:
                        dtype=np.int64, count=len(values))
 
 
+def _tied_runs(equal: np.ndarray) -> np.ndarray:
+    """Multiplicities m >= 2 of sorted keys ``s``, from ``equal = s[1:] == s[:-1]``.
+
+    The indices where ``equal`` holds come in consecutive runs, and a run
+    of ``r`` such indices is one value seen ``r + 1`` times.  Only tied
+    values are looked at, so no per-distinct-value array is built.
+    """
+    tied = np.flatnonzero(equal)
+    run_starts = np.flatnonzero(np.diff(tied, prepend=-2) != 1)
+    return np.diff(run_starts, append=tied.size) + 1
+
+
 def _summary(keys: np.ndarray) -> TieSummary:
-    """TieSummary of the keys from one counts-only sort."""
-    _, counts = np.unique(keys, return_counts=True)
-    return TieSummary.from_multiplicities(keys.size, counts)
+    """TieSummary of the keys from one unstable sort."""
+    s = np.sort(keys)
+    return TieSummary.from_multiplicities(keys.size, _tied_runs(s[1:] == s[:-1]))
 
 
 def _tally(keys: np.ndarray):
-    """Counts of the distinct keys and the mask of first-occurrence duplicates.
+    """TieSummary of the keys and the mask of first-occurrence duplicates.
 
-    Only positions need the first indices, and asking ``np.unique`` for them
-    makes its sort stable; counts alone go through ``_summary``.
+    One unstable argsort groups equal keys; the first occurrence of each
+    value is the smallest original index in its group.
     """
-    _, first_idx, counts = np.unique(keys, return_index=True, return_counts=True)
-    is_dup = np.ones(keys.size, dtype=bool)
-    is_dup[first_idx] = False
-    return counts, is_dup
+    order = np.argsort(keys)
+    s = keys[order]
+    new_run = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new_run[1:])
+    is_dup = np.ones(s.size, dtype=bool)
+    is_dup[np.minimum.reduceat(order, np.flatnonzero(new_run))] = False
+    return TieSummary.from_multiplicities(s.size, _tied_runs(~new_run[1:])), is_dup
 
 
 def count_duplicates(values: Sequence) -> int:
@@ -133,15 +148,16 @@ class TieSummary:
 
     @classmethod
     def from_multiplicities(cls, n: int, counts: np.ndarray) -> "TieSummary":
+        """Summary of ``n`` values from the multiplicities of their values.
+
+        Entries below 2 are ignored, so ``counts`` may list every distinct
+        value or the tied ones alone: C = sum (m-1) and T = sum m over m >= 2.
+        """
         tied = counts[counts >= 2]
         mult, mult_counts = np.unique(tied, return_counts=True)
         histogram = {int(m): int(c) for m, c in zip(mult, mult_counts)}
-        return cls(
-            n=n,
-            duplicates=int(n - counts.size),
-            ties=int(tied.sum()),
-            histogram=histogram,
-        )
+        ties = int(tied.sum())
+        return cls(n=n, duplicates=ties - tied.size, ties=ties, histogram=histogram)
 
     def merged_with(self, other: "TieSummary") -> "TieSummary":
         hist = dict(self.histogram)
@@ -172,19 +188,26 @@ class CollisionTrace:
 
 
 def _check_cap(n: int, max_distinct: Optional[int]):
+    """Refuse holding ``n`` draws in memory at once beyond the cap."""
     cap = _resolve_cap(max_distinct)
     if n > cap:
         raise CapacityError(
-            f"{n} draws exceed the distinct-value cap of {cap}; raise it via "
-            f"the {MAX_DISTINCT_ENV} environment variable or max_distinct= "
+            f"{n} draws held at once exceed the distinct-value cap of {cap}; "
+            f"raise it via the {MAX_DISTINCT_ENV} environment variable or max_distinct= "
             f"if you really want to hold that many values in memory")
+
+
+def _stream_keys(stream: KBitStream, n: int) -> np.ndarray:
+    """The next ``n`` draws as sort keys, uint32 when they fit in 32 bits."""
+    keys = stream.take_kbits(n)
+    return keys.astype(np.uint32) if stream.spec.output_bits <= 32 else keys
 
 
 def collision_summary(stream: KBitStream, n: int,
                       max_distinct: Optional[int] = None) -> TieSummary:
     """TieSummary of the next ``n`` draws (no positional trace)."""
     _check_cap(n, max_distinct)
-    return _summary(stream.take_kbits(n))
+    return _summary(_stream_keys(stream, n))
 
 
 def trace_collisions(stream: KBitStream, n: int,
@@ -197,8 +220,7 @@ def trace_collisions(stream: KBitStream, n: int,
     degrading to approximate counting.
     """
     _check_cap(n, max_distinct)
-    counts, is_dup = _tally(stream.take_kbits(n))
-    summary = TieSummary.from_multiplicities(n, counts)
+    summary, is_dup = _tally(_stream_keys(stream, n))
     trace = CollisionTrace(
         positions=np.flatnonzero(is_dup) + 1,
         cumulative=np.cumsum(is_dup),
@@ -212,9 +234,13 @@ def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int],
     """TieSummary per seed, in seed order.
 
     Each seed gets its own stream (single-owner state); with workers > 1 the
-    seeds fan out over a thread pool, one stream per worker task.
+    seeds fan out over a thread pool, one stream per worker task.  Up to
+    ``min(workers, len(seeds))`` streams of ``n`` draws are held at once, and
+    the distinct-value cap applies to all of them together.
     """
-    _check_cap(n, max_distinct)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_cap(n * min(workers, len(seeds)), max_distinct)
 
     def one(seed: int) -> TieSummary:
         stream = KBitStream(GeneratorSpec(family, seed, output_bits))
@@ -231,11 +257,46 @@ def seeds_from_base(base_seed: int, count: int) -> list:
     return [derive_seed(base_seed, i) for i in range(count)]
 
 
+_CSV_CHUNK = 1 << 16  # rows formatted at once; bounds the writer's memory
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)  # every width change in int64
+
+
+def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
+    """Decimal digits of ``values``, most significant first, down ``rows``."""
+    # numpy vectorizes uint32 division by a constant; nine digits fit in it
+    v = values.astype(np.uint32 if len(rows) <= 9 else np.uint64)
+    for row in rows[::-1]:
+        q = v // 10
+        np.subtract(v, q * 10, out=row, casting="unsafe")
+        v = q
+
+
 def _write_indexed_csv(out, header: str, values) -> None:
-    """CSV ``header`` row, then one ``i,value`` row per value, i from 1."""
-    values = np.asarray(values, dtype=np.int64).tolist()
+    """CSV ``header`` row, then one ``i,value`` row per value, i from 1.
+
+    ``values`` must be nonnegative and nondecreasing, as every trace column
+    is.  Then both columns change digit width only at the rows where they
+    reach a power of ten, and between those rows (and at most ``_CSV_CHUNK``
+    apart) each block of rows is one fixed-width byte table, filled digit by
+    digit with numpy and written as one string.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    n = values.size
+    if n and (values[0] < 0 or np.any(values[1:] < values[:-1])):
+        raise ValueError("CSV trace columns must be nonnegative and nondecreasing")
     out.write(header + "\n")
-    out.writelines(map("{},{}\n".format, range(1, len(values) + 1), values))
+    cuts = sorted({*np.minimum(_POWERS_OF_TEN - 1, n).tolist(),  # row a holds index a + 1
+                   *np.searchsorted(values, _POWERS_OF_TEN).tolist(),
+                   *range(0, n, _CSV_CHUNK), n})
+    for a, b in zip(cuts, cuts[1:]):
+        wi, wv = len(str(a + 1)), len(str(values[a]))
+        block = np.empty((wi + wv + 2, b - a), dtype=np.uint8)
+        _put_digits(block[:wi], np.arange(a + 1, b + 1, dtype=np.int64))
+        _put_digits(block[wi + 1:-1], values[a:b])
+        block += ord("0")
+        block[wi] = ord(",")
+        block[-1] = ord("\n")
+        out.write(block.T.tobytes().decode("ascii"))
 
 
 def write_trajectory_csv(trace: CollisionTrace, out) -> None:

@@ -303,7 +303,11 @@ class KBitStream:
 
     @property
     def unit_map_injective(self) -> bool:
-        """True when distinct k-bit integers map to distinct unit doubles."""
+        """True when distinct k-bit integers map to distinct unit doubles.
+
+        Conservative at k = 53: ``v / 2^53`` is still exact there, but the flag
+        reads True only up to k = 52.
+        """
         return self.spec.output_bits <= 52
 
     def take_kbits(self, count: int) -> np.ndarray:
@@ -326,7 +330,12 @@ class KBitStream:
         return int(self.take_kbits(1)[0])
 
     def take_units(self, count: int) -> np.ndarray:
-        """Next ``count`` unit-interval doubles, each next_kbit / 2^k."""
+        """Next ``count`` doubles in [0, 1], each next_kbit / 2^k.
+
+        The quotient is exact and below 1 for k <= 53.  For k >= 54 the
+        draw is rounded to a double first, and every v >= 2^k - 2^(k-54)
+        rounds to exactly 1.0.
+        """
         return self.take_kbits(count).astype(np.float64) * self._unit_scale
 
 

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.cli import main
-from collision_lab.prng import KBitStream
+from collision_lab.prng import GeneratorSpec, KBitStream
 
 
 def run(capsys, *argv):
@@ -257,6 +258,27 @@ class TestSimulate:
         assert len(traj) == 5001
         final = int(traj[-1].split(",")[1])
         assert final == len(pos) - 1  # cumulative total equals listed positions
+
+    def test_trace_bytes_match_first_index_oracle(self, capsys, tmp_path):
+        # 20000 draws in 2^12 buckets: the cumulative column crosses 10, 100,
+        # 1000 and 10000, so both files change digit widths in both columns
+        n, seed = 20000, 11
+        code, _, _ = run(capsys, "simulate", "--n", str(n), "--bits", "12",
+                         "--seed-base", str(seed), "--out", str(tmp_path / "run"))
+        assert code == 0
+        keys = KBitStream(GeneratorSpec("mt19937", seed, 12)).take_kbits(n)
+        _, first = np.unique(keys, return_index=True)
+        is_dup = np.ones(n, dtype=bool)
+        is_dup[first] = False
+        cumulative = np.cumsum(is_dup).tolist()
+        positions = (np.flatnonzero(is_dup) + 1).tolist()
+        assert cumulative[-1] > 10000
+        trajectory = "".join(f"{i},{c}\n" for i, c in enumerate(cumulative, 1))
+        ranked = "".join(f"{r},{p}\n" for r, p in enumerate(positions, 1))
+        assert (tmp_path / "run_trajectory.csv").read_bytes() == (
+            "index,cumulative_collisions\n" + trajectory).encode("ascii")
+        assert (tmp_path / "run_positions.csv").read_bytes() == (
+            "collision_rank,position\n" + ranked).encode("ascii")
 
     def test_out_draws_each_stream_once(self, capsys, monkeypatch, tmp_path):
         drawn = []

@@ -2,6 +2,7 @@ import io
 import math
 import struct
 from collections import Counter
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.empirics import (
     TieSummary,
+    _write_indexed_csv,
     collision_positions,
     collision_summary,
     count_duplicates,
@@ -67,6 +69,11 @@ def oracle_positions(values):
         else:
             seen.add(k)
     return positions
+
+
+def oracle_histogram(values):
+    counts = Counter(oracle_key(v) for v in values)
+    return dict(Counter(c for c in counts.values() if c >= 2))
 
 
 def f64_from_bits(bits):
@@ -223,6 +230,46 @@ class TestTieSummary:
         assert m.histogram == {2: 2, 3: 1}
 
 
+class StubCore:
+    """A native-64-bit generator core that returns fixed words."""
+
+    native_bits = 64
+
+    def __init__(self, words):
+        self._words = words
+
+    def words(self, count):
+        out, self._words = self._words[:count], self._words[count:]
+        return out
+
+
+def stub_stream(bits, keys):
+    """A ``bits``-wide stream whose draws are ``keys``."""
+    s = stream(bits=bits)
+    s._core = StubCore(np.asarray(keys, dtype=np.uint64) << np.uint64(64 - bits))
+    return s
+
+
+def assert_trace_matches_oracle(make_stream, n):
+    """``make_stream()`` returns a fresh stream; its first n draws are traced."""
+    draws = make_stream().take_kbits(n).tolist()
+    summary, trace = trace_collisions(make_stream(), n)
+    assert summary == collision_summary(make_stream(), n)
+    assert summary.n == n
+    assert summary.duplicates == oracle_duplicates(draws)
+    assert summary.ties == oracle_ties(draws)
+    assert summary.histogram == oracle_histogram(draws)
+    positions = oracle_positions(draws)
+    assert trace.positions.tolist() == positions
+    is_dup = np.zeros(n, dtype=np.int64)
+    is_dup[np.array(positions, dtype=np.int64) - 1] = 1
+    assert trace.cumulative.tolist() == np.cumsum(is_dup).tolist()
+
+
+# widths on both sides of the uint32 sort keys (k <= 32)
+KEY_WIDTHS = [1, 10, 16, 32, 33, 64]
+
+
 class TestTraceCollisions:
     def test_empty_and_single(self):
         summary, trace = trace_collisions(stream(), 0)
@@ -234,13 +281,28 @@ class TestTraceCollisions:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_streaming_equals_batch_counting(self, seed):
-        # few output bits force collisions quickly
+        # few output bits force collisions quickly; n = 0 and 1 are the
+        # empty and single-run edges of the sort
+        for bits in KEY_WIDTHS:
+            for n in (0, 1, 5000):
+                assert_trace_matches_oracle(lambda: stream(seed=seed, bits=bits), n)
         n = 5000
         draws = stream(seed=seed, bits=10).take_kbits(n).tolist()
         summary, trace = trace_collisions(stream(seed=seed, bits=10), n)
         assert summary.duplicates == count_duplicates(draws)
         assert summary.ties == count_ties(draws)
         assert trace.positions.tolist() == collision_positions(draws)
+
+    @pytest.mark.parametrize("bits", KEY_WIDTHS)
+    def test_all_equal_and_all_distinct_draws(self, bits):
+        n = min(2000, 2 ** bits)
+        assert_trace_matches_oracle(lambda: stub_stream(bits, [2 ** bits - 1] * n), n)
+        # pairs j and j + 2^(k-1): distinct at k bits, and equal in their
+        # low 32 bits at k = 33, so a key cast that drops bits would tie them
+        i = np.arange(n, dtype=np.uint64)
+        distinct = (i >> np.uint64(1)) | ((i & np.uint64(1)) << np.uint64(bits - 1))
+        assert_trace_matches_oracle(lambda: stub_stream(bits, distinct), n)
+        assert collision_summary(stub_stream(bits, distinct), n).duplicates == 0
 
     def test_trace_shape(self):
         summary, trace = trace_collisions(stream(seed=5, bits=12), 4000)
@@ -279,6 +341,22 @@ class TestRunSeeds:
         a = run_seeds("mt19937", 16, 2000, seeds)
         b = run_seeds("mt19937", 16, 2000, seeds)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(ValueError):
+            run_seeds("cmrg", 16, 10, [1, 2], workers=workers)
+
+    def test_cap_counts_streams_held_at_once(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a refused call must start no thread")
+
+        monkeypatch.setattr("collision_lab.empirics.ThreadPoolExecutor", no_pool)
+        # two workers hold two 600-draw streams at once
+        with pytest.raises(CapacityError):
+            run_seeds("cmrg", 16, 600, [1, 2, 3], max_distinct=1000, workers=2)
+        # one at a time, the same seeds fit under the cap
+        assert len(run_seeds("cmrg", 16, 600, [1, 2, 3], max_distinct=1000)) == 3
 
     def test_workers_match_sequential(self):
         seeds = seeds_from_base(9, 4)
@@ -319,3 +397,40 @@ class TestCsvEmission:
         assert len(lines) == 1 + trace.positions.size
         if trace.positions.size:
             assert lines[1] == f"1,{trace.positions[0]}"
+
+    # nondecreasing columns whose values sit at and around every power of
+    # ten that int64 holds, where the digit width of a row changes
+    near_powers = st.integers(0, 18).flatmap(
+        lambda j: st.integers(max(0, 10 ** j - 2), 10 ** j + 1))
+    columns = st.lists(st.one_of(near_powers, st.integers(0, 2 ** 63 - 1),
+                                 st.just(2 ** 63 - 1)), max_size=60).map(sorted)
+
+    @staticmethod
+    def assert_rows(values):
+        """The writer's text for ``values`` equals one f-string per row."""
+        buf = io.StringIO()
+        _write_indexed_csv(buf, "h", np.array(values, dtype=np.int64))
+        got = buf.getvalue()
+        want = "h\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1))
+        if got != want:  # name the first differing row, not a diff of megabytes
+            rows = zip_longest(got.split("\n"), want.split("\n"))
+            bad = next((g, w) for g, w in rows if g != w)
+            pytest.fail(f"row {bad[0]!r} != {bad[1]!r}")
+
+    @given(columns)
+    @settings(max_examples=300)
+    def test_indexed_csv_matches_row_format(self, values):
+        self.assert_rows(values)
+
+    @pytest.mark.parametrize("length", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+    def test_indexed_csv_lengths(self, length):
+        # cubes cross the powers of ten up to 10^14 within the one column
+        self.assert_rows((np.arange(length, dtype=np.int64) ** 3).tolist())
+
+    @pytest.mark.parametrize("values", [[1, 0], [5, 7, 6], [-1], [-3, 2]])
+    def test_indexed_csv_refuses_unsorted_or_negative_columns(self, values):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            _write_indexed_csv(buf, "h", values)
+        assert buf.getvalue() == ""
+

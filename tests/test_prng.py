@@ -244,6 +244,21 @@ class TestUnitMapping:
         assert dup_ints == dup_units
         assert dup_ints > 0  # 32-bit draws at n=1e6 do collide
 
+    @pytest.mark.parametrize("bits,top", [(53, 1.0 - 2.0 ** -53), (54, 1.0), (64, 1.0)])
+    def test_top_draw_reaches_one_from_54_bits(self, bits, top):
+        # a core of all-ones words yields the top draw 2^k - 1 every time
+        class OnesCore:
+            native_bits = 64
+
+            @staticmethod
+            def words(count):
+                return np.full(count, 2 ** 64 - 1, dtype=np.uint64)
+
+        s = stream("splitcounter", bits=bits)
+        s._core = OnesCore()
+        assert s.take_kbits(1)[0] == 2 ** bits - 1
+        assert s.take_units(3).tolist() == [top] * 3
+
     def test_injectivity_flag(self):
         assert stream(bits=52).unit_map_injective
         assert not stream(bits=53).unit_map_injective
