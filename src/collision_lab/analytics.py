@@ -13,8 +13,10 @@ error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
 and S the Stirling numbers of the second kind.  In floats it comes from
-Knuth's occupancy recurrence in plain probabilities: O(n^2), about 0.1 s
-at n = 10^4, within 1e-12 relative, subnormal entries flushed to 0.
+second-order Eulerian numbers over the few c that carry mass when b >> n
+(O(c_max^2)), else from Knuth's occupancy recurrence over a window of
+occupancies (at most O(n^2), about 0.1 s at n = 10^4); within 1e-12
+relative, subnormal entries flushed to 0.
 """
 
 from __future__ import annotations
@@ -376,8 +378,8 @@ class CollisionPmf:
     """Distribution of the collision count C for n draws into b buckets.
 
     probs[c] = P(C = c) for c = 0..n-1, as Fractions (exact-rational mode)
-    or floats (float mode: the occupancy recurrence, see collision_pmf_exact;
-    the representation name "log-domain-float" is historical).
+    or a float array (float mode, see collision_pmf_exact; the
+    representation name "log-domain-float" is historical).
     """
 
     n: int
@@ -389,19 +391,29 @@ class CollisionPmf:
         """Sum of all probabilities (exactly 1 in rational mode)."""
         if self.representation == "exact-rational":
             return sum(self.probs, Fraction(0))
-        return math.fsum(self.probs)
+        _, p = self._nonzero()
+        return math.fsum(p.tolist())
 
     def mean(self) -> float:
         """Expected collision count sum c * P(C = c)."""
         if self.representation == "exact-rational":
             return float(sum((c * p for c, p in enumerate(self.probs)), Fraction(0)))
-        return math.fsum(c * p for c, p in enumerate(self.probs))
+        c, p = self._nonzero()
+        return math.fsum((c * p).tolist())
 
     def prob_any_collision(self) -> float:
         """P(C > 0); summed in float mode, as 1 - P(C = 0) would cancel."""
         if self.representation == "exact-rational":
             return float(1 - self.probs[0])
-        return math.fsum(self.probs[1:])
+        c, p = self._nonzero()
+        return math.fsum(p[c > 0].tolist())
+
+    def _nonzero(self) -> tuple:
+        # (c, P(C = c)) over the nonzero float entries: the zeros, most of
+        # a float pmf, add nothing to an fsum
+        probs = np.asarray(self.probs)
+        c = np.flatnonzero(probs)
+        return c, probs[c]
 
 
 def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
@@ -411,11 +423,20 @@ def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
 
     P(C = c) = (b)_(n-c) / b^n * S(n, n-c), in exact rationals for
     n <= exact_cap.  Float mode ("log", a historical name; n <= log_cap)
-    gets the same numbers as q_n(n - c), where q_t(l) = P(t draws occupy
-    exactly l buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
-    q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1, in
-    plain probabilities: O(n^2), about 0.1 s at n = 10^4, entries from
-    1e-290 up within 1e-12 relative, those below 2^-1022 flushed to 0.
+    returns floats, entries from 1e-290 up within 1e-12 relative and those
+    below 2^-1022 flushed to 0, from one of two kernels chosen by (n, b):
+
+    * b >> n: a Chernoff bound gives the c_max past which every entry is
+      flushed.  When c_max <= 256 and 2(c_max + 1) < n, P(C = c) for
+      c <= c_max comes from S(n, n-c) as a sum over second-order Eulerian
+      numbers, in logs: O(c_max^2), a few ms at n = 10^4, where the
+      recurrence below spends 0.1 s on entries that end as 0.
+    * otherwise: q_n(n - c), where q_t(l) = P(t draws occupy exactly l
+      buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
+      q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1,
+      in plain probabilities over the window of l that holds all but
+      2^-1022 of the mass: O(n * window), at most O(n^2), about 0.1 s at
+      n = 10^4.
     """
     if n < 1:
         raise ValueError(f"pmf needs n >= 1, got {n}")
@@ -442,21 +463,117 @@ def _pmf_exact_rational(n: int, space: BucketSpace) -> CollisionPmf:
                         representation="exact-rational")
 
 
+# the float pmf flushes entries below the smallest normal double to 0
+_TINY = 2.0 ** -1022
+# log(2^-1022 e^-40): a tail bound below this is flushed with room to spare
+_LOG_FLUSH_TAIL = -1022 * math.log(2.0) - 40.0
+# largest c window the Eulerian kernel builds rows for
+_EULERIAN_C_CAP = 256
+
+
 def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
-    # q[l] after t draws; only l <= min(t, b) is reachable (pigeonhole)
+    c_max = _eulerian_window(n, space.count)
+    if c_max is None:
+        probs = _pmf_occupancy(n, space)
+    else:
+        probs = _pmf_eulerian(n, space, c_max)
+    return CollisionPmf(n=n, space=space, probs=probs,
+                        representation="log-domain-float")
+
+
+def _eulerian_window(n: int, b: int) -> Optional[int]:
+    """c_max when the Eulerian kernel applies to (n, b), else None.
+
+    Draw t collides with probability at most (t-1)/b whatever came before,
+    so C is dominated by a sum of independent Bernoulli variables of mean
+    lam = n(n-1)/2b, and Chernoff gives P(C >= c) <= e^-lam (e lam/c)^c for
+    c >= lam.  c_max is the first c where that bound is below
+    2^-1022 e^-40: every entry from there on would be flushed.  The kernel
+    applies when c_max <= 256 and 2(c_max + 1) < n, so that every binomial
+    C(n+c-1-k, 2c) it uses is positive.
+    """
+    if n < 2:
+        return None
+    lam = n * (n - 1) / (2 * b)
+    log_lam = math.log(lam)
+    c = max(1, math.ceil(lam))
+    # the bound's log falls with c once c > lam
+    while c * (1.0 + log_lam - math.log(c)) - lam >= _LOG_FLUSH_TAIL:
+        c += 1
+        if c > _EULERIAN_C_CAP:
+            return None
+    return c if 2 * (c + 1) < n else None
+
+
+def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
+    """P(C = c) for c <= c_max from S(n, n-c) = sum_k <<c,k>> C(n+c-1-k, 2c).
+
+    With e_c(k) = <<c,k>> / (2c-1)!! (second-order Eulerian numbers, which
+    sum to (2c-1)!! over k; Graham, Knuth & Patashnik eq. 6.43) and
+    C(n+c-1-k, 2c) = n^2c / (2c)! prod_{o=-c-k}^{c-1-k} (1 + o/n),
+    P(C = c) = (b)_(n-c) / b^(n-c) * (n^2/2b)^c / c!
+               * sum_k e_c(k) prod_o (1 + o/n),
+    evaluated in logs, one row of e_c at a time; entries past c_max are 0.
+    """
+    b, bf = space.count, float(space.count)
+    # c_max <= 256 forces lam < 5.2, and b <= 2^64 forces c_max >= 17, so
+    # n >= 37 and b > n(n-1)/10.4 >= 2(n-1): the exact series gives
+    # log((b)_n / b^n), and each c steps it down one factor
+    steps = np.log1p(-np.arange(n - 1, n - 1 - c_max, -1) / bf)
+    log_falling = -_log_falling_series(n - 1, b)[0] - np.concatenate(([0.0], np.cumsum(steps)))
+    # prefix sums of log1p(o/n), o = -2c_max .. c_max-1: the log products
+    off = 2 * c_max
+    prefix = np.concatenate(([0.0], np.cumsum(np.log1p(np.arange(-off, c_max) / n))))
+    ks = np.arange(c_max + 1)
+    logs = np.log(np.arange(1, off + 1))  # logs[j] = log(j + 1)
+    log_half_n2_b = math.log(n * n / (2.0 * bf))
+    log_p = np.empty(c_max + 1)
+    row = np.zeros(1)  # log e_c(k) for k = 0..c-1; rows 0 and 1 are [0]
+    for c in range(c_max + 1):
+        if c >= 2:
+            # <<c,k>> = (k+1) <<c-1,k>> + (2c-1-k) <<c-1,k-1>>
+            new = np.empty(c)
+            new[:c - 1] = logs[:c - 1] + row
+            new[c - 1] = -np.inf
+            new[1:] = np.logaddexp(new[1:], logs[2 * c - 3:c - 2:-1] + row)
+            new -= logs[2 * c - 2]
+            row = new
+        k = ks[:row.size]
+        terms = row + prefix[off + c - k] - prefix[off - c - k]
+        top = terms.max()
+        log_p[c] = (log_falling[c] + c * log_half_n2_b - math.lgamma(c + 1)
+                    + top + math.log(np.exp(terms - top).sum()))
+    probs = np.zeros(n)
+    probs[:c_max + 1] = np.exp(log_p)
+    probs[probs < _TINY] = 0.0
+    return probs
+
+
+def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
+    """P(C = c) from q[l], the chance that the draws so far fill l buckets.
+
+    Only l in [lo, min(t, b)] is updated.  The mass at or below a fixed l
+    never grows, so dropping q[lo] (and moving lo up) while the total
+    dropped stays below 2^-1022 moves no entry by more than that; a zero
+    test would not do, as stuck subnormals never reach 0.
+    """
     b, bf = space.count, float(space.count)
     l = np.arange(min(n, b) + 1, dtype=np.float64)
     hit, miss = l / bf, (bf - l) / bf
     q = np.zeros(n + 1)
     q[1] = 1.0
+    lo, dropped = 1, 0.0
     for t in range(2, n + 1):
         top = min(t, b)
-        carry = q[:top] * miss[:top]
-        q[1:top + 1] *= hit[1:top + 1]
-        q[1:top + 1] += carry
-    q[q < np.finfo(float).tiny] = 0.0  # subnormals stop decaying: flush them
-    return CollisionPmf(n=n, space=space, probs=q[:0:-1].copy(),
-                        representation="log-domain-float")
+        carry = q[lo:top] * miss[lo:top]
+        q[lo:top + 1] *= hit[lo:top + 1]
+        q[lo + 1:top + 1] += carry
+        while lo < top and dropped + q[lo] < _TINY:
+            dropped += q[lo]
+            q[lo] = 0.0
+            lo += 1
+    q[q < _TINY] = 0.0  # subnormals stop decaying: flush them
+    return q[:0:-1].copy()
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import functools
 import io
 import math
 import sys
-from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -30,9 +29,6 @@ from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
-# int()'s default limit on decimal strings; it also keeps '1e999999999'
-# from building a billion-digit integer
-_MAX_INT_DIGITS = 4300
 
 
 def _fmt(x: float, fmt: str) -> str:
@@ -54,13 +50,9 @@ def _space_from(args) -> BucketSpace:
 def _exact_int(text: str) -> int:
     """An exact integer, also in scientific form ('1e6'); '1.5' is refused."""
     try:
-        value = Decimal(text)
-    except InvalidOperation:
-        value = Decimal("NaN")
-    if (not value.is_finite() or value != value.to_integral_value()
-            or value.adjusted() >= _MAX_INT_DIGITS):
-        raise argparse.ArgumentTypeError(f"expected an exact integer, got {text!r}")
-    return int(value)
+        return empirics.exact_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_range(text: str, lo_default, hi_default, integer: bool):
@@ -219,12 +211,29 @@ def cmd_prob(args, out) -> None:
 
 
 def cmd_pmf(args, out) -> None:
-    pmf = analytics.collision_pmf_exact(_n(args), _space_from(args))
+    write_pmf_csv(analytics.collision_pmf_exact(_n(args), _space_from(args)), out)
+
+
+def write_pmf_csv(pmf: analytics.CollisionPmf, out) -> None:
+    """Rows c,P(C = c), then sum and mean.  Only the nonzero entries go
+    through _fmt; a zero row is written as c,0, the bytes _fmt gives 0.0."""
+    probs = np.asarray(pmf.probs, dtype=np.float64)
     out.write("c,probability\n")
-    for c, prob in enumerate(pmf.probs):
+    start = 0
+    nonzero = np.flatnonzero(probs)
+    for c, prob in zip(nonzero.tolist(), probs[nonzero].tolist()):
+        _write_zero_rows(out, start, c)
         out.write(f"{c},{_fmt(prob, 'csv')}\n")
+        start = c + 1
+    _write_zero_rows(out, start, probs.size)
     out.write(f"sum,{_fmt(pmf.total(), 'csv')}\n")
     out.write(f"mean,{_fmt(pmf.mean(), 'csv')}\n")
+
+
+def _write_zero_rows(out, lo: int, hi: int) -> None:
+    # in blocks, so the row strings held at once stay few
+    for block in range(lo, hi, 1024):
+        out.write(",0\n".join(map(str, range(block, min(hi, block + 1024)))) + ",0\n")
 
 
 def cmd_simulate(args, out) -> None:

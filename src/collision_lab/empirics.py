@@ -13,6 +13,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .prng import GeneratorSpec, KBitStream, derive_seed
 __all__ = [
     "DEFAULT_MAX_DISTINCT",
     "MAX_DISTINCT_ENV",
+    "exact_int",
     "TieSummary",
     "CollisionTrace",
     "count_duplicates",
@@ -40,13 +42,37 @@ DEFAULT_MAX_DISTINCT = 10 ** 8
 MAX_DISTINCT_ENV = "COLLISION_LAB_MAX_DISTINCT"
 
 
+# int()'s default limit on decimal strings; it also keeps '1e999999999'
+# from building a billion-digit integer
+_MAX_INT_DIGITS = 4300
+
+
+def exact_int(text: str) -> int:
+    """An exact integer, also in scientific form ('1e6'); '1.5' is refused
+    with ValueError."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if (not value.is_finite() or value != value.to_integral_value()
+            or value.adjusted() >= _MAX_INT_DIGITS):
+        raise ValueError(f"expected an exact integer, got {text!r}")
+    return int(value)
+
+
 def _resolve_cap(max_distinct: Optional[int]) -> int:
     if max_distinct is not None:
         return max_distinct
     env = os.environ.get(MAX_DISTINCT_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_DISTINCT
+    if not env:
+        return DEFAULT_MAX_DISTINCT
+    try:
+        cap = exact_int(env)
+        if cap > 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}")
 
 
 def _key(value):

@@ -15,8 +15,9 @@ Three families:
 Requesting fewer than the native bits truncates to the top bits; requesting
 more (from a 32-bit family) concatenates two successive native outputs.
 Identical GeneratorSpec values always yield bitwise-identical streams.
-Each core returns exactly the words asked for, as uint64, and keeps its own
-position, so ``KBitStream`` holds no words between calls.  The MRG32k3a
+Each core returns exactly the words asked for, as a fresh uint64 array that
+it keeps no reference to, and keeps its own position, so ``KBitStream``
+holds no words between calls and may shift them in place.  The MRG32k3a
 core's state is always its scalar pair of component states; a large request
 splits into lanes, lane r starting at offset r*T by matrix jump-ahead and
 stepping the one-step recurrence, and its output is an exact reproduction of
@@ -317,11 +318,16 @@ class KBitStream:
         k = self.spec.output_bits
         nb = self._core.native_bits
         if k <= nb:
-            vals = self._core.words(count) >> (nb - k)
+            # the core's array is fresh and ours alone: shift it in place
+            vals = self._core.words(count)
+            shift = nb - k
         else:
             # two native words per draw, first word supplies the high bits
             words = self._core.words(2 * count)
-            vals = ((words[0::2] << np.uint64(nb)) | words[1::2]) >> (2 * nb - k)
+            vals = (words[0::2] << np.uint64(nb)) | words[1::2]
+            shift = 2 * nb - k
+        if shift:
+            vals >>= np.uint64(shift)
         self.position += count
         return vals
 

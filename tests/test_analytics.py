@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from collision_lab.analytics import (
     LITERAL_CAP,
     BucketSpace,
+    _eulerian_window,
     _log_falling_series,
+    _pmf_eulerian,
+    _pmf_occupancy,
     StirlingTable,
     collision_pmf_exact,
     collision_probability,
@@ -449,6 +452,32 @@ def assert_float_pmf_matches(probs, exact):
             assert abs(p - want) <= 1e-12 * want, (c, p, want)
 
 
+def unwindowed_occupancy_pmf(n, b):
+    """Slow reference: the occupancy recurrence over the whole reachable
+    prefix l = 1..min(t, b) at every step, flushed like the library's."""
+    bf = float(b)
+    l = np.arange(min(n, b) + 1, dtype=np.float64)
+    hit, miss = l / bf, (bf - l) / bf
+    q = np.zeros(n + 1)
+    q[1] = 1.0
+    for t in range(2, n + 1):
+        top = min(t, b)
+        carry = q[:top] * miss[:top]
+        q[1:top + 1] *= hit[1:top + 1]
+        q[1:top + 1] += carry
+    q[q < 2.0 ** -1022] = 0.0
+    return q[:0:-1].copy()
+
+
+def assert_float_pmfs_agree(probs, ref, rel=1e-12):
+    """Same zeros, and entries from 1e-290 up within rel of the reference."""
+    probs, ref = np.asarray(probs), np.asarray(ref)
+    assert probs.shape == ref.shape
+    assert np.array_equal(probs == 0.0, ref == 0.0)
+    big = ref >= 1e-290
+    assert np.all(np.abs(probs[big] - ref[big]) <= rel * ref[big])
+
+
 def exact_expected_collisions(n, b):
     """E[C] = n - b + (b-1)^n / b^(n-1), rounded once from exact integers."""
     den = b ** (n - 1)
@@ -551,6 +580,44 @@ class TestCollisionPmf:
         pmf = collision_pmf_exact(n, k(bits), mode="log")
         p = collision_probability(n, k(bits))
         assert abs(pmf.prob_any_collision() - p) <= 1e-12 * p
+
+    @pytest.mark.parametrize("n, b", [(300, 2 ** 32), (1000, 2 ** 40), (200, 2 ** 64),
+                                      (65, 2 ** 60 + 33)])
+    def test_eulerian_kernel_matches_occupancy_kernel(self, n, b):
+        c_max = _eulerian_window(n, b)
+        assert c_max is not None
+        space = space_of(b)
+        assert_float_pmfs_agree(_pmf_eulerian(n, space, c_max), _pmf_occupancy(n, space))
+
+    @pytest.mark.parametrize("n, b, eulerian", [
+        (8793, 2 ** 36, True), (4212, 2319, False), (10 ** 4, 2 ** 16, False),
+        (10 ** 4, 2 ** 24, True), (10 ** 4, 2 ** 23, False), (36, 2 ** 64, False),
+        (1, 2 ** 64, False),
+    ])
+    def test_kernel_choice(self, n, b, eulerian):
+        assert (_eulerian_window(n, b) is not None) == eulerian
+
+    @pytest.mark.parametrize("n, b", [(300, 2 ** 32), (1000, 2 ** 40), (200, 2 ** 64),
+                                      (8793, 2 ** 36), (10 ** 4, 2 ** 24)])
+    def test_tail_beyond_c_max_is_flushed(self, n, b):
+        c_max = _eulerian_window(n, b)
+        ref = unwindowed_occupancy_pmf(n, b)
+        assert math.fsum(ref[c_max + 1:]) < 2.0 ** -1022
+        assert_float_pmfs_agree(collision_pmf_exact(n, space_of(b), mode="log").probs, ref)
+
+    def test_eulerian_window_implies_series_domain(self):
+        # the Eulerian kernel takes log((b)_n / b^n) from _log_falling_series,
+        # which needs 2(n - 1) <= b
+        for n in range(2, 10 ** 4 + 1, 37):
+            for bits in range(1, 65):
+                if _eulerian_window(n, 2 ** bits) is not None:
+                    assert 2 * (n - 1) <= 2 ** bits, (n, bits)
+
+    @pytest.mark.parametrize("n, b", [(10 ** 4, 1310), (10 ** 4, 9999), (4172, 1310)])
+    def test_windowed_recurrence_matches_unwindowed(self, n, b):
+        assert _eulerian_window(n, b) is None
+        assert_float_pmfs_agree(_pmf_occupancy(n, space_of(b)),
+                                unwindowed_occupancy_pmf(n, b))
 
     def test_caps(self):
         with pytest.raises(CapacityError):

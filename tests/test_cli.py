@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collision_lab.analytics import BucketSpace, expected_collisions
-from collision_lab.cli import main
+from collision_lab.analytics import (BucketSpace, CollisionPmf, collision_pmf_exact,
+                                     expected_collisions)
+from collision_lab.cli import main, write_pmf_csv
 from collision_lab.prng import GeneratorSpec, KBitStream
 
 
@@ -16,6 +18,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def per_row_pmf_csv(pmf):
+    """The pmf CSV written one formatted row at a time; in float mode the
+    sum and mean are per-element fsums."""
+    rows = [f"{c},{format(float(p), '.17g')}\n" for c, p in enumerate(pmf.probs)]
+    if pmf.representation == "exact-rational":
+        total, mean = pmf.total(), pmf.mean()
+    else:
+        total = math.fsum(pmf.probs)
+        mean = math.fsum(c * p for c, p in enumerate(pmf.probs))
+    return ("c,probability\n" + "".join(rows) + f"sum,{format(float(total), '.17g')}\n"
+            f"mean,{format(float(mean), '.17g')}\n")
 
 
 def csv_rows(text):
@@ -208,6 +223,22 @@ class TestPmf:
         e = expected_collisions(1000, BucketSpace.power_of_two(32))
         assert mean == pytest.approx(e, abs=1e-9)
 
+    @pytest.mark.parametrize("pmf", [
+        collision_pmf_exact(3, BucketSpace.exact(2)),
+        collision_pmf_exact(40, BucketSpace.exact(7)),
+        collision_pmf_exact(64, BucketSpace.power_of_two(64)),
+        collision_pmf_exact(1000, BucketSpace.power_of_two(32)),
+        collision_pmf_exact(4000, BucketSpace.exact(1310)),
+        collision_pmf_exact(2000, BucketSpace.power_of_two(16)),
+        CollisionPmf(n=6, space=BucketSpace.exact(6),
+                     probs=np.array([0.0, 0.25, 0.0, 5e-324, 0.75 - 5e-324, 0.0]),
+                     representation="log-domain-float"),
+    ], ids=lambda pmf: f"{pmf.n}-{pmf.space}")
+    def test_writer_matches_per_row_writer(self, pmf):
+        buf = io.StringIO()
+        write_pmf_csv(pmf, buf)
+        assert buf.getvalue() == per_row_pmf_csv(pmf)
+
     def test_cap_error(self, capsys):
         code, _, err = run(capsys, "pmf", "--n", "100000", "--bits", "32")
         assert code == 1
@@ -301,6 +332,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--n", "2000", "--bits", "16")
         assert code == 1
         assert err.startswith("error:") and "COLLISION_LAB_MAX_DISTINCT" in err
+
+    @pytest.mark.parametrize("value, code", [("1e8", 0), ("1.5", 1), ("-1", 1)])
+    def test_env_cap_parsed_like_n(self, capsys, monkeypatch, value, code):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", value)
+        got, out, err = run(capsys, "simulate", "--n", "1000", "--bits", "16")
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: COLLISION_LAB_MAX_DISTINCT")
 
     def test_buckets_rejected(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100", "--buckets", "100")

@@ -335,6 +335,21 @@ class TestTraceCollisions:
         assert summary.n == 600
 
 
+    def test_env_cap_in_scientific_form(self, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1e8")
+        summary, _ = trace_collisions(stream(), 600)
+        assert summary.n == 600
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "5e2")
+        with pytest.raises(CapacityError):
+            trace_collisions(stream(), 600)
+
+    @pytest.mark.parametrize("bad", ["-1", "0", "abc", "1.5", "inf", "1e99999"])
+    def test_env_cap_refused_naming_the_variable(self, monkeypatch, bad):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", bad)
+        with pytest.raises(ValueError, match="COLLISION_LAB_MAX_DISTINCT"):
+            trace_collisions(stream(), 600)
+
+
 class TestRunSeeds:
     def test_deterministic_and_ordered(self):
         seeds = seeds_from_base(271, 4)

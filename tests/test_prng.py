@@ -200,6 +200,17 @@ class TestStreamContract:
             words = core.words(count)
             assert words.dtype == np.uint64 and words.size == count
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_core_keeps_no_reference_to_its_words(self, family):
+        # take_kbits shifts the core's words in place
+        core = _make_core(GeneratorSpec(family, 5, 32))
+        ref = _make_core(GeneratorSpec(family, 5, 32))
+        for count in (3, 8191, 10001):
+            words = core.words(count)
+            assert np.array_equal(words, ref.words(count))
+            words[:] = 0
+        assert np.array_equal(core.words(9000), ref.words(9000))
+
     def test_max_seed_accepted(self):
         s = stream(seed=2 ** 64 - 1)
         assert s.next_kbit() < 2 ** 32
