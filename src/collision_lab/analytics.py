@@ -12,7 +12,8 @@ error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
-and S the Stirling numbers of the second kind.  In floats it comes from
+and S the Stirling numbers of the second kind, taken in exact rationals
+from an exact integer table of S for n <= 64.  In floats it comes from
 second-order Eulerian numbers over the few c that carry mass when b >> n
 (O(c_max^2)), else from Knuth's occupancy recurrence over a window of
 occupancies (at most O(n^2), about 0.1 s at n = 10^4); within 1e-12
@@ -67,7 +68,7 @@ class BucketSpace:
 
     ``count`` is the exact integer b (arbitrary precision, so 2^64 is fine);
     float arithmetic goes through ``inv_count`` (exact 2^-k for power-of-two
-    spaces) and ``log2_count``.
+    spaces).
     """
 
     bits: Optional[int]
@@ -101,13 +102,6 @@ class BucketSpace:
         if self.bits is not None:
             return 2.0 ** -self.bits
         return 1.0 / self.count
-
-    @property
-    def log2_count(self) -> float:
-        """log2(b); exactly k for power-of-two spaces."""
-        if self.bits is not None:
-            return float(self.bits)
-        return math.log2(self.count)
 
     def __str__(self):
         return f"2^{self.bits}" if self.bits is not None else str(self.count)
@@ -272,104 +266,71 @@ def _log_falling_series(m: int, b: int) -> tuple[float, int]:
 # --------------------------------------------------------------------------
 # Stirling numbers of the second kind
 
-_EXACT_TABLE_LIMIT = 64
-_LOG_TABLE_LIMIT = 2048
+_TABLE_LIMIT = 64
 
 
 class StirlingTable:
-    """Triangle of S(n, l), 0 <= l <= n <= max_n.
+    """Triangle of exact S(n, l), 0 <= l <= n <= max_n <= 64.
 
-    Entries are exact arbitrary-size integers for max_n <= 64 and log-domain
-    floats beyond (the integers outgrow every fixed width quickly; the exact
-    mode exists to anchor oracle tests).  Immutable after construction.
+    Entries are arbitrary-size integers; they outgrow every fixed width
+    quickly, and past n = 64 the float pmf kernels take over.  Immutable
+    after construction.
     """
 
-    def __init__(self, max_n: int, exact: Optional[bool] = None):
+    def __init__(self, max_n: int):
         if max_n < 0:
             raise ValueError(f"max_n must be nonnegative, got {max_n}")
-        if exact is None:
-            exact = max_n <= _EXACT_TABLE_LIMIT
-        if exact and max_n > _EXACT_TABLE_LIMIT:
+        if max_n > _TABLE_LIMIT:
             raise CapacityError(
-                f"exact Stirling tables are capped at max_n = {_EXACT_TABLE_LIMIT}")
-        if not exact and max_n > _LOG_TABLE_LIMIT:
-            raise CapacityError(
-                f"log-domain Stirling tables are capped at max_n = {_LOG_TABLE_LIMIT}; "
-                f"use stirling_log_row for single rows")
+                f"Stirling tables are capped at max_n = {_TABLE_LIMIT}, got {max_n}")
         self.max_n = max_n
-        self.exact = exact
-        if exact:
-            rows = [[1]]
-            for nn in range(1, max_n + 1):
-                prev = rows[-1]
-                row = [0] * (nn + 1)
-                row[nn] = 1
-                for l in range(1, nn):
-                    row[l] = l * prev[l] + prev[l - 1]
-                rows.append(row)
-            self._rows = rows
-        else:
-            rows = [np.array([0.0])]
-            for nn in range(1, max_n + 1):
-                rows.append(_log_row_step(rows[-1], nn))
-            self._rows = rows
+        rows = [[1]]
+        for nn in range(1, max_n + 1):
+            prev = rows[-1]
+            row = [0] * (nn + 1)
+            row[nn] = 1
+            for l in range(1, nn):
+                row[l] = l * prev[l] + prev[l - 1]
+            rows.append(row)
+        self._rows = rows
 
-    def _check(self, n: int, l: int):
+    def value(self, n: int, l: int) -> int:
+        """Exact S(n, l)."""
         if n < 0 or l < 0:
             raise ValueError(f"S(n, l) needs nonnegative arguments, got ({n}, {l})")
         if l > n:
             raise ValueError(f"S(n, l) needs l <= n, got ({n}, {l})")
         if n > self.max_n:
             raise ValueError(f"table holds n <= {self.max_n}, got {n}")
-
-    def value(self, n: int, l: int) -> int:
-        """Exact S(n, l); only available in exact mode."""
-        self._check(n, l)
-        if not self.exact:
-            raise ValueError("table is log-domain; use log_value")
         return self._rows[n][l]
-
-    def log_value(self, n: int, l: int) -> float:
-        """log S(n, l) (-inf where S = 0)."""
-        self._check(n, l)
-        if self.exact:
-            v = self._rows[n][l]
-            return math.log(v) if v else -math.inf
-        return float(self._rows[n][l])
-
-
-def _log_row_step(prev: np.ndarray, nn: int) -> np.ndarray:
-    # S(n, l) = l*S(n-1, l) + S(n-1, l-1), in log domain
-    row = np.empty(nn + 1)
-    row[0] = -np.inf
-    row[nn] = 0.0
-    if nn > 1:
-        l = np.arange(1, nn)
-        row[1:nn] = np.logaddexp(np.log(l) + prev[1:nn], prev[0:nn - 1])
-    return row
 
 
 def stirling_log_row(n: int) -> np.ndarray:
-    """log S(n, l) for l = 0..n without materializing the whole triangle."""
+    """log S(n, l) for l = 0..n (-inf where S = 0), one row at a time.
+
+    No pmf kernel calls it; perfbench/tracing.py wraps it by name.
+    """
     row = np.array([0.0])
     for nn in range(1, n + 1):
-        row = _log_row_step(row, nn)
+        # S(n, l) = l*S(n-1, l) + S(n-1, l-1), in log domain
+        prev, row = row, np.empty(nn + 1)
+        row[0] = -np.inf
+        row[nn] = 0.0
+        row[1:nn] = np.logaddexp(np.log(np.arange(1, nn)) + prev[1:nn], prev[0:nn - 1])
     return row
 
 
-def stirling2(n: int, l: int, table: Optional[StirlingTable] = None):
-    """S(n, l): exact integer from an exact table, log-domain float otherwise."""
+def stirling2(n: int, l: int, table: Optional[StirlingTable] = None) -> int:
+    """Exact S(n, l) for n <= 64; CapacityError beyond."""
     if table is None:
         table = StirlingTable(n)
-    if table.exact:
-        return table.value(n, l)
-    return table.log_value(n, l)
+    return table.value(n, l)
 
 
 # --------------------------------------------------------------------------
 # Exact collision distribution
 
-EXACT_PMF_CAP = 64
+EXACT_PMF_CAP = _TABLE_LIMIT
 LOG_PMF_CAP = 10 ** 4
 
 
@@ -416,15 +377,14 @@ class CollisionPmf:
         return c, probs[c]
 
 
-def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
-                        exact_cap: int = EXACT_PMF_CAP,
-                        log_cap: int = LOG_PMF_CAP) -> CollisionPmf:
+def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto") -> CollisionPmf:
     """Exact PMF of the collision count.
 
-    P(C = c) = (b)_(n-c) / b^n * S(n, n-c), in exact rationals for
-    n <= exact_cap.  Float mode ("log", a historical name; n <= log_cap)
-    returns floats, entries from 1e-290 up within 1e-12 relative and those
-    below 2^-1022 flushed to 0, from one of two kernels chosen by (n, b):
+    P(C = c) = (b)_(n-c) / b^n * S(n, n-c), in exact rationals from the
+    exact Stirling table for n <= EXACT_PMF_CAP (64).  Float mode ("log", a
+    historical name; n <= LOG_PMF_CAP = 10^4) returns floats, entries from
+    1e-290 up within 1e-12 relative and those below 2^-1022 flushed to 0,
+    from one of two kernels chosen by (n, b):
 
     * b >> n: a Chernoff bound gives the c_max past which every entry is
       flushed.  When c_max <= 256 and 2(c_max + 1) < n, P(C = c) for
@@ -437,18 +397,21 @@ def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto",
       in plain probabilities over the window of l that holds all but
       2^-1022 of the mass: O(n * window), at most O(n^2), about 0.1 s at
       n = 10^4.
+
+    "auto" picks exact rationals up to EXACT_PMF_CAP, floats beyond; a
+    mode past its cap raises CapacityError.
     """
     if n < 1:
         raise ValueError(f"pmf needs n >= 1, got {n}")
     if mode == "auto":
-        mode = "exact" if n <= exact_cap else "log"
+        mode = "exact" if n <= EXACT_PMF_CAP else "log"
     if mode == "exact":
-        if n > exact_cap:
-            raise CapacityError(f"exact-rational pmf capped at n = {exact_cap}, got {n}")
+        if n > EXACT_PMF_CAP:
+            raise CapacityError(f"exact-rational pmf capped at n = {EXACT_PMF_CAP}, got {n}")
         return _pmf_exact_rational(n, space)
     if mode == "log":
-        if n > log_cap:
-            raise CapacityError(f"float-mode pmf capped at n = {log_cap}, got {n}")
+        if n > LOG_PMF_CAP:
+            raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {n}")
         return _pmf_log_domain(n, space)
     raise ValueError(f"mode must be auto, exact or log, got {mode!r}")
 
@@ -582,12 +545,13 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
 def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     """Smallest k in 1..64 with expected_collisions(n, 2^k) <= target.
 
-    Returns None when no k in range reaches the target.
+    Returns None when no k in range reaches the target; a target that is
+    not positive and finite raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {target}")
     for k in range(1, MAX_BITS + 1):
         if expected_collisions(n, BucketSpace.power_of_two(k)) <= target:
             return k
@@ -603,8 +567,8 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     [lo, hi] is robust; the caller rounds the root to a count as needed.
     Raises BracketingError when f(lo) and f(hi) share a sign.
     """
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target}")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {target}")
     if not 0 <= lo < hi:
         raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Iterable, Optional, Sequence
@@ -255,27 +254,16 @@ def trace_collisions(stream: KBitStream, n: int,
 
 
 def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int],
-              max_distinct: Optional[int] = None,
-              workers: int = 1) -> list:
+              max_distinct: Optional[int] = None) -> list:
     """TieSummary per seed, in seed order.
 
-    Each seed gets its own stream (single-owner state); with workers > 1 the
-    seeds fan out over a thread pool, one stream per worker task.  Up to
-    ``min(workers, len(seeds))`` streams of ``n`` draws are held at once, and
-    the distinct-value cap applies to all of them together.
+    Each seed gets its own stream (single-owner state), built and counted
+    one after another, so one stream of ``n`` draws is held at a time and
+    the distinct-value cap applies to each stream alone.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_cap(n * min(workers, len(seeds)), max_distinct)
-
-    def one(seed: int) -> TieSummary:
-        stream = KBitStream(GeneratorSpec(family, seed, output_bits))
-        return collision_summary(stream, n, max_distinct=max_distinct)
-
-    if workers <= 1:
-        return [one(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, seeds))
+    return [collision_summary(KBitStream(GeneratorSpec(family, seed, output_bits)), n,
+                              max_distinct=max_distinct)
+            for seed in seeds]
 
 
 def seeds_from_base(base_seed: int, count: int) -> list:

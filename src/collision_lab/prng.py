@@ -237,7 +237,7 @@ class _Mrg32k3aCore:
         # row i holds state entry i of every lane
         x = np.array(states, dtype=np.uint64).T
         x1, x2 = x[:3], x[3:]
-        out = np.empty((steps, lanes), dtype=np.uint64)
+        out = np.empty((lanes, steps), dtype=np.uint64)
         for t in range(1, steps + 1):
             # a12*s1 + m1*a13 - a13*s0 < 2^54 and a21*s2 + m2*a23 - a23*s0
             # < 2^53 stay exact in uint64 when the addition comes first
@@ -245,11 +245,11 @@ class _Mrg32k3aCore:
             p2 = (_A21 * x2[2] + _M2 * _A23N - _A23N * x2[0]) % _M2
             x1 = [x1[1], x1[2], p1]
             x2 = [x2[1], x2[2], p2]
-            out[t - 1] = self._reduce32((p1 + _M1 - p2) % _M1)
+            out[:, t - 1] = self._reduce32((p1 + _M1 - p2) % _M1)
             if t == last:
                 self._s1 = [int(v[-1]) for v in x1]
                 self._s2 = [int(v[-1]) for v in x2]
-        return out.T.ravel()[:count]
+        return out.ravel()[:count]
 
 
 # --------------------------------------------------------------------------
@@ -270,12 +270,17 @@ class _SplitCounterCore:
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as uint64."""
-        idx = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += count
-        z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)  # wraps mod 2^64
-        z = (z ^ (z >> np.uint64(30))) * _SM_MULT1
-        z = (z ^ (z >> np.uint64(27))) * _SM_MULT2
-        return z ^ (z >> np.uint64(31))
+        # the mixer in place, wrapping mod 2^64: one temporary at a time
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._seed)
+        z ^= z >> np.uint64(30)
+        z *= _SM_MULT1
+        z ^= z >> np.uint64(27)
+        z *= _SM_MULT2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def _make_core(spec: GeneratorSpec):

@@ -445,6 +445,11 @@ class TestRefusedCallsWriteNothing:
         "solve-n-overflow": ["solve", "--n", "1e400", "--target", "1"],
         "solve-range-infinite": ["solve", "--bits", "64", "--target", "1",
                                  "--range", "1:1e400"],
+        # targets that are not finite
+        "solve-k-target-nan": ["solve", "--n", "1000", "--target", "nan"],
+        "solve-k-target-inf": ["solve", "--n", "1000", "--target", "inf"],
+        "solve-n-target-nan": ["solve", "--bits", "32", "--target", "nan"],
+        "solve-n-target-inf": ["solve", "--bits", "32", "--target", "inf"],
     }
 
     @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())

@@ -357,27 +357,12 @@ class TestRunSeeds:
         b = run_seeds("mt19937", 16, 2000, seeds)
         assert a == b
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_refused(self, workers):
-        with pytest.raises(ValueError):
-            run_seeds("cmrg", 16, 10, [1, 2], workers=workers)
-
-    def test_cap_counts_streams_held_at_once(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a refused call must start no thread")
-
-        monkeypatch.setattr("collision_lab.empirics.ThreadPoolExecutor", no_pool)
-        # two workers hold two 600-draw streams at once
+    def test_cap_applies_per_stream(self):
+        # one stream of 1200 draws is over a cap of 1000
         with pytest.raises(CapacityError):
-            run_seeds("cmrg", 16, 600, [1, 2, 3], max_distinct=1000, workers=2)
-        # one at a time, the same seeds fit under the cap
+            run_seeds("cmrg", 16, 1200, [1], max_distinct=1000)
+        # streams are counted one at a time, so three of 600 draws fit
         assert len(run_seeds("cmrg", 16, 600, [1, 2, 3], max_distinct=1000)) == 3
-
-    def test_workers_match_sequential(self):
-        seeds = seeds_from_base(9, 4)
-        seq = run_seeds("cmrg", 16, 1500, seeds, workers=1)
-        par = run_seeds("cmrg", 16, 1500, seeds, workers=4)
-        assert seq == par
 
     def test_seed_derivation_distinct(self):
         assert len(set(seeds_from_base(1, 100))) == 100

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +135,22 @@ class TestMrg32k3a:
             _Mrg32k3aCore.from_state([0, 0, 0], [12345] * 3)
         with pytest.raises(ValueError):
             _Mrg32k3aCore.from_state([12345] * 3, [1, 2, 4294944443])
+
+
+class TestCoreMemory:
+    # a core's words(count) array is 8 bytes per word; the limits leave room
+    # for one temporary at a time, not for a second full-size copy
+    @pytest.mark.parametrize("family, limit", [("cmrg", 12), ("splitcounter", 20)])
+    def test_words_peak_per_word(self, family, limit):
+        count = 10 ** 6
+        core = _make_core(GeneratorSpec(family, 7, 32))
+        tracemalloc.start()
+        try:
+            core.words(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / count < limit
 
 
 class TestStreamContract:
