@@ -320,11 +320,9 @@ def stirling_log_row(n: int) -> np.ndarray:
     return row
 
 
-def stirling2(n: int, l: int, table: Optional[StirlingTable] = None) -> int:
+def stirling2(n: int, l: int) -> int:
     """Exact S(n, l) for n <= 64; CapacityError beyond."""
-    if table is None:
-        table = StirlingTable(n)
-    return table.value(n, l)
+    return StirlingTable(n).value(n, l)
 
 
 # --------------------------------------------------------------------------
@@ -338,9 +336,9 @@ LOG_PMF_CAP = 10 ** 4
 class CollisionPmf:
     """Distribution of the collision count C for n draws into b buckets.
 
-    probs[c] = P(C = c) for c = 0..n-1, as Fractions (exact-rational mode)
-    or a float array (float mode, see collision_pmf_exact; the
-    representation name "log-domain-float" is historical).
+    probs[c] = P(C = c) for c = 0..n-1, as Fractions ("exact-rational",
+    n <= EXACT_PMF_CAP) or a float array ("log-domain-float", a historical
+    name; see collision_pmf_exact).
     """
 
     n: int
@@ -377,14 +375,14 @@ class CollisionPmf:
         return c, probs[c]
 
 
-def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto") -> CollisionPmf:
+def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     """Exact PMF of the collision count.
 
-    P(C = c) = (b)_(n-c) / b^n * S(n, n-c), in exact rationals from the
-    exact Stirling table for n <= EXACT_PMF_CAP (64).  Float mode ("log", a
-    historical name; n <= LOG_PMF_CAP = 10^4) returns floats, entries from
-    1e-290 up within 1e-12 relative and those below 2^-1022 flushed to 0,
-    from one of two kernels chosen by (n, b):
+    P(C = c) = (b)_(n-c) / b^n * S(n, n-c).  The representation follows n
+    alone: exact rationals from the exact Stirling table for
+    n <= EXACT_PMF_CAP (64); floats for n <= LOG_PMF_CAP (10^4), entries
+    from 1e-290 up within 1e-12 relative and those below 2^-1022 flushed
+    to 0, from one of two kernels chosen by (n, b):
 
     * b >> n: a Chernoff bound gives the c_max past which every entry is
       flushed.  When c_max <= 256 and 2(c_max + 1) < n, P(C = c) for
@@ -398,22 +396,15 @@ def collision_pmf_exact(n: int, space: BucketSpace, mode: str = "auto") -> Colli
       2^-1022 of the mass: O(n * window), at most O(n^2), about 0.1 s at
       n = 10^4.
 
-    "auto" picks exact rationals up to EXACT_PMF_CAP, floats beyond; a
-    mode past its cap raises CapacityError.
+    n above LOG_PMF_CAP raises CapacityError.
     """
     if n < 1:
         raise ValueError(f"pmf needs n >= 1, got {n}")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_PMF_CAP else "log"
-    if mode == "exact":
-        if n > EXACT_PMF_CAP:
-            raise CapacityError(f"exact-rational pmf capped at n = {EXACT_PMF_CAP}, got {n}")
+    if n <= EXACT_PMF_CAP:
         return _pmf_exact_rational(n, space)
-    if mode == "log":
-        if n > LOG_PMF_CAP:
-            raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {n}")
-        return _pmf_log_domain(n, space)
-    raise ValueError(f"mode must be auto, exact or log, got {mode!r}")
+    if n > LOG_PMF_CAP:
+        raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {n}")
+    return _pmf_log_domain(n, space)
 
 
 def _pmf_exact_rational(n: int, space: BucketSpace) -> CollisionPmf:
@@ -542,6 +533,10 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Inverse problems
 
+# relative bracket width at which sample_size_for_expected stops bisecting
+_SOLVE_REL_TOL = 1e-9
+
+
 def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     """Smallest k in 1..64 with expected_collisions(n, 2^k) <= target.
 
@@ -559,12 +554,12 @@ def min_bits_for_expected(n: int, target: float) -> Optional[int]:
 
 
 def sample_size_for_expected(space: BucketSpace, target: float,
-                             lo: float, hi: float,
-                             rel_tol: float = 1e-9) -> float:
+                             lo: float, hi: float) -> float:
     """Real-valued n with expected_collisions(n, space) = target, by bisection.
 
     The objective is monotone in n, so bisection on the bracketing interval
-    [lo, hi] is robust; the caller rounds the root to a count as needed.
+    [lo, hi] is robust; it stops at _SOLVE_REL_TOL relative width, and the
+    caller rounds the root to a count as needed.
     Raises BracketingError when f(lo) and f(hi) share a sign.
     """
     if not 0 < target < math.inf:
@@ -583,7 +578,7 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     if (flo < 0) == (fhi < 0):
         raise BracketingError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > rel_tol * max(abs(lo), abs(hi)):
+    while hi - lo > _SOLVE_REL_TOL * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
@@ -597,7 +592,7 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     return 0.5 * (lo + hi)
 
 
-def probability_error_curve(n: int, k_lo: int = 32, k_hi: int = 64):
+def probability_error_curve(n: int, k_lo: int, k_hi: int):
     """Literal-vs-stable collision-probability reports for k = k_lo..k_hi.
 
     The literal side is R's pbirthday() (``collision_probability_pbirthday``),

@@ -13,7 +13,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,9 +59,7 @@ def exact_int(text: str) -> int:
     return int(value)
 
 
-def _resolve_cap(max_distinct: Optional[int]) -> int:
-    if max_distinct is not None:
-        return max_distinct
+def _resolve_cap() -> int:
     env = os.environ.get(MAX_DISTINCT_ENV)
     if not env:
         return DEFAULT_MAX_DISTINCT
@@ -212,13 +210,13 @@ class CollisionTrace:
     cumulative: np.ndarray
 
 
-def _check_cap(n: int, max_distinct: Optional[int]):
+def _check_cap(n: int):
     """Refuse holding ``n`` draws in memory at once beyond the cap."""
-    cap = _resolve_cap(max_distinct)
+    cap = _resolve_cap()
     if n > cap:
         raise CapacityError(
             f"{n} draws held at once exceed the distinct-value cap of {cap}; "
-            f"raise it via the {MAX_DISTINCT_ENV} environment variable or max_distinct= "
+            f"raise it via the {MAX_DISTINCT_ENV} environment variable "
             f"if you really want to hold that many values in memory")
 
 
@@ -228,15 +226,13 @@ def _stream_keys(stream: KBitStream, n: int) -> np.ndarray:
     return keys.astype(np.uint32) if stream.spec.output_bits <= 32 else keys
 
 
-def collision_summary(stream: KBitStream, n: int,
-                      max_distinct: Optional[int] = None) -> TieSummary:
+def collision_summary(stream: KBitStream, n: int) -> TieSummary:
     """TieSummary of the next ``n`` draws (no positional trace)."""
-    _check_cap(n, max_distinct)
+    _check_cap(n)
     return _summary(_stream_keys(stream, n))
 
 
-def trace_collisions(stream: KBitStream, n: int,
-                     max_distinct: Optional[int] = None):
+def trace_collisions(stream: KBitStream, n: int):
     """Consume ``n`` draws; return (TieSummary, CollisionTrace).
 
     Duplicate detection is exact (sort-based over the k-bit integers) and
@@ -244,7 +240,7 @@ def trace_collisions(stream: KBitStream, n: int,
     Draw counts above the distinct-value cap raise CapacityError instead of
     degrading to approximate counting.
     """
-    _check_cap(n, max_distinct)
+    _check_cap(n)
     summary, is_dup = _tally(_stream_keys(stream, n))
     trace = CollisionTrace(
         positions=np.flatnonzero(is_dup) + 1,
@@ -253,21 +249,19 @@ def trace_collisions(stream: KBitStream, n: int,
     return summary, trace
 
 
-def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int],
-              max_distinct: Optional[int] = None) -> list:
+def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int]) -> list:
     """TieSummary per seed, in seed order.
 
     Each seed gets its own stream (single-owner state), built and counted
     one after another, so one stream of ``n`` draws is held at a time and
     the distinct-value cap applies to each stream alone.
     """
-    return [collision_summary(KBitStream(GeneratorSpec(family, seed, output_bits)), n,
-                              max_distinct=max_distinct)
+    return [collision_summary(KBitStream(GeneratorSpec(family, seed, output_bits)), n)
             for seed in seeds]
 
 
 def seeds_from_base(base_seed: int, count: int) -> list:
-    """The documented per-worker seed sequence for a base seed."""
+    """The documented per-stream seed sequence for a base seed."""
     return [derive_seed(base_seed, i) for i in range(count)]
 
 

@@ -24,7 +24,7 @@ stepping the one-step recurrence, and its output is an exact reproduction of
 that recurrence (tested against a scalar reference).
 
 Streams are single-owner mutable state: move them between threads, never
-share one.  Parallel work derives one seed per worker via ``derive_seed``.
+share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def mix64(z: int) -> int:
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Worker seed ``index`` derived from ``base_seed``.
+    """Seed of stream ``index`` derived from ``base_seed``.
 
     The splitting rule is base + (index+1) * golden-ratio increment, pushed
     through the SplitMix64 mixer; distinct indices give unrelated seeds.
@@ -327,7 +327,8 @@ class KBitStream:
             vals = self._core.words(count)
             shift = nb - k
         else:
-            # two native words per draw, first word supplies the high bits
+            # two native words per draw, first word supplies the high bits;
+            # numpy elides the shift's temporary, so the or reuses its buffer
             words = self._core.words(2 * count)
             vals = (words[0::2] << np.uint64(nb)) | words[1::2]
             shift = 2 * nb - k

@@ -12,6 +12,8 @@ from collision_lab.analytics import (
     _eulerian_window,
     _log_falling_series,
     _pmf_eulerian,
+    _pmf_exact_rational,
+    _pmf_log_domain,
     _pmf_occupancy,
     StirlingTable,
     collision_pmf_exact,
@@ -519,8 +521,8 @@ class TestCollisionPmf:
 
     def test_log_domain_matches_exact(self):
         for n, b in ((20, 16), (30, 2 ** 20), (12, 7)):
-            exact = collision_pmf_exact(n, BucketSpace.exact(b), mode="exact")
-            logd = collision_pmf_exact(n, BucketSpace.exact(b), mode="log")
+            exact = _pmf_exact_rational(n, BucketSpace.exact(b))
+            logd = _pmf_log_domain(n, BucketSpace.exact(b))
             assert logd.representation == "log-domain-float"
             for pe, pl in zip(exact.probs, logd.probs):
                 if pe == 0:
@@ -542,14 +544,14 @@ class TestCollisionPmf:
     def test_float_mode_matches_integer_occupancy_counts(self, n, b):
         b = {"n//3": n // 3, "n-1": n - 1, "n": n}.get(b, b)
         counts = occupancy_counts(n, b)
-        pmf = collision_pmf_exact(n, space_of(b), mode="log")
+        pmf = collision_pmf_exact(n, space_of(b))
         assert_float_pmf_matches(pmf.probs, [(counts[n - c], b ** n) for c in range(n)])
 
     @given(st.integers(1, 64), spaces)
     @settings(max_examples=60, deadline=None)
     def test_float_mode_matches_exact_mode(self, n, space):
-        exact = collision_pmf_exact(n, space, mode="exact")
-        logd = collision_pmf_exact(n, space, mode="log")
+        exact = _pmf_exact_rational(n, space)
+        logd = _pmf_log_domain(n, space)
         assert_float_pmf_matches(logd.probs, [(p.numerator, p.denominator)
                                               for p in exact.probs])
 
@@ -558,7 +560,7 @@ class TestCollisionPmf:
         (10 ** 4, 2 ** 64),
     ])
     def test_float_mode_sum_and_mean_at_large_n(self, n, b):
-        pmf = collision_pmf_exact(n, space_of(b), mode="log")
+        pmf = collision_pmf_exact(n, space_of(b))
         assert abs(pmf.total() - 1.0) <= 1e-12
         e = exact_expected_collisions(n, b)
         assert abs(pmf.mean() - e) <= 1e-12 * e
@@ -567,7 +569,7 @@ class TestCollisionPmf:
 
     @pytest.mark.parametrize("n, bits", [(3353, 64), (6914, 57), (1000, 32)])
     def test_float_prob_any_collision_does_not_cancel(self, n, bits):
-        pmf = collision_pmf_exact(n, k(bits), mode="log")
+        pmf = collision_pmf_exact(n, k(bits))
         p = collision_probability(n, k(bits))
         assert abs(pmf.prob_any_collision() - p) <= 1e-12 * p
 
@@ -593,7 +595,7 @@ class TestCollisionPmf:
         c_max = _eulerian_window(n, b)
         ref = unwindowed_occupancy_pmf(n, b)
         assert math.fsum(ref[c_max + 1:]) < 2.0 ** -1022
-        assert_float_pmfs_agree(collision_pmf_exact(n, space_of(b), mode="log").probs, ref)
+        assert_float_pmfs_agree(collision_pmf_exact(n, space_of(b)).probs, ref)
 
     def test_eulerian_window_implies_series_domain(self):
         # the Eulerian kernel takes log((b)_n / b^n) from _log_falling_series,
@@ -610,10 +612,10 @@ class TestCollisionPmf:
                                 unwindowed_occupancy_pmf(n, b))
 
     def test_caps(self):
+        assert collision_pmf_exact(64, k(8)).representation == "exact-rational"
+        assert collision_pmf_exact(65, k(8)).representation == "log-domain-float"
         with pytest.raises(CapacityError):
-            collision_pmf_exact(65, k(8), mode="exact")
-        with pytest.raises(CapacityError):
-            collision_pmf_exact(10 ** 4 + 1, k(32), mode="log")
+            collision_pmf_exact(10 ** 4 + 1, k(32))
         with pytest.raises(ValueError):
             collision_pmf_exact(0, k(8))
 

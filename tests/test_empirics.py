@@ -322,9 +322,10 @@ class TestTraceCollisions:
         assert c >= 1  # 16-bit draws at n=2000 essentially always collide
         assert c + 1 <= t <= 2 * c
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1000")
         with pytest.raises(CapacityError):
-            trace_collisions(stream(), 2000, max_distinct=1000)
+            trace_collisions(stream(), 2000)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "500")
@@ -357,12 +358,13 @@ class TestRunSeeds:
         b = run_seeds("mt19937", 16, 2000, seeds)
         assert a == b
 
-    def test_cap_applies_per_stream(self):
+    def test_cap_applies_per_stream(self, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1000")
         # one stream of 1200 draws is over a cap of 1000
         with pytest.raises(CapacityError):
-            run_seeds("cmrg", 16, 1200, [1], max_distinct=1000)
+            run_seeds("cmrg", 16, 1200, [1])
         # streams are counted one at a time, so three of 600 draws fit
-        assert len(run_seeds("cmrg", 16, 600, [1, 2, 3], max_distinct=1000)) == 3
+        assert len(run_seeds("cmrg", 16, 600, [1, 2, 3])) == 3
 
     def test_seed_derivation_distinct(self):
         assert len(set(seeds_from_base(1, 100))) == 100

@@ -139,14 +139,22 @@ class TestMrg32k3a:
 
 class TestCoreMemory:
     # a core's words(count) array is 8 bytes per word; the limits leave room
-    # for one temporary at a time, not for a second full-size copy
-    @pytest.mark.parametrize("family, limit", [("cmrg", 12), ("splitcounter", 20)])
+    # for one temporary at a time, not for a second full-size copy.  A
+    # "family:bits" case measures take_kbits per draw on the two-word path:
+    # 16 bytes of words and 8 of result, since numpy's temporary elision
+    # reuses the shift's buffer for the or (32 bytes without it)
+    @pytest.mark.parametrize("family, limit", [("cmrg", 12), ("splitcounter", 20),
+                                               ("cmrg:40", 26)])
     def test_words_peak_per_word(self, family, limit):
         count = 10 ** 6
-        core = _make_core(GeneratorSpec(family, 7, 32))
+        family, _, bits = family.partition(":")
+        if bits:
+            draw = stream(family, 7, int(bits)).take_kbits
+        else:
+            draw = _make_core(GeneratorSpec(family, 7, 32)).words
         tracemalloc.start()
         try:
-            core.words(count)
+            draw(count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
