@@ -16,10 +16,11 @@ shape-a gamma, P(X = 0 after rounding) ~ P(X < 2^-1074) ~ (2^-1074)^a / a
 up to constants, which is sizeable once a is of order 1/1000.
 """
 
+import pathlib
 import random
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from collision_lab import count_duplicates, count_ties  # noqa: E402
 

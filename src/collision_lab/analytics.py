@@ -159,7 +159,10 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     prod = 1.0
     for lo in range(1, n, _CHUNK):
         i = np.arange(lo, min(n, lo + _CHUNK), dtype=np.float64)
-        prod *= float(np.multiply.reduce(1.0 - i / bf))
+        # the literal product may overflow where n is far above b; that
+        # overflow is the behaviour measured, not a fault to report
+        with np.errstate(over="ignore"):
+            prod *= float(np.multiply.reduce(1.0 - i / bf))
     return 1.0 - prod
 
 

@@ -190,6 +190,11 @@ class TestCollisionProbability:
         # the literal product contains the factor (1 - b/b) = 0 once n > b
         assert collision_probability_naive(5, BucketSpace.exact(3)) == 1.0
 
+    def test_naive_overflow_stays_nan(self):
+        # far above b the literal product overflows to inf before it meets
+        # the zero factor (1 - b/b); inf * 0 is NaN, with no warning raised
+        assert math.isnan(collision_probability_naive(4 * 10 ** 6, BucketSpace.exact(10 ** 6)))
+
     def test_naive_birthday_365(self):
         # oracle: exact rational 1 - (364*363)/365^2 = 1093/133225
         exact = float(1 - Fraction(364 * 363, 365 ** 2))

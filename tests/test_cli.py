@@ -166,6 +166,12 @@ class TestProb:
                        "collision probability (naive)  = 0.5072972\n"
                        "relative difference            = 0\n")
 
+    def test_naive_overflow_prints_nan_quietly(self, capsys):
+        code, out, err = run(capsys, "prob", "--n", "4000000", "--buckets", "1000000")
+        assert code == 0
+        assert "(naive)  = nan" in out
+        assert err == ""
+
     def test_literal_cap_refuses_at_once(self, capsys):
         # the naive product would take minutes; the stable form is O(1)
         code, out, err = run(capsys, "prob", "--n", "1e10", "--bits", "64")

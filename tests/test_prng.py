@@ -87,9 +87,8 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs takes the lane-vectorized path alone
-        # (only requests below _CMRG_SCALAR_BELOW step the scalar
-        # recurrence); test_lane_path_across_calls crosses the two paths
+        # one request of 12000 outputs, 219 lanes of 55 steps;
+        # test_lane_path_across_calls chains requests of many sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
@@ -104,13 +103,15 @@ class TestMrg32k3a:
         b_ = np.array([s.next_kbit() for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    # 8192 is the first lane-path count; 10240 fills lanes * steps exactly
-    ODD_TAKES = (1, 5003, 777, 100001, 3, 99999, 8192, 10240)
+    # 1, 2 and 3 are one-step lanes, one word each; 5 and 7 are the
+    # smallest counts whose last lane is part-filled; 10000 fills its 200
+    # lanes of 50 steps exactly
+    ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
         # odd counts leave the last lane part-filled (T*lanes > count), and
-        # lane-path calls follow scalar-path ones; every call must return
-        # exactly its count and continue the canonical sequence
+        # each call sizes its own lanes; every call must return exactly its
+        # count and continue the canonical sequence
         m1 = 4294967087
         total = sum(self.ODD_TAKES)
         ref = [(z << 32) // m1
@@ -219,8 +220,17 @@ class TestStreamContract:
         assert mixed == ref
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_fractional_count_refused(self, family):
+        s = stream(family, seed=3, bits=16)
+        s.take_kbits(4)
+        with pytest.raises(TypeError):
+            s.take_kbits(2.5)
+        assert s.position == 4
+        assert np.array_equal(s.take_kbits(9), stream(family, seed=3, bits=16).take_kbits(13)[4:])
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_core_returns_exactly_the_words_asked(self, family):
-        # 8191/8192 straddle the MRG32k3a scalar/lane boundary
+        # odd and even counts; MRG32k3a sizes its lanes from each count
         core = _make_core(GeneratorSpec(family, 5, 32))
         for count in (0, 1, 8191, 8192, 10001):
             words = core.words(count)
@@ -354,8 +364,10 @@ class TestRejectionSampler:
         vector = sample_ints(b_, 100, 500).tolist()
         assert scalar == vector
         assert min(scalar) >= 1 and max(scalar) <= 100
-        # two draws span 96 and 66 bits, more than a uint64 holds
-        for bits, n in [(48, 2 ** 59 + 12345), (33, 2 ** 64 - 1)]:
+        # two draws span 96 and 66 bits, more than a uint64 holds; at 8 and
+        # 64 bits the pattern is the whole draw, shifted by zero
+        for bits, n in [(48, 2 ** 59 + 12345), (33, 2 ** 64 - 1), (8, 256),
+                        (64, 2 ** 64 - 1)]:
             a = stream(seed=37, bits=bits)
             b_ = stream(seed=37, bits=bits)
             scalar = [rand_int_rejection(a, n) for _ in range(200)]
