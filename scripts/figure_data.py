@@ -13,7 +13,8 @@ Writes into the output directory (default ./figure_data):
 
 Usage: python scripts/figure_data.py [outdir] [--n N] [--bits K] [--seed S]
 
-N is an exact integer, also in scientific form (1e6); 1.5 is refused.
+N, K and S are exact integers, also in scientific form (1e6); 1.5 is
+refused.
 
 Everything is deterministic given the arguments; plotting is left to
 external tooling (the CSVs are gnuplot/pandas-friendly).
@@ -37,17 +38,17 @@ def run(argv):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="figure_data")
-    # passed through as text: the CLI parses it exactly ('1e6' yes, '1.5' no)
+    # passed through as text: the CLI parses them exactly ('1e6' yes, '1.5' no)
     ap.add_argument("--n", default=str(10 ** 6))
-    ap.add_argument("--bits", type=int, default=32)
-    ap.add_argument("--seed", type=int, default=271)
+    ap.add_argument("--bits", default="32")
+    ap.add_argument("--seed", default="271")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    run(["simulate", "--n", args.n, "--bits", str(args.bits),
-         "--seed-base", str(args.seed), "--out", str(outdir / "collisions")])
+    run(["simulate", "--n", args.n, "--bits", args.bits,
+         "--seed-base", args.seed, "--out", str(outdir / "collisions")])
     run(["scan", "--n", args.n, "--out", str(outdir / "expected_scan.csv")])
     run(["prob", "--n", args.n, "--errcmp",
          "--out", str(outdir / "prob_relative_error.csv")])

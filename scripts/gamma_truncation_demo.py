@@ -11,6 +11,10 @@ This is a demonstration script, not part of the library: run it with
 
     python scripts/gamma_truncation_demo.py [shape] [count]
 
+The shape must be above 0 and below 2^1023, and the count an exact
+integer of at least 1 ('1e5' works); anything else is refused with one
+``error:`` line and exit status 2.
+
 The default shape 1e-3 makes roughly half of all draws underflow.  For a
 shape-a gamma, P(X = 0 after rounding) ~ P(X < 2^-1074) ~ (2^-1074)^a / a
 up to constants, which is sizeable once a is of order 1/1000.
@@ -23,11 +27,26 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from collision_lab import count_duplicates, count_ties  # noqa: E402
+from collision_lab.errors import exact_index, exact_int  # noqa: E402
+
+
+def parse_args(argv):
+    """(shape, count) from the command line; ValueError names a bad one."""
+    shape = float(argv[0]) if argv else 1e-3
+    # gammavariate never returns for a NaN shape, nor for one whose
+    # 2*shape - 1 overflows to inf
+    if not 0 < shape < 2.0 ** 1023:
+        raise ValueError(f"shape must be above 0 and below 2^1023, got {argv[0]!r}")
+    count = exact_index("count", exact_int(argv[1]), 1) if len(argv) > 1 else 10 ** 5
+    return shape, count
 
 
 def main():
-    shape = float(sys.argv[1]) if len(sys.argv) > 1 else 1e-3
-    count = int(sys.argv[2]) if len(sys.argv) > 2 else 10 ** 5
+    try:
+        shape, count = parse_args(sys.argv[1:])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
     rng = random.Random(271)
     draws = [rng.gammavariate(shape, 1.0) for _ in range(count)]

@@ -23,14 +23,13 @@ relative, subnormal entries flushed to 0.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BracketingError, CapacityError
+from .errors import BracketingError, CapacityError, DomainError, exact_index
 from .stable_math import StableEvalReport, sum_log1p
 
 __all__ = [
@@ -75,21 +74,20 @@ class BucketSpace:
     count: int
 
     def __post_init__(self):
-        if self.bits is not None:
-            if not 1 <= self.bits <= MAX_BITS:
-                raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
-            if self.count != 1 << self.bits:
-                raise ValueError("count does not match 2^bits; use the constructors")
+        # both fields are kept as Python ints, which b^n cannot wrap
+        if self.bits is None:
+            count = exact_index("bucket count", self.count, 1, _MAX_EXACT_BUCKETS)
         else:
-            if not 1 <= self.count <= _MAX_EXACT_BUCKETS:
-                raise ValueError(
-                    f"bucket count must be in [1, 2^63], got {self.count}")
+            object.__setattr__(self, "bits", exact_index("bits", self.bits, 1, MAX_BITS))
+            count = exact_index("bucket count", self.count)
+            if count != 1 << self.bits:
+                raise ValueError("count does not match 2^bits; use the constructors")
+        object.__setattr__(self, "count", count)
 
     @classmethod
     def power_of_two(cls, k: int) -> "BucketSpace":
         """The k-bit setup: b = 2^k."""
-        if not 1 <= k <= MAX_BITS:
-            raise ValueError(f"bits must be in 1..{MAX_BITS}, got {k}")
+        k = exact_index("bits", k, 1, MAX_BITS)
         return cls(bits=k, count=1 << k)
 
     @classmethod
@@ -114,8 +112,8 @@ def expected_collisions_naive(n, space: BucketSpace) -> float:
     the inner 1 - 1/b rounds to 1 and the result collapses to n.  Kept as a
     cross-check for small k and to measure the failure itself.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0 <= n < math.inf:
+        raise DomainError(f"n must be finite and nonnegative, got {n}")
     bf = float(space.count)
     return n - bf * (1.0 - (1.0 - 1.0 / bf) ** n)
 
@@ -126,8 +124,8 @@ def expected_collisions(n, space: BucketSpace) -> float:
     Accepts real n (the root solver works on the continuous extension).
     Always finite and within [0, max(0, n-1)].
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0 <= n < math.inf:
+        raise DomainError(f"n must be finite and nonnegative, got {n}")
     if n <= 1:
         return 0.0
     if space.count == 1:
@@ -150,8 +148,7 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     precision, multiplied left to right.  Raises CapacityError for
     n > LITERAL_CAP.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = exact_index("n", n)
     _check_literal_cap(n)
     if n <= 1:
         return 0.0
@@ -194,8 +191,7 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     NaN, as ``collision_probability_naive`` does for n far above b.  Raises
     CapacityError for n > LITERAL_CAP.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = exact_index("n", n)
     _check_literal_cap(n)
     c = float(space.count)
     length = pbirthday_sequence_length(n, space)
@@ -228,9 +224,7 @@ def collision_probability(n: int, space: BucketSpace) -> float:
     * otherwise, which forces n < 161: the compensated sum_log1p of the
       n-1 terms.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    n = exact_index("n", n)
     if n <= 1:
         return 0.0
     b = space.count
@@ -281,8 +275,7 @@ class StirlingTable:
     """
 
     def __init__(self, max_n: int):
-        if max_n < 0:
-            raise ValueError(f"max_n must be nonnegative, got {max_n}")
+        max_n = exact_index("max_n", max_n)
         if max_n > _TABLE_LIMIT:
             raise CapacityError(
                 f"Stirling tables are capped at max_n = {_TABLE_LIMIT}, got {max_n}")
@@ -299,13 +292,8 @@ class StirlingTable:
 
     def value(self, n: int, l: int) -> int:
         """Exact S(n, l)."""
-        if n < 0 or l < 0:
-            raise ValueError(f"S(n, l) needs nonnegative arguments, got ({n}, {l})")
-        if l > n:
-            raise ValueError(f"S(n, l) needs l <= n, got ({n}, {l})")
-        if n > self.max_n:
-            raise ValueError(f"table holds n <= {self.max_n}, got {n}")
-        return self._rows[n][l]
+        n = exact_index("n", n, 0, self.max_n)
+        return self._rows[n][exact_index("l", l, 0, n)]
 
 
 def stirling_log_row(n: int) -> np.ndarray:
@@ -401,8 +389,7 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
 
     n above LOG_PMF_CAP raises CapacityError.
     """
-    if n < 1:
-        raise ValueError(f"pmf needs n >= 1, got {n}")
+    n = exact_index("n", n, 1)
     if n <= EXACT_PMF_CAP:
         return _pmf_exact_rational(n, space)
     if n > LOG_PMF_CAP:
@@ -546,8 +533,7 @@ def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     Returns None when no k in range reaches the target; a target that is
     not positive and finite raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = exact_index("n", n, 1)
     if not 0 < target < math.inf:
         raise ValueError(f"target must be positive and finite, got {target}")
     for k in range(1, MAX_BITS + 1):
@@ -567,8 +553,8 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     """
     if not 0 < target < math.inf:
         raise ValueError(f"target must be positive and finite, got {target}")
-    if not 0 <= lo < hi:
-        raise ValueError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+    if not 0 <= lo < hi < math.inf:
+        raise DomainError(f"need finite 0 <= lo < hi, got [{lo}, {hi}]")
 
     def f(x):
         return expected_collisions(x, space) - target

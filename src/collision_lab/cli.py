@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analytics, empirics, ieee754
 from .analytics import BucketSpace
-from .errors import BracketingError, CapacityError, DomainError
+from .errors import CapacityError, exact_index, exact_int
 from .prng import FAMILIES, GeneratorSpec, KBitStream
 from .stable_math import StableEvalReport
 
@@ -50,7 +50,7 @@ def _space_from(args) -> BucketSpace:
 def _exact_int(text: str) -> int:
     """An exact integer, also in scientific form ('1e6'); '1.5' is refused."""
     try:
-        return empirics.exact_int(text)
+        return exact_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -75,9 +75,9 @@ def _add_common(sub, n=True, space=True, out=True, fmt=True):
         sub.add_argument("--n", type=_exact_int, default=None,
                          help=f"sample size (default {DEFAULT_N})")
     if space:
-        sub.add_argument("--bits", type=int, default=None,
+        sub.add_argument("--bits", type=_exact_int, default=None,
                          help=f"k-bit setup, buckets = 2^k (default {DEFAULT_BITS})")
-        sub.add_argument("--buckets", type=int, default=None,
+        sub.add_argument("--buckets", type=_exact_int, default=None,
                          help="explicit bucket count instead of --bits")
     if out:
         sub.add_argument("--out", default=None, help="write output to this path")
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="count collisions in generated streams")
     _add_common(s, out=False)
-    s.add_argument("--seeds", type=int, default=1, help="number of seeds (default 1)")
-    s.add_argument("--seed-base", type=int, default=None,
+    s.add_argument("--seeds", type=_exact_int, default=1, help="number of seeds (default 1)")
+    s.add_argument("--seed-base", type=_exact_int, default=None,
                    help="base seed; per-run seeds derive from it (default 1)")
     s.add_argument("--generator", default=None,
                    help="family:seed:bits, families " + "/".join(FAMILIES))
@@ -251,8 +251,7 @@ def cmd_simulate(args, out) -> None:
         if args.bits is not None and spec.output_bits != args.bits:
             raise ValueError("--generator bits disagree with --bits")
         space = BucketSpace.power_of_two(spec.output_bits)
-    if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
+    exact_index("--seeds", args.seeds, 1)
     seeds = [spec.seed] if args.seeds == 1 else empirics.seeds_from_base(spec.seed, args.seeds)
     if args.trace_prefix is None:
         summaries = empirics.run_seeds(spec.family, spec.output_bits, n, seeds)
@@ -366,8 +365,7 @@ def main(argv=None) -> int:
         else:
             with open(path, "w") as fh:
                 fh.write(buf.getvalue())
-    except (DomainError, CapacityError, BracketingError, ValueError,
-            OverflowError, OSError, argparse.ArgumentTypeError) as exc:
+    except (CapacityError, ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

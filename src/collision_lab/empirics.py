@@ -12,12 +12,11 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, exact_index, exact_int
 from .prng import GeneratorSpec, KBitStream, derive_seed
 
 __all__ = [
@@ -41,35 +40,15 @@ DEFAULT_MAX_DISTINCT = 10 ** 8
 MAX_DISTINCT_ENV = "COLLISION_LAB_MAX_DISTINCT"
 
 
-# int()'s default limit on decimal strings; it also keeps '1e999999999'
-# from building a billion-digit integer
-_MAX_INT_DIGITS = 4300
-
-
-def exact_int(text: str) -> int:
-    """An exact integer, also in scientific form ('1e6'); '1.5' is refused
-    with ValueError."""
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        value = Decimal("NaN")
-    if (not value.is_finite() or value != value.to_integral_value()
-            or value.adjusted() >= _MAX_INT_DIGITS):
-        raise ValueError(f"expected an exact integer, got {text!r}")
-    return int(value)
-
-
 def _resolve_cap() -> int:
     env = os.environ.get(MAX_DISTINCT_ENV)
     if not env:
         return DEFAULT_MAX_DISTINCT
     try:
-        cap = exact_int(env)
-        if cap > 0:
-            return cap
+        return exact_index(MAX_DISTINCT_ENV, exact_int(env), 1)
     except ValueError:
-        pass
-    raise ValueError(f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}")
+        raise ValueError(
+            f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
 
 
 def _key(value):

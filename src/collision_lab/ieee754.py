@@ -14,7 +14,7 @@ import struct
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, exact_index
 
 __all__ = [
     "FloatAnatomy",
@@ -76,13 +76,9 @@ def decompose(x: float) -> FloatAnatomy:
 
 def compose(anatomy: FloatAnatomy) -> float:
     """Inverse of decompose: reassemble the double from its bit fields."""
-    s, e, f = anatomy.sign, anatomy.exponent_field, anatomy.significand_bits
-    if s not in (0, 1):
-        raise ValueError(f"sign must be 0 or 1, got {s}")
-    if not 0 <= e <= _EXP_MAX_FIELD:
-        raise ValueError(f"exponent field must be in [0, {_EXP_MAX_FIELD}], got {e}")
-    if not 0 <= f <= _FRAC_MASK:
-        raise ValueError(f"significand field must fit in 52 bits, got {f}")
+    s = exact_index("sign", anatomy.sign, 0, 1)
+    e = exact_index("exponent field", anatomy.exponent_field, 0, _EXP_MAX_FIELD)
+    f = exact_index("significand field", anatomy.significand_bits, 0, _FRAC_MASK)
     return _from_bits((s << 63) | (e << SIGNIFICAND_BITS) | f)
 
 

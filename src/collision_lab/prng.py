@@ -32,12 +32,11 @@ share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import exact_index, exact_int
 
 __all__ = [
     "FAMILIES",
@@ -85,10 +84,9 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown generator family {self.family!r}; "
                              f"expected one of {FAMILIES}")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 1 <= self.output_bits <= 64:
-            raise ValueError(f"output_bits must be in 1..64, got {self.output_bits}")
+        object.__setattr__(self, "seed", exact_index("seed", self.seed, 0, _MASK64))
+        object.__setattr__(self, "output_bits",
+                           exact_index("output_bits", self.output_bits, 1, 64))
 
     def serialize(self) -> str:
         """Plain-text triple ``family:seed:bits`` used by the CLI."""
@@ -96,16 +94,12 @@ class GeneratorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":
+        """Inverse of ``serialize``; seed and bits also take exact_int's forms ('1e3')."""
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"generator spec must be family:seed:bits, got {text!r}")
-        family, seed_s, bits_s = parts
-        try:
-            seed = int(seed_s)
-            bits = int(bits_s)
-        except ValueError:
-            raise ValueError(f"generator spec must be family:seed:bits, got {text!r}")
-        return cls(family=family.lower(), seed=seed, output_bits=bits)
+        family, seed, bits = parts
+        return cls(family=family.lower(), seed=exact_int(seed), output_bits=exact_int(bits))
 
 
 # --------------------------------------------------------------------------
@@ -192,18 +186,16 @@ class _Mrg32k3aCore:
     def from_state(cls, s1, s2):
         """Construct from raw component states (validation vectors)."""
         core = cls.__new__(cls)
-        core._init_state(list(s1), list(s2))
+        core._init_state(s1, s2)
         return core
 
     def _init_state(self, s1, s2):
         if len(s1) != 3 or len(s2) != 3:
             raise ValueError("each component state needs exactly 3 values")
-        if not all(0 <= v < _M1 for v in s1) or not any(s1):
-            raise ValueError(f"first component state must be in [0, {_M1}) and not all zero")
-        if not all(0 <= v < _M2 for v in s2) or not any(s2):
-            raise ValueError(f"second component state must be in [0, {_M2}) and not all zero")
-        self._s1 = s1
-        self._s2 = s2
+        self._s1 = [exact_index("first component state", v, 0, _M1 - 1) for v in s1]
+        self._s2 = [exact_index("second component state", v, 0, _M2 - 1) for v in s2]
+        if not any(self._s1) or not any(self._s2):
+            raise ValueError("neither component state may be all zero")
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as uint64."""
@@ -307,9 +299,7 @@ class KBitStream:
 
     def take_kbits(self, count: int) -> np.ndarray:
         """Next ``count`` k-bit integers as a uint64 array."""
-        count = operator.index(count)
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        count = exact_index("count", count)
         k = self.spec.output_bits
         nb = self._core.native_bits
         if k <= nb:
@@ -341,17 +331,27 @@ class KBitStream:
         return self.take_kbits(count).astype(np.float64) * self._unit_scale
 
 
-def rand_int_rejection(stream: KBitStream, n: int, max_rejections: int = 10 ** 6) -> int:
+# rejected patterns in a row after which both samplers give up; a working
+# stream rejects fewer than half its patterns, so only a broken one gets here
+_MAX_REJECTIONS = 10 ** 6
+
+
+def _check_streak(rejections: int, n: int) -> None:
+    if rejections >= _MAX_REJECTIONS:
+        raise RuntimeError(f"rejection sampler rejected {rejections} patterns in a row "
+                           f"for n={n}; the generator looks broken")
+
+
+def rand_int_rejection(stream: KBitStream, n: int) -> int:
     """Uniform integer in {1..n} by rejection on ceil(log2 n)-bit patterns.
 
     Patterns are the top bits of the stream's draws (several draws are
     combined when the pattern is wider than the stream).  A pattern p is
     accepted iff p <= n-1 and then shifted to p+1, which is exactly uniform.
-    n = 1 returns 1 without drawing.  ``max_rejections`` guards against a
-    broken generator; hitting it raises RuntimeError.
+    n = 1 returns 1 without drawing.  A stream that yields _MAX_REJECTIONS
+    rejected patterns in a row raises RuntimeError.
     """
-    if n < 1:
-        raise DomainError(f"rand_int_rejection requires n >= 1, got {n}")
+    n = exact_index("n", n, 1)
     if n == 1:
         return 1
     m = (n - 1).bit_length()
@@ -366,10 +366,7 @@ def rand_int_rejection(stream: KBitStream, n: int, max_rejections: int = 10 ** 6
         if v <= n - 1:
             return v + 1
         rejections += 1
-        if rejections >= max_rejections:
-            raise RuntimeError(
-                f"rejection sampler exceeded {max_rejections} rejections for "
-                f"n={n}; the generator looks broken")
+        _check_streak(rejections, n)
 
 
 def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
@@ -379,10 +376,10 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     same value sequence for the same stream state, but consumes draws in
     batches (the final batch may discard unused draws), so do not interleave
     it with the scalar sampler on one stream.  ``n`` must be below 2^64, the
-    range of the uint64 output.
+    range of the uint64 output.  The same cap on rejections in a row applies.
     """
-    if not 1 <= n <= _MASK64:
-        raise DomainError(f"sample_ints requires 1 <= n < 2^64, got {n}")
+    n = exact_index("n", n, 1, _MASK64)
+    count = exact_index("count", count)
     out = np.empty(count, dtype=np.uint64)
     if n == 1:
         out.fill(1)
@@ -394,7 +391,7 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     # no value holds more than m <= 64 bits
     last = m - (draws_per_pattern - 1) * k
     accept = n / 2.0 ** m
-    filled = 0
+    filled = rejections = 0
     while filled < count:
         want = count - filled
         batch = min(1 << 22, int(want / accept) + 16)
@@ -403,7 +400,11 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
         v = words[:, -1] >> np.uint64(k - last)
         for col in range(draws_per_pattern - 1):
             v |= words[:, col] << np.uint64(m - (col + 1) * k)
-        good = v[v <= n - 1][:want]
+        ok = v <= n - 1
+        # the batch's trailing rejections extend the run the last batch left
+        rejections = int(ok[::-1].argmax()) if ok.any() else rejections + batch
+        _check_streak(rejections, n)
+        good = v[ok][:want]
         out[filled:filled + good.size] = good + np.uint64(1)
         filled += good.size
     return out

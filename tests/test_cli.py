@@ -470,6 +470,47 @@ class TestRefusedCallsWriteNothing:
         assert list(tmp_path.iterdir()) == [path]  # nor any trace file
 
 
+class TestIntegerFlags:
+    # every integer flag and both numeric fields of family:seed:bits take
+    # --n's exact-integer forms, and print what the plain digits print
+    SAME = {
+        "buckets": (["expect", "--n", "1000", "--buckets", "1e6"],
+                    ["expect", "--n", "1000", "--buckets", "1000000"]),
+        "bits": (["pmf", "--n", "70", "--bits", "1.6e1"], ["pmf", "--n", "70", "--bits", "16"]),
+        "seeds-and-base": (["simulate", "--n", "1000", "--bits", "16", "--seeds", "1e1",
+                            "--seed-base", "1e3", "--format", "csv"],
+                           ["simulate", "--n", "1000", "--bits", "16", "--seeds", "10",
+                            "--seed-base", "1000", "--format", "csv"]),
+        "generator": (["simulate", "--n", "1000", "--generator", "cmrg:1e3:32"],
+                      ["simulate", "--n", "1000", "--generator", "cmrg:1000:32"]),
+    }
+
+    @pytest.mark.parametrize("forms", SAME.values(), ids=SAME.keys())
+    def test_scientific_forms_accepted(self, capsys, forms):
+        scientific, plain = (run(capsys, *argv) for argv in forms)
+        assert scientific == plain and scientific[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["expect", "--bits", "32.5"], ["expect", "--buckets", "1e-3"],
+        ["simulate", "--seeds", "True"], ["simulate", "--seed-base", "0x10"],
+    ])
+    def test_non_integer_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "1000", "--generator", "cmrg:1.5:32"],
+        ["simulate", "--n", "1000", "--generator", "cmrg:1:True"],
+        ["simulate", "--n", "1000", "--seeds", "0"],
+        ["simulate", "--n", "1000", "--seed-base", "-1"],
+    ])
+    def test_refused_with_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestRepeatedCalls:
     # flags given in one call must not carry into the next: the calls run
     # in one process, one after another, and each must print what it

@@ -37,3 +37,12 @@ def test_fractional_n_refused(tmp_path):
     assert proc.returncode == 2
     assert "1.5" in proc.stderr
     assert not (tmp_path / "collisions_trajectory.csv").exists()
+
+
+def test_bits_and_seed_take_exact_integer_forms(tmp_path):
+    plain, scientific = tmp_path / "plain", tmp_path / "scientific"
+    for outdir, bits, seed in ((plain, "16", "271"), (scientific, "1.6e1", "2.71e2")):
+        proc = figure_data(str(outdir), "--n", "2000", "--bits", bits, "--seed", seed)
+        assert proc.returncode == 0, proc.stderr
+    for name in HEADERS:
+        assert (plain / name).read_bytes() == (scientific / name).read_bytes(), name

@@ -1,0 +1,98 @@
+"""The integer contract at every entry point: a bool or a non-integer where
+an integer belongs raises TypeError, a value out of range raises a
+ValueError subclass, and Python and numpy integers pass unchanged."""
+
+import math
+
+import numpy as np
+import pytest
+
+from collision_lab.analytics import (
+    BucketSpace,
+    StirlingTable,
+    collision_pmf_exact,
+    collision_probability,
+    expected_collisions,
+    expected_collisions_naive,
+    min_bits_for_expected,
+    sample_size_for_expected,
+    stirling2,
+)
+from collision_lab.errors import DomainError, exact_index
+from collision_lab.ieee754 import FloatAnatomy, compose
+from collision_lab.prng import GeneratorSpec, KBitStream, _Mrg32k3aCore, sample_ints
+
+K32 = BucketSpace.power_of_two(32)
+
+
+def stream(bits=32):
+    return KBitStream(GeneratorSpec("mt19937", 5489, bits))
+
+
+REFUSED = {
+    "exact-2.5": (lambda: BucketSpace.exact(2.5), TypeError),
+    "spec-bits-True": (lambda: GeneratorSpec("cmrg", 1, True), TypeError),
+    "spec-seed-1.5": (lambda: GeneratorSpec("cmrg", 1.5, 32), TypeError),
+    "expect-nan": (lambda: expected_collisions(math.nan, K32), DomainError),
+    "expect-inf": (lambda: expected_collisions(math.inf, K32), DomainError),
+    "expect_naive-nan": (lambda: expected_collisions_naive(math.nan, K32), DomainError),
+    "min_bits-nan": (lambda: min_bits_for_expected(math.nan, 1), TypeError),
+    "min_bits-2.5": (lambda: min_bits_for_expected(2.5, 1), TypeError),
+    "solve-hi-inf": (lambda: sample_size_for_expected(K32, 1, 1, math.inf), DomainError),
+    "pmf-64.0": (lambda: collision_pmf_exact(64.0, K32), TypeError),
+    "pmf-True": (lambda: collision_pmf_exact(True, K32), TypeError),
+    "prob-True": (lambda: collision_probability(True, K32), TypeError),
+    "take_kbits-True": (lambda: stream().take_kbits(True), TypeError),
+    "stirling2-l-True": (lambda: stirling2(5, True), TypeError),
+    "table-True": (lambda: StirlingTable(True), TypeError),
+    "compose-sign-True": (lambda: compose(FloatAnatomy(True, 1023, 0)), TypeError),
+    "cmrg-state-float": (lambda: _Mrg32k3aCore.from_state([12345.7, 12345, 12345],
+                                                          [12345] * 3), TypeError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSED.values(), ids=REFUSED.keys())
+def test_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("cast", [int, np.int64, np.uint64])
+def test_integer_types_accepted(cast):
+    assert BucketSpace.exact(cast(365)) == BucketSpace.exact(365)
+    assert type(BucketSpace.exact(cast(365)).count) is int
+    assert BucketSpace.power_of_two(cast(40)) == BucketSpace.power_of_two(40)
+    spec = GeneratorSpec("cmrg", cast(271), cast(32))
+    assert spec == GeneratorSpec("cmrg", 271, 32) and spec.serialize() == "cmrg:271:32"
+    assert np.array_equal(stream().take_kbits(cast(5)), stream().take_kbits(5))
+    assert collision_probability(cast(10 ** 6), K32) == collision_probability(10 ** 6, K32)
+    assert collision_pmf_exact(cast(30), K32) == collision_pmf_exact(30, K32)
+    assert min_bits_for_expected(cast(10 ** 6), 1.0) == 39
+    assert stirling2(cast(10), cast(3)) == stirling2(10, 3)
+    assert np.array_equal(sample_ints(stream(), cast(100), cast(50)),
+                          sample_ints(stream(), 100, 50))
+
+
+def test_exact_index_bounds():
+    assert exact_index("x", np.uint64(2 ** 64 - 1), 0, 2 ** 64 - 1) == 2 ** 64 - 1
+    with pytest.raises(DomainError, match="x must be in 1..3, got 4"):
+        exact_index("x", 4, 1, 3)
+    with pytest.raises(DomainError, match="x must be >= 0, got -1"):
+        exact_index("x", -1)
+    with pytest.raises(TypeError, match="x must be an integer, got np.True_"):
+        exact_index("x", np.True_)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec("cmrg", 1, 1), GeneratorSpec("mt19937", 2 ** 64 - 1, 64),
+    GeneratorSpec("splitcounter", np.uint64(7), np.int64(24)),
+])
+def test_parse_inverts_serialize(spec):
+    assert GeneratorSpec.parse(spec.serialize()) == spec
+
+
+def test_parse_takes_exact_integer_forms():
+    assert GeneratorSpec.parse("cmrg:1e3:3.2e1") == GeneratorSpec("cmrg", 1000, 32)
+    for bad in ("cmrg:1:True", "cmrg:1.5:32", "cmrg:1:3.25e1"):
+        with pytest.raises(ValueError):
+            GeneratorSpec.parse(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collision_lab import prng
 from collision_lab.errors import DomainError
 from collision_lab.prng import (
     FAMILIES,
@@ -383,7 +384,9 @@ class TestRejectionSampler:
             # the uint64 output cannot hold n = 2^64
             sample_ints(stream(), 2 ** 64, 10)
 
-    def test_rejection_cap_flags_broken_generator(self):
+    def test_rejection_cap_flags_broken_generator(self, monkeypatch):
+        monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
+
         class Stuck:
             # always emits the all-ones pattern, so n=3 never accepts
             spec = GeneratorSpec("mt19937", 0, 2)
@@ -392,7 +395,26 @@ class TestRejectionSampler:
                 return 3
 
         with pytest.raises(RuntimeError, match="rejection"):
-            rand_int_rejection(Stuck(), 3, max_rejections=1000)
+            rand_int_rejection(Stuck(), 3)
+
+    def test_rejection_cap_stops_batch_sampler(self, monkeypatch):
+        monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
+
+        class AllOnes:
+            # every 2-bit draw is 3, so n=3 never accepts; the count of
+            # words handed out stops a sampler that would loop for ever
+            native_bits = 32
+            given = 0
+
+            def words(self, count):
+                self.given += count
+                assert self.given <= 10 ** 6, "sampler ignored the rejection cap"
+                return np.full(count, 2 ** 32 - 1, dtype=np.uint64)
+
+        s = stream(bits=2)
+        s._core = AllOnes()
+        with pytest.raises(RuntimeError, match="rejection"):
+            sample_ints(s, 3, 10)
 
 
 class TestSpecAndSeeds:
