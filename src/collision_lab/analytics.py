@@ -9,6 +9,10 @@ birthday-problem collision probability 1 - prod(1 - i/b), rewritten as
 -expm1(sum log1p(-i/b)), whose sum is taken at constant cost from exact
 power sums.  Both literal forms are kept alongside the stable ones so the
 error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
+Where the product is fixed without multiplying they return in O(1): when
+it saturates (n(n-1) >= 80b), and when it meets a zero factor (n > b),
+where the naive form still multiplies the chunks from the one holding
+i = 2b + 1 on, whose factors can overflow and give NaN.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
@@ -49,7 +53,9 @@ __all__ = [
     "probability_error_curve",
 ]
 
+# literal products: factors per chunk product, and per piece built at once
 _CHUNK = 1 << 20
+_PIECE = 1 << 16
 
 # the literal forms multiply O(n) factors; above this n they refuse
 LITERAL_CAP = 10 ** 8
@@ -145,22 +151,66 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     """Literal birthday probability 1 - prod_{i=1}^{n-1} (1 - i/b).
 
     The product runs over exactly n-1 factors, each evaluated in double
-    precision, multiplied left to right.  Raises CapacityError for
-    n > LITERAL_CAP.
+    precision.  Each chunk of 2^20 factors, from i = 1 on, is multiplied
+    out left to right, and the chunk products are multiplied into a running
+    product in turn (the association perfbench/references.json pins).
+    Two cases are decided without multiplying, to the same bits:
+
+    * n - 1 < b and n(n-1) >= 80b: every factor lies in (0, 1], so no
+      rounded partial product grows.  The exact product is at most
+      e^(-n(n-1)/2b) <= e^-40, and rounding factors and products raises it
+      by less than e^(u b (1 + ln b) + 2un) < 1.6 (u = 2^-53,
+      b <= LITERAL_CAP^2/80), so the product stays below 2^-56 and
+      1 - prod rounds to exactly 1.0;
+    * n - 1 >= b: the factor 1 - b/b is exactly 0 (b < LITERAL_CAP < 2^53),
+      so the chunk holding it multiplies out to +-0, and the running
+      product stays +-0 through every later chunk that holds only factors
+      of magnitude <= 1 (i <= 2b).  Only the chunks from the one holding
+      i = 2b + 1 are multiplied, to keep the NaN that an overflowing one
+      gives (0 * inf).
+
+    Raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
     _check_literal_cap(n)
     if n <= 1:
         return 0.0
-    bf = float(space.count)
-    prod = 1.0
-    for lo in range(1, n, _CHUNK):
-        i = np.arange(lo, min(n, lo + _CHUNK), dtype=np.float64)
+    b, bf = space.count, float(space.count)
+
+    def factors(i):
+        return np.subtract(1.0, np.divide(i, bf, out=i), out=i)
+
+    if n - 1 < b:
+        if n * (n - 1) >= 80 * b:
+            return 1.0
+        return 1.0 - _chunked_product(1, n, factors, 1.0)
+    return 1.0 - _chunked_product(1 + 2 * b // _CHUNK * _CHUNK, n, factors, 0.0)
+
+
+def _chunked_product(start: int, stop: int, factors, prod: float) -> float:
+    """prod times factors(i) for i = start..stop-1, where factors maps a
+    float array of indices to its factors in place.
+
+    Each chunk of _CHUNK indices from start is multiplied out left to right
+    and then into prod.  The factors are built _PIECE at a time in one
+    buffer, and each piece continues its chunk's product as the initial
+    value of a sequential reduce, so the bits are those of whole chunks.
+    """
+    ramp = np.arange(min(_PIECE, max(stop - start, 0)), dtype=np.float64)
+    buf = np.empty_like(ramp)
+    for lo in range(start, stop, _CHUNK):
+        end = min(stop, lo + _CHUNK)
+        part = 1.0
         # the literal product may overflow where n is far above b; that
         # overflow is the behaviour measured, not a fault to report
         with np.errstate(over="ignore"):
-            prod *= float(np.multiply.reduce(1.0 - i / bf))
-    return 1.0 - prod
+            for p in range(lo, end, _PIECE):
+                i = np.add(ramp[:end - p], p, out=buf[:end - p])
+                part = np.multiply.reduce(factors(i), initial=part)
+        prod *= float(part)
+        if prod != prod:
+            break  # NaN stays NaN
+    return prod
 
 
 def pbirthday_sequence_length(n: int, space: BucketSpace) -> int:
@@ -185,25 +235,31 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     These semantics are taken from R's seq_colon rule and its recycling of
     arithmetic operands, not checked against a running R.  R's prod()
     accumulates sequentially in long double; here chunk products are
-    accumulated in double, a rounding-level difference.  Once the running
-    product reaches 0 (a zero factor, or underflow) the result is exactly 1:
-    multiplying on would meet the overflowing factors past a zero and give
-    NaN, as ``collision_probability_naive`` does for n far above b.  Raises
-    CapacityError for n > LITERAL_CAP.
+    accumulated in double, as in ``collision_probability_naive``, a
+    rounding-level difference.  When no operand is recycled (length = n, as
+    for every b < 2^53) and n - 1 >= b or n(n-1) >= 80b, the result is
+    exactly 1 and nothing is multiplied: from the zero factor c - b on the
+    product is exactly 0 (multiplying on would meet the overflowing factors
+    past it and give NaN, as ``collision_probability_naive`` does for n far
+    above b), and a saturated product rounds away as in that function.
+    Raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
     _check_literal_cap(n)
-    c = float(space.count)
+    b, c = space.count, float(space.count)
     length = pbirthday_sequence_length(n, space)
-    total = max(length, n) if n else 0
-    prod = 1.0
-    for lo in range(0, total, _CHUNK):
-        i = np.arange(lo, min(total, lo + _CHUNK), dtype=np.int64) % length
-        factors = (c - i) / c
-        prod *= float(np.multiply.reduce(factors)) if factors.all() else 0.0
-        if prod == 0.0:
-            return 1.0
-    return 1.0 - prod
+    if length == n and (n - 1 >= b or n * (n - 1) >= 80 * b):
+        return 1.0
+    spare = np.empty(_PIECE)
+
+    def factors(i):
+        if length < n:
+            # i % length, exact as i < 2^53; np.fmod takes twice as long
+            q = np.divide(i, length, out=spare[:i.size])
+            i -= np.multiply(np.floor(q, out=q), length, out=q)
+        return np.divide(np.subtract(c, i, out=i), c, out=i)
+
+    return 1.0 - _chunked_product(0, max(length, n) if n else 0, factors, 1.0)
 
 
 def collision_probability(n: int, space: BucketSpace) -> float:

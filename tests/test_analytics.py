@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collision_lab import analytics
 from collision_lab.analytics import (
     LITERAL_CAP,
     BucketSpace,
@@ -191,8 +193,10 @@ class TestCollisionProbability:
         assert collision_probability_naive(5, BucketSpace.exact(3)) == 1.0
 
     def test_naive_overflow_stays_nan(self):
-        # far above b the literal product overflows to inf before it meets
-        # the zero factor (1 - b/b); inf * 0 is NaN, with no warning raised
+        # the zero factor (1 - b/b) comes first: every factor below i = b
+        # lies in (0, 1], so the running product is +-0 from there on, and a
+        # later chunk's product overflows to inf; +-0 * inf is NaN, with no
+        # warning raised
         assert math.isnan(collision_probability_naive(4 * 10 ** 6, BucketSpace.exact(10 ** 6)))
 
     def test_naive_birthday_365(self):
@@ -341,6 +345,113 @@ class TestPbirthday:
         assert 0.0 <= p <= 1.0
         if n > b:
             assert p == 1.0
+
+
+# Frozen reference: the literal products as they were computed before they
+# were built in pieces and decided where fixed, one 2^20-factor chunk at a
+# time.  A chunk product depends on nothing but its bounds, so each one is
+# cached and shared by the inputs that hold it.
+_REF_CHUNK = 1 << 20
+
+
+@functools.cache
+def _ref_naive_chunk(lo, hi, bf):
+    i = np.arange(lo, hi, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return float(np.multiply.reduce(1.0 - i / bf))
+
+
+def reference_naive(n, space):
+    if n <= 1:
+        return 0.0
+    bf = float(space.count)
+    prod = 1.0
+    for lo in range(1, n, _REF_CHUNK):
+        prod *= _ref_naive_chunk(lo, min(n, lo + _REF_CHUNK), bf)
+    return 1.0 - prod
+
+
+@functools.cache
+def _ref_pbirthday_chunk(lo, hi, c, length):
+    # called with min(length, hi): below hi both give i % length = i
+    i = np.arange(lo, hi, dtype=np.int64) % length
+    factors = (c - i) / c
+    return float(np.multiply.reduce(factors)) if factors.all() else 0.0
+
+
+def reference_pbirthday(n, space):
+    c = float(space.count)
+    length = pbirthday_sequence_length(n, space)
+    total = max(length, n) if n else 0
+    prod = 1.0
+    for lo in range(0, total, _REF_CHUNK):
+        hi = min(total, lo + _REF_CHUNK)
+        prod *= _ref_pbirthday_chunk(lo, hi, c, min(length, hi))
+        if prod == 0.0:
+            return 1.0
+    return 1.0 - prod
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else x.hex()
+
+
+def _space(b):
+    return k(64) if b == 2 ** 64 else BucketSpace.exact(b)
+
+
+# n(n-1) at, just below and just above 80b: saturated, then multiplied
+_SATURATION_EDGE = [(n, n * (n - 1) // 80 + d) for n in (81, 96, 161, 1601, 10 ** 6)
+                    for d in (-1, 0, 1)]
+# the zero factor at or past n, and 2b around n, near chunk bounds
+_ZERO_FACTOR = [(n, b) for b in (2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 3 * 2 ** 20 + 5)
+                for n in (b - 1, b, b + 1, b + 2, 2 * b - 1, 2 * b, 2 * b + 1)]
+# the last factor at the edge of a 2^16 piece for k = 30..64, and of a 2^20
+# chunk at the k where the regime changes: saturated up to 33, multiplied
+# from 34, the sequence recycled from 54 (a million factors cost ms each)
+_STRADDLE = [*[(n, 2 ** bits) for bits in range(30, 65)
+               for n in (2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2)],
+             *[(n, 2 ** bits) for bits in (30, 33, 34, 53, 54, 60, 64)
+               for n in (2 ** 20, 2 ** 20 + 1, 2 ** 20 + 2)]]
+_IDENTITY_INPUTS = [
+    *_SATURATION_EDGE, *_ZERO_FACTOR, *_STRADDLE,
+    # past the zero factor the product sticks at a subnormal again
+    (3 * 10 ** 6, 700_000),
+    # the chunk that starts at i = 2b + 1 overflows: NaN
+    (2 ** 21 + 2 ** 16, 2 ** 20),
+    # pbirthday's sequence is shorter than n and recycled (length 1, 1 and
+    # 4097), or longer than n (70,145 factors past a piece edge)
+    (3, 2 ** 64), (100, 2 ** 64), (5000, 2 ** 64), (70_000, 2 ** 62),
+    (4 * 10 ** 6, 10 ** 6),
+]
+
+
+class TestLiteralIdentity:
+    """Both literal forms return the reference's bits, NaN as NaN."""
+
+    @pytest.mark.parametrize("n, b", _IDENTITY_INPUTS)
+    def test_matches_reference(self, n, b):
+        space = _space(b)
+        assert _bits(collision_probability_naive(n, space)) == \
+            _bits(reference_naive(n, space))
+        assert _bits(collision_probability_pbirthday(n, space)) == \
+            _bits(reference_pbirthday(n, space))
+
+    def test_fixed_products_multiply_nothing(self, monkeypatch):
+        multiply = analytics._chunked_product
+
+        def refuse(start, stop, factors, prod):
+            assert start >= stop, "a fixed product was multiplied"
+            return multiply(start, stop, factors, prod)
+
+        monkeypatch.setattr(analytics, "_chunked_product", refuse)
+        for n, b in [(5 * 10 ** 7, 2 ** 32), (1_692_275, 2_542_407)]:
+            assert collision_probability_naive(n, _space(b)) == 1.0
+            assert collision_probability_pbirthday(n, _space(b)) == 1.0
+        # n > b: pbirthday stops at the zero factor, and the naive form
+        # multiplies nothing before the chunk that holds i = 2b + 1
+        assert collision_probability_pbirthday(4 * 10 ** 6, _space(10 ** 6)) == 1.0
+        assert collision_probability_naive(2 ** 21 + 1, _space(2 ** 20)) == 1.0
 
 
 class TestStirling:

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from collision_lab import empirics
 from collision_lab.analytics import (BucketSpace, CollisionPmf, collision_pmf_exact,
                                      expected_collisions)
-from collision_lab.cli import main, write_pmf_csv
+from collision_lab.cli import MAX_SEEDS, main, write_pmf_csv
 from collision_lab.prng import GeneratorSpec, KBitStream
 
 
@@ -37,6 +38,52 @@ def csv_rows(text):
     lines = [ln for ln in text.strip().splitlines() if ln]
     header = lines[0].split(",")
     return header, [ln.split(",") for ln in lines[1:]]
+
+
+# `prob --errcmp --n 1e6` and `prob --n 4e6 --buckets 1e6` as the per-chunk
+# literal products printed them, byte for byte
+ERRCMP_1E6 = (
+    "k,relative_error,zero_error\n"
+    "32,0,zero\n"
+    "33,0,zero\n"
+    "34,0,zero\n"
+    "35,0,zero\n"
+    "36,1.1109917840215565e-16,\n"
+    "37,6.8413007692684938e-16,\n"
+    "38,1.3251481601883955e-16,\n"
+    "39,3.1785866107275221e-14,\n"
+    "40,1.0634567018942796e-14,\n"
+    "41,8.3794826079880917e-14,\n"
+    "42,4.043397433733221e-13,\n"
+    "43,2.7500431001537122e-14,\n"
+    "44,2.5286405150604268e-12,\n"
+    "45,1.2755009382332475e-12,\n"
+    "46,1.3394288559915122e-11,\n"
+    "47,3.0307220837414195e-11,\n"
+    "48,9.1752312039920509e-11,\n"
+    "49,2.9260016498489652e-10,\n"
+    "50,9.3315964295055982e-10,\n"
+    "51,2.9659332994278439e-09,\n"
+    "52,9.3844706138407112e-09,\n"
+    "53,3.094041630205603e-08,\n"
+    "54,2.0919402781074978e-06,\n"
+    "55,2.354569368327616e-06,\n"
+    "56,2.7855198121052245e-06,\n"
+    "57,3.7347259007914387e-06,\n"
+    "58,2.867363699610377e-06,\n"
+    "59,2.4336187870025067e-06,\n"
+    "60,0.00012577928137280062,\n"
+    "61,0.00012588768768838921,\n"
+    "62,0.0001259424028437058,\n"
+    "63,0.00089822815553809786,\n"
+    "64,0.0011496564127552989,\n"
+)
+NAIVE_NAN_4E6 = (
+    "n = 4000000, buckets = 1000000\n"
+    "collision probability (stable) = 1\n"
+    "collision probability (naive)  = nan\n"
+    "relative difference            = nan\n"
+)
 
 
 class TestExpect:
@@ -177,6 +224,13 @@ class TestProb:
         code, out, err = run(capsys, "prob", "--n", "1e10", "--bits", "64")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "100000000" in err
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["prob", "--errcmp", "--n", "1e6"], ERRCMP_1E6),
+        (["prob", "--n", "4e6", "--buckets", "1e6"], NAIVE_NAN_4E6),
+    ])
+    def test_literal_products_print_the_same_bytes(self, capsys, argv, golden):
+        assert run(capsys, *argv) == (0, golden, "")
 
     def test_errcmp_csv(self, capsys):
         code, out, _ = run(capsys, "prob", "--n", "1000", "--errcmp",
@@ -346,6 +400,17 @@ class TestSimulate:
         assert got == code
         if code:
             assert out == "" and err.startswith("error: COLLISION_LAB_MAX_DISTINCT")
+
+    @pytest.mark.parametrize("seeds", [str(MAX_SEEDS + 1), "1e6", "1e9"])
+    def test_seeds_capped_before_any_seed_is_derived(self, capsys, monkeypatch, seeds):
+        def derive(*args):
+            raise AssertionError("a seed was derived")
+
+        monkeypatch.setattr(empirics, "seeds_from_base", derive)
+        code, out, err = run(capsys, "simulate", "--n", "1", "--seeds", seeds)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_SEEDS) in err
 
     def test_buckets_rejected(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100", "--buckets", "100")
