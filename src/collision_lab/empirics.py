@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, exact_index, exact_int
-from .prng import GeneratorSpec, KBitStream, derive_seed
+from .prng import GeneratorSpec, KBitStream, _splitmix64
 
 __all__ = [
     "DEFAULT_MAX_DISTINCT",
@@ -240,8 +240,10 @@ def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int]) -> li
 
 
 def seeds_from_base(base_seed: int, count: int) -> list:
-    """The documented per-stream seed sequence for a base seed."""
-    return [derive_seed(base_seed, i) for i in range(count)]
+    """The first ``count`` >= 0 words of ``splitcounter:base_seed:64`` as ints,
+    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``."""
+    base_seed = exact_index("base_seed", base_seed, 0, 2 ** 64 - 1)
+    return _splitmix64(base_seed, 1, exact_index("count", count)).tolist()
 
 
 _CSV_CHUNK = 1 << 16  # rows formatted at once; bounds the writer's memory

@@ -2,10 +2,9 @@
 
 Three families:
 
-* ``mt19937`` -- the standard Mersenne Twister: numpy's ``MT19937`` bit
-  generator in the state of the classic Knuth-multiplier initialization
-  (init_genrand, as numpy's legacy ``RandomState`` seeds it).  Native
-  output is 32 bits.
+* ``mt19937`` -- the standard Mersenne Twister: numpy's legacy
+  ``RandomState``, seeded by the classic Knuth-multiplier init_genrand and
+  drawn as ``randint(0, 2^32)``, one raw word each.  Native output is 32 bits.
 * ``cmrg`` -- L'Ecuyer's combined multiple recursive generator MRG32k3a
   with the published parameters; the native value in [0, m1) is reduced
   to 32 bits by scaling.
@@ -17,13 +16,15 @@ more (from a 32-bit family) concatenates two successive native outputs.
 Identical GeneratorSpec values always yield bitwise-identical streams.
 Each core returns exactly the words asked for, as a fresh uint64 array that
 it keeps no reference to, and keeps its own position, so ``KBitStream``
-holds no words between calls and may shift them in place.  The MRG32k3a
-core's state is always its scalar pair of component states; every request
-splits into about 2*sqrt(count) lanes, lane r starting at offset r*T by
-matrix jump-ahead and stepping the one-step recurrence, and its output is an
-exact reproduction of that recurrence (tested against a scalar reference).
-No request is stepped one output at a time, so below about 500 words a
-request costs more than stepping would: about 0.1 ms for a single word.
+holds no words between calls and may shift them in place.  One SplitMix64
+routine makes the splitcounter words, ``mix64``, ``derive_seed`` (word
+``index`` of the base seed's splitcounter stream) and the six MRG32k3a
+component seeds (that stream's first six words).
+
+Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
+cmrg and 1 us for splitcounter.  A single word costs about 9 us from
+mt19937, most of it ``randint``'s argument handling, and 0.1 ms from cmrg,
+which splits every request into lanes by matrix jump-ahead (2-core x86-64).
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
@@ -48,28 +49,39 @@ __all__ = [
     "sample_ints",
 ]
 
-FAMILIES = ("mt19937", "cmrg", "splitcounter")
-
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
+    """SplitMix64 words ``first`` .. ``first + count - 1`` of ``seed``: word j
+    is seed + j * golden-ratio increment mod 2^64 through the bijective mixer
+    of Steele, Lea & Flood (OOPSLA 2014)."""
+    z = np.arange(count, dtype=np.uint64)
+    # the mixer in place, wrapping mod 2^64: one temporary at a time
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64((seed + first * _GOLDEN) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a 64-bit bijective mixer."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    """SplitMix64 finalizer of ``z`` in 0..2^64-1: a 64-bit bijective mixer."""
+    return int(_splitmix64(exact_index("z", z, 0, _MASK64), 0, 1)[0])
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """Seed of stream ``index`` derived from ``base_seed``.
-
-    The splitting rule is base + (index+1) * golden-ratio increment, pushed
-    through the SplitMix64 mixer; distinct indices give unrelated seeds.
-    """
-    return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK64)
+    """Seed of stream ``index`` >= 0 derived from ``base_seed`` in 0..2^64-1:
+    base + (index+1) * golden-ratio increment through the SplitMix64 mixer,
+    word ``index`` of ``splitcounter:base_seed:64``.  Distinct indices give
+    unrelated seeds."""
+    base_seed = exact_index("base_seed", base_seed, 0, _MASK64)
+    return int(_splitmix64(base_seed, exact_index("index", index) + 1, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -107,19 +119,17 @@ class GeneratorSpec:
 
 
 class _Mt19937Core:
-    """numpy's MT19937 bit generator in its classic init_genrand state."""
+    """numpy's legacy RandomState, whose MT19937 is seeded by init_genrand."""
 
     native_bits = 32
 
     def __init__(self, seed: int):
-        # RandomState seeds with init_genrand; the 64-bit seed field is
-        # reduced to its low 32 bits
-        self._bg = np.random.MT19937()
-        self._bg.state = np.random.RandomState(seed & _MASK32).get_state(legacy=False)
+        # the 64-bit seed field is reduced to its low 32 bits
+        self._rs = np.random.RandomState(seed & _MASK32)
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as uint64."""
-        return self._bg.random_raw(count)
+        """The next ``count`` words as uint64, one raw 32-bit word each."""
+        return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint64)
 
 
 # --------------------------------------------------------------------------
@@ -176,11 +186,10 @@ class _Mrg32k3aCore:
     native_bits = 32
 
     def __init__(self, seed: int):
-        # expand the 64-bit seed into six component seeds in [1, m-1]
-        raw = [mix64(seed + (i + 1) * _GOLDEN) for i in range(6)]
-        s1 = [raw[i] % (_M1 - 1) + 1 for i in range(3)]
-        s2 = [raw[i + 3] % (_M2 - 1) + 1 for i in range(3)]
-        self._init_state(s1, s2)
+        # six component seeds in [1, m-1] from the seed's splitcounter words
+        raw = _splitmix64(seed, 1, 6).tolist()
+        self._init_state([v % (_M1 - 1) + 1 for v in raw[:3]],
+                         [v % (_M2 - 1) + 1 for v in raw[3:]])
 
     @classmethod
     def from_state(cls, s1, s2):
@@ -236,9 +245,6 @@ class _Mrg32k3aCore:
 # --------------------------------------------------------------------------
 # SplitCounter
 
-_SM_MULT1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_MULT2 = np.uint64(0x94D049BB133111EB)
-
 
 class _SplitCounterCore:
     """Counter through the SplitMix64 mixer; native 64-bit output."""
@@ -246,30 +252,21 @@ class _SplitCounterCore:
     native_bits = 64
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        self._seed = seed
         self._drawn = 0
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as uint64."""
-        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += count
-        # the mixer in place, wrapping mod 2^64: one temporary at a time
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._seed)
-        z ^= z >> np.uint64(30)
-        z *= _SM_MULT1
-        z ^= z >> np.uint64(27)
-        z *= _SM_MULT2
-        z ^= z >> np.uint64(31)
-        return z
+        return _splitmix64(self._seed, self._drawn - count + 1, count)
+
+
+_CORES = {"mt19937": _Mt19937Core, "cmrg": _Mrg32k3aCore, "splitcounter": _SplitCounterCore}
+FAMILIES = tuple(_CORES)
 
 
 def _make_core(spec: GeneratorSpec):
-    if spec.family == "mt19937":
-        return _Mt19937Core(spec.seed)
-    if spec.family == "cmrg":
-        return _Mrg32k3aCore(spec.seed)
-    return _SplitCounterCore(spec.seed)
+    return _CORES[spec.family](spec.seed)
 
 
 class KBitStream:

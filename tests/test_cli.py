@@ -322,6 +322,22 @@ class TestSimulate:
         assert header == ["seed", "duplicates", "ties"]
         assert len(rows) == 6  # 3 seeds + mean + sd + expected
 
+    def test_top_seed_base_bytes(self, capsys):
+        # recorded before seeds_from_base drew its seeds as splitcounter
+        # words; the base 2^64 - 1 wraps the first seed's counter past 2^64
+        code, out, _ = run(capsys, "simulate", "--n", "1000", "--bits", "16", "--seeds", "5",
+                           "--seed-base", "18446744073709551615", "--format", "csv")
+        assert code == 0
+        assert out == ("seed,duplicates,ties\n"
+                       "16490336266968443936,6,12\n"
+                       "16834447057089888969,5,10\n"
+                       "4048727598324417001,5,10\n"
+                       "7862637804313477842,7,14\n"
+                       "13015481187462834606,13,26\n"
+                       "mean,7.2000000000000002,\n"
+                       "sd,3.3466401061363023,\n"
+                       "expected,7.5832230642205332,\n")
+
     def test_generator_flag(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "10000",
                            "--generator", "cmrg:271:16", "--format", "csv")

@@ -369,6 +369,24 @@ class TestRunSeeds:
     def test_seed_derivation_distinct(self):
         assert len(set(seeds_from_base(1, 100))) == 100
 
+    # recorded before seeds_from_base drew its seeds as splitcounter words
+    SEEDS = {(271, 4): [7738825323609040495, 8325891990607108871,
+                        14446157519787916250, 3458682794589304879],
+             (1, 5): [10451216379200822465, 13757245211066428519, 17911839290282890590,
+                      8196980753821780235, 8195237237126968761],
+             (0, 3): [16294208416658607535, 7960286522194355700, 487617019471545679],
+             (2 ** 64 - 1, 3): [16490336266968443936, 16834447057089888969,
+                                4048727598324417001],
+             (20260808, 2): [831031019729586977, 15461557645667858724]}
+
+    @pytest.mark.parametrize("base, count", SEEDS)
+    def test_seeds_from_base_pinned(self, base, count):
+        seeds = seeds_from_base(base, count)
+        assert seeds == self.SEEDS[base, count]
+        assert all(type(s) is int for s in seeds)
+        words = KBitStream(GeneratorSpec("splitcounter", base, 64)).take_kbits(count)
+        assert seeds == words.tolist()
+
     def test_mean_duplicates_near_expectation(self):
         # n = 1e5 in a 32-bit setup: expectation ~1.164, sd ~ sqrt(E);
         # 30 independent seeds should land within 3 standard errors

@@ -18,9 +18,11 @@ from collision_lab.analytics import (
     sample_size_for_expected,
     stirling2,
 )
+from collision_lab.empirics import seeds_from_base
 from collision_lab.errors import DomainError, exact_index
 from collision_lab.ieee754 import FloatAnatomy, compose
-from collision_lab.prng import GeneratorSpec, KBitStream, _Mrg32k3aCore, sample_ints
+from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed, mix64,
+                                sample_ints)
 
 K32 = BucketSpace.power_of_two(32)
 
@@ -48,6 +50,17 @@ REFUSED = {
     "compose-sign-True": (lambda: compose(FloatAnatomy(True, 1023, 0)), TypeError),
     "cmrg-state-float": (lambda: _Mrg32k3aCore.from_state([12345.7, 12345, 12345],
                                                           [12345] * 3), TypeError),
+    "seeds-count-negative": (lambda: seeds_from_base(1, -3), DomainError),
+    "seeds-count-True": (lambda: seeds_from_base(1, True), TypeError),
+    "seeds-base-2^64": (lambda: seeds_from_base(2 ** 64, 1), DomainError),
+    "seeds-base-1.0": (lambda: seeds_from_base(1.0, 1), TypeError),
+    "derive-base-negative": (lambda: derive_seed(-1, 0), DomainError),
+    "derive-base-2^64": (lambda: derive_seed(2 ** 64, 0), DomainError),
+    "derive-index-negative": (lambda: derive_seed(1, -1), DomainError),
+    "derive-index-True": (lambda: derive_seed(1, True), TypeError),
+    "mix64-negative": (lambda: mix64(-1), DomainError),
+    "mix64-2^64": (lambda: mix64(2 ** 64), DomainError),
+    "mix64-2.0": (lambda: mix64(2.0), TypeError),
 }
 
 
@@ -71,6 +84,11 @@ def test_integer_types_accepted(cast):
     assert stirling2(cast(10), cast(3)) == stirling2(10, 3)
     assert np.array_equal(sample_ints(stream(), cast(100), cast(50)),
                           sample_ints(stream(), 100, 50))
+    assert seeds_from_base(cast(271), cast(4)) == seeds_from_base(271, 4)
+    assert derive_seed(cast(5), cast(2)) == derive_seed(5, 2)
+    assert mix64(cast(5)) == mix64(5)
+    assert all(type(v) is int for v in (*seeds_from_base(cast(271), cast(4)),
+                                        derive_seed(cast(5), cast(2)), mix64(cast(5))))
 
 
 def test_exact_index_bounds():

@@ -145,8 +145,8 @@ class TestCoreMemory:
     # "family:bits" case measures take_kbits per draw on the two-word path:
     # 16 bytes of words and 8 of result, since numpy's temporary elision
     # reuses the shift's buffer for the or (32 bytes without it)
-    @pytest.mark.parametrize("family, limit", [("cmrg", 12), ("splitcounter", 20),
-                                               ("cmrg:40", 26)])
+    @pytest.mark.parametrize("family, limit", [("mt19937", 12), ("cmrg", 12),
+                                               ("splitcounter", 20), ("cmrg:40", 26)])
     def test_words_peak_per_word(self, family, limit):
         count = 10 ** 6
         family, _, bits = family.partition(":")
@@ -453,3 +453,125 @@ class TestSpecAndSeeds:
         assert first3 == [13679457532755275413, 2949826092126892291,
                           5139283748462763858]
         assert got[0] == first3[0]
+
+
+class TestSeedingPins:
+    """Literal values of every seeding path, recorded before the SplitMix64
+    rule was reduced to one implementation; they are the reference that
+    does not depend on the code under test."""
+
+    MIX64 = {0: 0, 1: 6238072747940578789, 2: 15839785061582574730,
+             271: 7246980572942276072, 2 ** 32 + 5: 3958888734102629462,
+             2 ** 63: 2720858781877447050, 2 ** 64 - 1: 13029008266876403067}
+
+    DERIVE_SEED = {(0, 0): 16294208416658607535, (1, 0): 10451216379200822465,
+                   (1, 1): 13757245211066428519, (271, 0): 7738825323609040495,
+                   (271, 3): 3458682794589304879,
+                   (2 ** 64 - 1, 0): 16490336266968443936,
+                   (2 ** 64 - 1, 7): 4638043754431676516,
+                   (5, 2 ** 40): 4200579470777321078,
+                   (20260808, 49): 14526793510165929817}
+
+    # the six MRG32k3a component seeds, (s1, s2), of a 64-bit seed
+    CMRG_STATE = {
+        0: ([4192756788, 1084990351, 220047340], [434978859, 3346614284, 849877705]),
+        1: ([2203871736, 46766916, 3830359027], [1590380916, 412021574, 3625055133]),
+        271: ([1376541362, 4074345762, 490694903], [1311462188, 197843195, 1119956745]),
+        2 ** 32 + 5: ([1191079537, 15247855, 3639255537],
+                      [141689351, 2409208476, 48912498]),
+        2 ** 64 - 1: ([3586447653, 2167465160, 3385611774],
+                      [40789039, 2315914353, 3379124828]),
+    }
+
+    # per (family, seed): a core's words 0..5 and 620..629 when drawn in
+    # calls of 1, 2, 3 and 700 words (mt19937 twists its 624-word block
+    # inside the last call), then the first eight 40-bit draws of a
+    # KBitStream taken as three next_kbit calls and one take_kbits(5)
+    FIRST_WORDS = {
+        ("mt19937", 0): (
+            [2357136044, 2546248239, 3071714933, 3626093760, 2588848963, 3684848379],
+            [3309619115, 1308169859, 631131020, 3791854820, 341544762, 1076416385,
+             384842097, 2909461632, 2886423335, 3480744984],
+            [603426827415, 786359023064, 662745334747, 599105389528, 465813375391,
+             710168089954, 481132225612, 980514784782]),
+        ("mt19937", 2 ** 32 + 5): (
+            [953453411, 236996814, 3739766767, 3570525885, 887852006, 1562238070],
+            [3140411373, 911683318, 4288592546, 2809743450, 164677315, 3235025989,
+             3689798726, 3471578330, 2337771902, 747544439],
+            [244084073230, 957380292564, 227290113629, 1010023371002, 537013782550,
+             672619489125, 842124598106, 570006609532]),
+        ("mt19937", 2 ** 64 - 1): (
+            [419326371, 479346978, 3918654476, 2416749639, 3388880820, 2260532800],
+            [194249753, 2027836416, 1222270187, 1027084080, 3860652269, 657474326,
+             948840071, 4178390586, 293166381, 523477919],
+            [107347551004, 1003175546000, 867553490054, 857623025349, 19724884296,
+             1065983049601, 652203193010, 160657509299]),
+        ("cmrg", 0): (
+            [1638311796, 1496463689, 4107089448, 3013859332, 891145807, 742418564],
+            [3171812441, 2144801051, 2007732454, 4245792913, 3849881361, 1354276359,
+             1233656883, 2519159991, 2342680024, 2909393712],
+            [419407819865, 1051414898867, 228133326636, 670109068469, 291603002051,
+             79024448397, 2889709002, 603424499049]),
+        ("cmrg", 2 ** 32 + 5): (
+            [3430784255, 3890897209, 2622417330, 1995222392, 634924813, 2656366802],
+            [3175673660, 1137044315, 2723078598, 4123568630, 4161556662, 406225277,
+             3228814207, 995977275, 1586849870, 3824312226],
+            [878280769511, 671338836598, 162540752286, 638615349940, 273151441915,
+             961216721053, 249286126308, 1061646758406]),
+        ("cmrg", 2 ** 64 - 1): (
+            [4013135275, 592632168, 327729380, 2991866720, 1974454190, 3151541542],
+            [936795492, 368169595, 1946720078, 1110657024, 3482621732, 2032296117,
+             1874716666, 2729620999, 1968237882, 272487094],
+            [1027362630435, 83898721458, 505460272827, 212029066227, 1232272274,
+             88411768476, 115817245030, 861963138934]),
+        ("splitcounter", 0): (
+            [16294208416658607535, 7960286522194355700, 487617019471545679,
+             17909611376780542444, 1961750202426094747, 6038094601263162090],
+            [9896328981752488307, 4353296321515634378, 5863181898144841561,
+             15788308404117636412, 12471312267484396559, 11142628642521954783,
+             4220400455452318983, 3522515547680592265, 1980689092901566094,
+             2190398323048852815],
+            [971210504571, 474470050465, 29064239232, 1067496024178, 116929423953,
+             359898483828, 191169740319, 848324410057]),
+        ("splitcounter", 2 ** 32 + 5): (
+            [5850300198034702058, 3809210255663399888, 12621417383238494872,
+             6505420513119442160, 8123797096065537657, 11415528309864215071],
+            [12789878624458550712, 2095648344588338775, 8222054058553662837,
+             8443404377879183265, 13368038043658712123, 1306059847613321086,
+             1551975423344360475, 14130439248774663897, 7182552654905006312,
+             11061384949378518936],
+            [348705065133, 227046624163, 752295099689, 387753278799, 484216040138,
+             680418509832, 1025344358536, 43551853645]),
+        ("splitcounter", 2 ** 64 - 1): (
+            [16490336266968443936, 16834447057089888969, 4048727598324417001,
+             7862637804313477842, 13015481187462834606, 15212506146343009075],
+            [3465130122984671834, 14452922244573622703, 11404467885397485002,
+             10824786454444082299, 10213268711260577607, 5101002577924620184,
+             16543831845163621960, 6982668709053226285, 5006012985479007279,
+             10431394704425975019],
+            [982900635419, 1003411236827, 241322970290, 468649733323, 775783132759,
+             906736024996, 1036415465474, 276448950435]),
+    }
+
+    @pytest.mark.parametrize("z", MIX64)
+    def test_mix64(self, z):
+        assert mix64(z) == self.MIX64[z]
+
+    @pytest.mark.parametrize("base, index", DERIVE_SEED)
+    def test_derive_seed(self, base, index):
+        assert derive_seed(base, index) == self.DERIVE_SEED[base, index]
+
+    @pytest.mark.parametrize("seed", CMRG_STATE)
+    def test_cmrg_seed_expansion(self, seed):
+        core = _Mrg32k3aCore(seed)
+        assert (core._s1, core._s2) == self.CMRG_STATE[seed]
+
+    @pytest.mark.parametrize("family, seed", FIRST_WORDS)
+    def test_first_words(self, family, seed):
+        head, at620, kbit40 = self.FIRST_WORDS[family, seed]
+        core = _make_core(GeneratorSpec(family, seed, 32))
+        words = np.concatenate([core.words(count) for count in (1, 2, 3, 700)])
+        assert words[:6].tolist() == head
+        assert words[620:630].tolist() == at620
+        s = stream(family, seed, 40)
+        assert [s.next_kbit() for _ in range(3)] + s.take_kbits(5).tolist() == kbit40
