@@ -51,22 +51,38 @@ def _resolve_cap() -> int:
             f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
 
 
+def _require_binary64(dtype: np.dtype) -> None:
+    """Refuse complex values and floats wider than binary64: they have no
+    binary64 bit pattern, and rounding them onto one would merge values."""
+    if dtype.kind == "c" or np.finfo(dtype).nmant > 52:
+        raise TypeError(f"cannot count {dtype} values: counting compares "
+                        f"binary64 bit patterns")
+
+
 def _key(value):
     # floats compare by bit payload: -0.0 != 0.0, NaNs equal per payload
     if isinstance(value, (float, np.floating)):
+        if not isinstance(value, float):
+            # a numpy float other than float64, which subclasses float
+            _require_binary64(value.dtype)
         return struct.unpack("<Q", struct.pack("<d", float(value)))[0], "f"
     if isinstance(value, (int, np.integer)):
         return int(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        _require_binary64(np.result_type(value))
     return value
 
 
 def _keys(values) -> np.ndarray:
     """One integer key per element, equal exactly where the ``_key``s are."""
     if isinstance(values, np.ndarray) and values.ndim == 1:
-        if values.dtype.kind == "f":
+        if values.dtype == np.float64:
+            return values.view(np.uint64)
+        if values.dtype.kind in "fc":
+            _require_binary64(values.dtype)
             # widening a signalling NaN sets the invalid flag; it is a key here
             with np.errstate(invalid="ignore"):
-                return values.astype(np.float64, copy=False).view(np.uint64)
+                return values.astype(np.float64).view(np.uint64)
         if values.dtype.kind in "iu":
             return values
     if not isinstance(values, list):

@@ -26,6 +26,12 @@ cmrg and 1 us for splitcounter.  A single word costs about 9 us from
 mt19937, most of it ``randint``'s argument handling, and 0.1 ms from cmrg,
 which splits every request into lanes by matrix jump-ahead (2-core x86-64).
 
+``sample_ints`` is the one uniform-integer sampler: rejection on
+ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round one
+pattern per value still wanted, so it takes exactly the draws its accepted
+values need and calls of any size interleave.  ``rand_int_rejection`` is
+its one-value call.
+
 Streams are single-owner mutable state: move them between threads, never
 share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
 """
@@ -328,52 +334,28 @@ class KBitStream:
         return self.take_kbits(count).astype(np.float64) * self._unit_scale
 
 
-# rejected patterns in a row after which both samplers give up; a working
+# rejected patterns in a row after which the sampler gives up; a working
 # stream rejects fewer than half its patterns, so only a broken one gets here
 _MAX_REJECTIONS = 10 ** 6
 
 
-def _check_streak(rejections: int, n: int) -> None:
-    if rejections >= _MAX_REJECTIONS:
-        raise RuntimeError(f"rejection sampler rejected {rejections} patterns in a row "
-                           f"for n={n}; the generator looks broken")
-
-
 def rand_int_rejection(stream: KBitStream, n: int) -> int:
-    """Uniform integer in {1..n} by rejection on ceil(log2 n)-bit patterns.
-
-    Patterns are the top bits of the stream's draws (several draws are
-    combined when the pattern is wider than the stream).  A pattern p is
-    accepted iff p <= n-1 and then shifted to p+1, which is exactly uniform.
-    n = 1 returns 1 without drawing.  A stream that yields _MAX_REJECTIONS
-    rejected patterns in a row raises RuntimeError.
-    """
-    n = exact_index("n", n, 1)
-    if n == 1:
-        return 1
-    m = (n - 1).bit_length()
-    k = stream.spec.output_bits
-    draws_per_pattern = -(-m // k)
-    rejections = 0
-    while True:
-        acc = 0
-        for _ in range(draws_per_pattern):
-            acc = (acc << k) | stream.next_kbit()
-        v = acc >> (draws_per_pattern * k - m)
-        if v <= n - 1:
-            return v + 1
-        rejections += 1
-        _check_streak(rejections, n)
+    """One uniform integer in {1..n}: ``sample_ints(stream, n, 1)`` as an int."""
+    return int(sample_ints(stream, n, 1)[0])
 
 
 def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
-    """Vectorized batch of ``count`` draws from {1..n}.
+    """``count`` uniform integers in {1..n}, 1 <= n < 2^64, by rejection on
+    ceil(log2 n)-bit patterns.
 
-    Accepts and rejects exactly like ``rand_int_rejection`` and yields the
-    same value sequence for the same stream state, but consumes draws in
-    batches (the final batch may discard unused draws), so do not interleave
-    it with the scalar sampler on one stream.  ``n`` must be below 2^64, the
-    range of the uint64 output.  The same cap on rejections in a row applies.
+    A pattern is the top bits of the stream's draws (several draws are
+    combined when it is wider than the stream).  A pattern p is accepted
+    iff p <= n-1 and then shifted to p+1, which is exactly uniform.  Each
+    round draws one pattern per value still wanted, so no pattern past the
+    last accepted one is drawn: the stream ends exactly where ``count``
+    one-value calls leave it, and calls of any size interleave.  n = 1
+    draws nothing.  A stream that yields _MAX_REJECTIONS rejected patterns
+    in a row at the end of a round raises RuntimeError.
     """
     n = exact_index("n", n, 1, _MASK64)
     count = exact_index("count", count)
@@ -387,21 +369,22 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     # the last draw supplies only the top bits the pattern still needs, so
     # no value holds more than m <= 64 bits
     last = m - (draws_per_pattern - 1) * k
-    accept = n / 2.0 ** m
     filled = rejections = 0
     while filled < count:
-        want = count - filled
-        batch = min(1 << 22, int(want / accept) + 16)
+        # a round of `batch` patterns accepts at most `batch` of them
+        batch = min(count - filled, 1 << 22)
         words = stream.take_kbits(batch * draws_per_pattern)
         words = words.reshape(batch, draws_per_pattern)
         v = words[:, -1] >> np.uint64(k - last)
         for col in range(draws_per_pattern - 1):
             v |= words[:, col] << np.uint64(m - (col + 1) * k)
         ok = v <= n - 1
-        # the batch's trailing rejections extend the run the last batch left
-        rejections = int(ok[::-1].argmax()) if ok.any() else rejections + batch
-        _check_streak(rejections, n)
-        good = v[ok][:want]
+        good = v[ok]
+        # the round's trailing rejections extend the run the last round left
+        rejections = int(ok[::-1].argmax()) if good.size else rejections + batch
+        if rejections >= _MAX_REJECTIONS:
+            raise RuntimeError(f"rejection sampler rejected {rejections} patterns "
+                               f"in a row for n={n}; the generator looks broken")
         out[filled:filled + good.size] = good + np.uint64(1)
         filled += good.size
     return out

@@ -207,6 +207,32 @@ class TestCountingKernelMatchesOracle:
         with pytest.raises(TypeError):
             count_duplicates([[1], [1]])
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is binary64 on this platform")
+    @pytest.mark.parametrize("make", [
+        # distinct values that would round to the one binary64 1.0
+        lambda: np.array([1, 1 + 2 ** -60], dtype=np.longdouble),
+        lambda: [np.longdouble(1), np.longdouble(1) + np.longdouble(2 ** -60)],
+        lambda: [1.0, np.longdouble(2)],
+        lambda: np.array([], dtype=np.longdouble),
+    ], ids=["array", "scalars", "mixed-list", "empty-array"])
+    def test_floats_wider_than_binary64_refused(self, make):
+        for count in (count_duplicates, count_ties, collision_positions):
+            with pytest.raises(TypeError, match="binary64"):
+                count(make())
+
+    @pytest.mark.parametrize("make", [
+        # 0j and -0j are distinct by sign, equal by value
+        lambda: np.array([0j, -0j]),
+        lambda: [0j, complex(0.0, -0.0)],
+        lambda: [1, np.complex64(1)],
+        lambda: np.array([], dtype=np.complex64),
+    ], ids=["array", "scalars", "mixed-list", "empty-array"])
+    def test_complex_refused(self, make):
+        for count in (count_duplicates, count_ties, collision_positions):
+            with pytest.raises(TypeError, match="binary64"):
+                count(make())
+
 
 class TestTieSummary:
     def test_from_multiplicities(self):

@@ -31,6 +31,22 @@ def stream(family="mt19937", seed=5489, bits=32):
     return KBitStream(GeneratorSpec(family, seed, bits))
 
 
+class AllOnesCore:
+    """A 32-bit core of all-ones words: every 2-bit draw is 3, so n=3 never
+    accepts.  The count of words handed out stops a sampler that would loop
+    for ever."""
+
+    native_bits = 32
+
+    def __init__(self):
+        self.given = 0
+
+    def words(self, count):
+        self.given += count
+        assert self.given <= 10 ** 6, "sampler ignored the rejection cap"
+        return np.full(count, 2 ** 32 - 1, dtype=np.uint64)
+
+
 class TestMt19937:
     def test_reference_vector(self):
         s = stream()
@@ -383,38 +399,100 @@ class TestRejectionSampler:
         with pytest.raises(DomainError):
             # the uint64 output cannot hold n = 2^64
             sample_ints(stream(), 2 ** 64, 10)
+        with pytest.raises(DomainError):
+            rand_int_rejection(stream(), 2 ** 64)
 
     def test_rejection_cap_flags_broken_generator(self, monkeypatch):
         monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
-
-        class Stuck:
-            # always emits the all-ones pattern, so n=3 never accepts
-            spec = GeneratorSpec("mt19937", 0, 2)
-
-            def next_kbit(self):
-                return 3
-
+        s = stream(bits=2)
+        s._core = AllOnesCore()
         with pytest.raises(RuntimeError, match="rejection"):
-            rand_int_rejection(Stuck(), 3)
+            rand_int_rejection(s, 3)
 
     def test_rejection_cap_stops_batch_sampler(self, monkeypatch):
         monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
-
-        class AllOnes:
-            # every 2-bit draw is 3, so n=3 never accepts; the count of
-            # words handed out stops a sampler that would loop for ever
-            native_bits = 32
-            given = 0
-
-            def words(self, count):
-                self.given += count
-                assert self.given <= 10 ** 6, "sampler ignored the rejection cap"
-                return np.full(count, 2 ** 32 - 1, dtype=np.uint64)
-
         s = stream(bits=2)
-        s._core = AllOnes()
+        s._core = AllOnesCore()
         with pytest.raises(RuntimeError, match="rejection"):
             sample_ints(s, 3, 10)
+
+
+def frozen_rand_int_rejection(stream, n):
+    """The scalar sampler as it stood before ``sample_ints`` became the one
+    sampler: one pattern at a time, one ``next_kbit`` per draw.  Kept here,
+    frozen, as the draw-for-draw reference of the one sampler."""
+    if n == 1:
+        return 1
+    m = (n - 1).bit_length()
+    k = stream.spec.output_bits
+    draws_per_pattern = -(-m // k)
+    while True:
+        acc = 0
+        for _ in range(draws_per_pattern):
+            acc = (acc << k) | stream.next_kbit()
+        v = acc >> (draws_per_pattern * k - m)
+        if v <= n - 1:
+            return v + 1
+
+
+class Replay:
+    """A stream's k-bit draws, taken 1024 at a time and handed out one
+    ``next_kbit`` at a time; ``position`` counts those handed out.  Bulk
+    and single draws are the same sequence (TestStreamContract), and bulk
+    requests spare the frozen loop a core call per draw."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.position = 0
+        self._stream = KBitStream(spec)
+        self._draws = []
+
+    def next_kbit(self):
+        if self.position == len(self._draws):
+            self._draws += self._stream.take_kbits(1024).tolist()
+        self.position += 1
+        return self._draws[self.position - 1]
+
+
+def frozen_draws(spec, n, count):
+    """Values, position and next k-bit word after ``count`` frozen draws."""
+    s = Replay(spec)
+    values = [frozen_rand_int_rejection(s, n) for _ in range(count)]
+    return values, s.position, s.next_kbit()
+
+
+def split_draws(spec, n, splits):
+    """The same three after ``sample_ints`` calls of the given sizes."""
+    s = KBitStream(spec)
+    values = [v for c in splits for v in sample_ints(s, n, c).tolist()]
+    return values, s.position, s.next_kbit()
+
+
+class TestFrozenSampler:
+    """``rand_int_rejection`` and ``sample_ints``, in calls of any size, draw
+    the values, end at the position and leave the next word of the frozen
+    scalar loop: a pattern is drawn only while a value is still wanted."""
+
+    @pytest.mark.parametrize("seed", [1, 37])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 1000, 2 ** 40 + 3,
+                                   2 ** 59 + 12345, 2 ** 64 - 1])
+    @pytest.mark.parametrize("bits", [2, 4, 8, 17, 32, 33, 48, 64])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_frozen_loop(self, family, bits, n, seed):
+        spec = GeneratorSpec(family, seed, bits)
+        expected = frozen_draws(spec, n, 60)
+        s = KBitStream(spec)
+        one_by_one = [rand_int_rejection(s, n) for _ in range(60)]
+        assert (one_by_one, s.position, s.next_kbit()) == expected
+        assert split_draws(spec, n, [60]) == expected
+        assert split_draws(spec, n, [1, 7, 1, 0, 51]) == expected
+
+    @given(st.sampled_from(FAMILIES), st.integers(1, 64), st.integers(1, 2 ** 64 - 1),
+           st.integers(0, 2 ** 64 - 1), st.lists(st.integers(0, 40), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_splits(self, family, bits, n, seed, splits):
+        spec = GeneratorSpec(family, seed, bits)
+        assert split_draws(spec, n, splits) == frozen_draws(spec, n, sum(splits))
 
 
 class TestSpecAndSeeds:
