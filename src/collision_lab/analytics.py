@@ -103,8 +103,6 @@ class BucketSpace:
     @property
     def inv_count(self) -> float:
         """1/b as a double; exact for power-of-two spaces."""
-        if self.bits is not None:
-            return 2.0 ** -self.bits
         return 1.0 / self.count
 
     def __str__(self):
@@ -432,10 +430,10 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     to 0, from one of two kernels chosen by (n, b):
 
     * b >> n: a Chernoff bound gives the c_max past which every entry is
-      flushed.  When c_max <= 256 and 2(c_max + 1) < n, P(C = c) for
-      c <= c_max comes from S(n, n-c) as a sum over second-order Eulerian
-      numbers, in logs: O(c_max^2), a few ms at n = 10^4, where the
-      recurrence below spends 0.1 s on entries that end as 0.
+      flushed.  If 2(n-1) <= b, c_max <= 256 and 2(c_max + 1) < n, P(C = c)
+      for c <= c_max comes from S(n, n-c) as a sum over second-order
+      Eulerian numbers, in logs: O(c_max^2), a few ms at n = 10^4, where
+      the recurrence below spends 0.1 s on entries that end as 0.
     * otherwise: q_n(n - c), where q_t(l) = P(t draws occupy exactly l
       buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
       q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1,
@@ -489,10 +487,11 @@ def _eulerian_window(n: int, b: int) -> Optional[int]:
     lam = n(n-1)/2b, and Chernoff gives P(C >= c) <= e^-lam (e lam/c)^c for
     c >= lam.  c_max is the first c where that bound is below
     2^-1022 e^-40: every entry from there on would be flushed.  The kernel
-    applies when c_max <= 256 and 2(c_max + 1) < n, so that every binomial
-    C(n+c-1-k, 2c) it uses is positive.
+    applies when 2(n - 1) <= b, the domain of the exact series it takes
+    log((b)_n / b^n) from, c_max <= 256, and 2(c_max + 1) < n, so that
+    every binomial C(n+c-1-k, 2c) it uses is positive.
     """
-    if n < 2:
+    if n < 2 or 2 * (n - 1) > b:
         return None
     lam = n * (n - 1) / (2 * b)
     log_lam = math.log(lam)
@@ -516,9 +515,7 @@ def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
     evaluated in logs, one row of e_c at a time; entries past c_max are 0.
     """
     b, bf = space.count, float(space.count)
-    # c_max <= 256 forces lam < 5.2, and b <= 2^64 forces c_max >= 17, so
-    # n >= 37 and b > n(n-1)/10.4 >= 2(n-1): the exact series gives
-    # log((b)_n / b^n), and each c steps it down one factor
+    # log((b)_(n-c) / b^(n-c)); _eulerian_window checks the series' domain 2(n-1) <= b
     steps = np.log1p(-np.arange(n - 1, n - 1 - c_max, -1) / bf)
     log_falling = -_log_falling_series(n - 1, b)[0] - np.concatenate(([0.0], np.cumsum(steps)))
     # prefix sums of log1p(o/n), o = -2c_max .. c_max-1: the log products
@@ -587,11 +584,11 @@ def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     """Smallest k in 1..64 with expected_collisions(n, 2^k) <= target.
 
     Returns None when no k in range reaches the target; a target that is
-    not positive and finite raises ValueError.
+    not positive and finite raises DomainError.
     """
     n = exact_index("n", n, 1)
     if not 0 < target < math.inf:
-        raise ValueError(f"target must be positive and finite, got {target}")
+        raise DomainError(f"target must be positive and finite, got {target}")
     for k in range(1, MAX_BITS + 1):
         if expected_collisions(n, BucketSpace.power_of_two(k)) <= target:
             return k
@@ -605,10 +602,12 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     The objective is monotone in n, so bisection on the bracketing interval
     [lo, hi] is robust; it stops at _SOLVE_REL_TOL relative width, and the
     caller rounds the root to a count as needed.
-    Raises BracketingError when f(lo) and f(hi) share a sign.
+    Raises DomainError for a target that is not positive and finite or a
+    bracket not finite with 0 <= lo < hi, and BracketingError when f(lo)
+    and f(hi) share a sign.
     """
     if not 0 < target < math.inf:
-        raise ValueError(f"target must be positive and finite, got {target}")
+        raise DomainError(f"target must be positive and finite, got {target}")
     if not 0 <= lo < hi < math.inf:
         raise DomainError(f"need finite 0 <= lo < hi, got [{lo}, {hi}]")
 

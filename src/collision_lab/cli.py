@@ -64,7 +64,7 @@ def _parse_range(text: str, lo_default, hi_default, integer: bool):
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"--range must be lo:hi, got {text!r}")
-    conv = _exact_int if integer else float
+    conv = exact_int if integer else float
     lo, hi = conv(parts[0]), conv(parts[1])
     if not integer and not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"--range bounds must be finite, got {text!r}")
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         else:
             with open(path, "w") as fh:
                 fh.write(buf.getvalue())
-    except (CapacityError, ValueError, OverflowError, OSError, argparse.ArgumentTypeError) as exc:
+    except (CapacityError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

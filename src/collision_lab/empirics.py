@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, exact_index, exact_int
-from .prng import GeneratorSpec, KBitStream, _splitmix64
+from .prng import GeneratorSpec, KBitStream, seeds_from_base
 
 __all__ = [
     "DEFAULT_MAX_DISTINCT",
@@ -31,6 +31,7 @@ __all__ = [
     "trace_collisions",
     "collision_summary",
     "run_seeds",
+    "seeds_from_base",
     "merge_summaries",
     "write_trajectory_csv",
     "write_positions_csv",
@@ -38,17 +39,6 @@ __all__ = [
 
 DEFAULT_MAX_DISTINCT = 10 ** 8
 MAX_DISTINCT_ENV = "COLLISION_LAB_MAX_DISTINCT"
-
-
-def _resolve_cap() -> int:
-    env = os.environ.get(MAX_DISTINCT_ENV)
-    if not env:
-        return DEFAULT_MAX_DISTINCT
-    try:
-        return exact_index(MAX_DISTINCT_ENV, exact_int(env), 1)
-    except ValueError:
-        raise ValueError(
-            f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
 
 
 def _require_binary64(dtype: np.dtype) -> None:
@@ -207,7 +197,12 @@ class CollisionTrace:
 
 def _check_cap(n: int):
     """Refuse holding ``n`` draws in memory at once beyond the cap."""
-    cap = _resolve_cap()
+    env = os.environ.get(MAX_DISTINCT_ENV)
+    try:
+        cap = exact_index(MAX_DISTINCT_ENV, exact_int(env), 1) if env else DEFAULT_MAX_DISTINCT
+    except ValueError:
+        raise ValueError(
+            f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
     if n > cap:
         raise CapacityError(
             f"{n} draws held at once exceed the distinct-value cap of {cap}; "
@@ -253,13 +248,6 @@ def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int]) -> li
     """
     return [collision_summary(KBitStream(GeneratorSpec(family, seed, output_bits)), n)
             for seed in seeds]
-
-
-def seeds_from_base(base_seed: int, count: int) -> list:
-    """The first ``count`` >= 0 words of ``splitcounter:base_seed:64`` as ints,
-    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``."""
-    base_seed = exact_index("base_seed", base_seed, 0, 2 ** 64 - 1)
-    return _splitmix64(base_seed, 1, exact_index("count", count)).tolist()
 
 
 _CSV_CHUNK = 1 << 16  # rows formatted at once; bounds the writer's memory

@@ -18,8 +18,8 @@ Each core returns exactly the words asked for, as a fresh uint64 array that
 it keeps no reference to, and keeps its own position, so ``KBitStream``
 holds no words between calls and may shift them in place.  One SplitMix64
 routine makes the splitcounter words, ``mix64``, ``derive_seed`` (word
-``index`` of the base seed's splitcounter stream) and the six MRG32k3a
-component seeds (that stream's first six words).
+``index`` of the base seed's splitcounter stream) and ``seeds_from_base``
+(that stream's first words), which gives the six MRG32k3a component seeds.
 
 Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 9 us from
@@ -27,10 +27,10 @@ mt19937, most of it ``randint``'s argument handling, and 0.1 ms from cmrg,
 which splits every request into lanes by matrix jump-ahead (2-core x86-64).
 
 ``sample_ints`` is the one uniform-integer sampler: rejection on
-ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round one
-pattern per value still wanted, so it takes exactly the draws its accepted
-values need and calls of any size interleave.  ``rand_int_rejection`` is
-its one-value call.
+ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
+most one pattern per value still wanted, so it takes exactly the draws its
+accepted values need and calls of any size interleave.
+``rand_int_rejection`` is its one-value call.
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
@@ -53,6 +53,7 @@ __all__ = [
     "mix64",
     "rand_int_rejection",
     "sample_ints",
+    "seeds_from_base",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -88,6 +89,13 @@ def derive_seed(base_seed: int, index: int) -> int:
     unrelated seeds."""
     base_seed = exact_index("base_seed", base_seed, 0, _MASK64)
     return int(_splitmix64(base_seed, exact_index("index", index) + 1, 1)[0])
+
+
+def seeds_from_base(base_seed: int, count: int) -> list:
+    """The first ``count`` >= 0 words of ``splitcounter:base_seed:64`` as ints,
+    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``."""
+    base_seed = exact_index("base_seed", base_seed, 0, _MASK64)
+    return _splitmix64(base_seed, 1, exact_index("count", count)).tolist()
 
 
 @dataclass(frozen=True)
@@ -192,8 +200,8 @@ class _Mrg32k3aCore:
     native_bits = 32
 
     def __init__(self, seed: int):
-        # six component seeds in [1, m-1] from the seed's splitcounter words
-        raw = _splitmix64(seed, 1, 6).tolist()
+        # six component seeds in [1, m-1] from the seed's derived seeds
+        raw = seeds_from_base(seed, 6)
         self._init_state([v % (_M1 - 1) + 1 for v in raw[:3]],
                          [v % (_M2 - 1) + 1 for v in raw[3:]])
 
@@ -351,11 +359,12 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     A pattern is the top bits of the stream's draws (several draws are
     combined when it is wider than the stream).  A pattern p is accepted
     iff p <= n-1 and then shifted to p+1, which is exactly uniform.  Each
-    round draws one pattern per value still wanted, so no pattern past the
-    last accepted one is drawn: the stream ends exactly where ``count``
-    one-value calls leave it, and calls of any size interleave.  n = 1
-    draws nothing.  A stream that yields _MAX_REJECTIONS rejected patterns
-    in a row at the end of a round raises RuntimeError.
+    round draws at most one pattern per value still wanted, in at most 2^22
+    draws, so no pattern past the last accepted one is drawn: the stream
+    ends exactly where ``count`` one-value calls leave it, and calls of any
+    size interleave.  n = 1 draws nothing.  A stream that yields
+    _MAX_REJECTIONS rejected patterns in a row at the end of a round raises
+    RuntimeError.
     """
     n = exact_index("n", n, 1, _MASK64)
     count = exact_index("count", count)
@@ -371,8 +380,9 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     last = m - (draws_per_pattern - 1) * k
     filled = rejections = 0
     while filled < count:
-        # a round of `batch` patterns accepts at most `batch` of them
-        batch = min(count - filled, 1 << 22)
+        # a round of `batch` patterns accepts at most `batch` of them; its
+        # 2^22-draw bound keeps memory flat however wide a pattern is
+        batch = min(count - filled, (1 << 22) // draws_per_pattern)
         words = stream.take_kbits(batch * draws_per_pattern)
         words = words.reshape(batch, draws_per_pattern)
         v = words[:, -1] >> np.uint64(k - last)

@@ -31,7 +31,7 @@ from collision_lab.analytics import (
     stirling2,
     stirling_log_row,
 )
-from collision_lab.errors import BracketingError, CapacityError
+from collision_lab.errors import BracketingError, CapacityError, DomainError
 from collision_lab.stable_math import sum_log1p
 
 N_HEADLINE = 10 ** 6
@@ -78,6 +78,7 @@ class TestBucketSpace:
         s = k(64)
         assert s.count == 2 ** 64
         assert s.inv_count == 2.0 ** -64
+        assert all(k(bits).inv_count == 2.0 ** -bits for bits in range(1, 65))
 
     def test_exact_space(self):
         s = BucketSpace.exact(365)
@@ -716,10 +717,15 @@ class TestCollisionPmf:
     def test_eulerian_window_implies_series_domain(self):
         # the Eulerian kernel takes log((b)_n / b^n) from _log_falling_series,
         # which needs 2(n - 1) <= b
+        # over every k-bit space, and explicit b on both sides of 2(n - 1)
+        explicit = 0
         for n in range(2, 10 ** 4 + 1, 37):
-            for bits in range(1, 65):
-                if _eulerian_window(n, 2 ** bits) is not None:
-                    assert 2 * (n - 1) <= 2 ** bits, (n, bits)
+            for b in [*(2 ** bits for bits in range(1, 65)), 3, 365, 2 * n - 3,
+                      2 * n - 2, 2 * n - 1, n * n // 3 + 7, 10 ** 9 + 7, 2 ** 63 - 25]:
+                if _eulerian_window(n, b) is not None:
+                    assert 2 * (n - 1) <= b, (n, b)
+                    explicit += b & (b - 1) != 0
+        assert explicit > 0
 
     @pytest.mark.parametrize("n, b", [(10 ** 4, 1310), (10 ** 4, 9999), (4172, 1310)])
     def test_windowed_recurrence_matches_unwindowed(self, n, b):
@@ -779,7 +785,7 @@ class TestInverseProblems:
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_refused(self, target):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             sample_size_for_expected(k(32), target, 1e2, 1e9)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             min_bits_for_expected(1000, target)

@@ -178,6 +178,18 @@ class TestCoreMemory:
             tracemalloc.stop()
         assert peak / count < limit
 
+    def test_sampler_round_bounded_in_draws(self):
+        # n = 2^64 - 1 takes 64 one-bit draws per pattern; a round is capped
+        # at 2^22 draws, not at 2^22 patterns of 64 draws each
+        s = stream("splitcounter", 3, 1)
+        tracemalloc.start()
+        try:
+            sample_ints(s, 2 ** 64 - 1, 2 ** 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2 ** 20
+
 
 class TestStreamContract:
     @pytest.mark.parametrize("family", FAMILIES)
