@@ -30,7 +30,7 @@ from .stable_math import StableEvalReport
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
 # simulate builds every stream before it prints; at --n 1 a seed takes about 0.34 ms
-# for mt19937 (cmrg 0.25 ms, splitcounter 0.11 ms, 2-core x86-64): the cap costs about 4 s
+# for mt19937 (cmrg 0.13 ms, splitcounter 0.11 ms, 2-core x86-64): the cap costs about 4 s
 MAX_SEEDS = 10 ** 4
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,11 @@ from collision_lab.prng import (
     FAMILIES,
     GeneratorSpec,
     KBitStream,
+    _MAT1,
+    _MAT2,
     _Mrg32k3aCore,
     _make_core,
+    _mat_pow,
     derive_seed,
     mix64,
     rand_int_rejection,
@@ -96,6 +100,15 @@ class TestMrg32k3a:
             out.append((p1 - p2) % m1)
         return out
 
+    M1, M2 = 4294967087, 4294944443
+    X0 = [12345] * 3
+
+    @classmethod
+    def jumped(cls, mat, m, steps):
+        # A^steps x0 in Python ints: the component state `steps` words on
+        return [sum(r * v for r, v in zip(row, cls.X0)) % m
+                for row in _mat_pow(mat, steps, m)]
+
     def test_known_vector_from_canonical_state(self):
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
         want_z = [545508589, 1368065410, 1327943761, 3546985096, 951893194]
@@ -104,7 +117,7 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs, 219 lanes of 55 steps;
+        # one request of 12000 outputs, 858 lanes of 14 steps;
         # test_lane_path_across_calls chains requests of many sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
@@ -120,9 +133,9 @@ class TestMrg32k3a:
         b_ = np.array([s.next_kbit() for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    # 1, 2 and 3 are one-step lanes, one word each; 5 and 7 are the
-    # smallest counts whose last lane is part-filled; 10000 fills its 200
-    # lanes of 50 steps exactly
+    # 1, 2, 3, 5 and 7 are one-step lanes, one word each; every other
+    # count leaves its last lane part-filled (10000 is 770 lanes of 13
+    # steps, the last holding 3 words)
     ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
@@ -140,6 +153,76 @@ class TestMrg32k3a:
             assert got.size == count
             assert list(got) == ref[at:at + count]
             at += count
+            # the state after each call is A^at x0
+            assert core._s1 == self.jumped(_MAT1, self.M1, at)
+            assert core._s2 == self.jumped(_MAT2, self.M2, at)
+
+    @pytest.fixture(scope="class")
+    def long_reference(self):
+        # the scaled scalar reference past the lane-cap switch at 2^20 words
+        return [(z << 32) // self.M1
+                for z in self.scalar_reference(self.X0, self.X0, 2 ** 20 + 1)]
+
+    # lanes = min(8192, 8*isqrt(count), count): 8191..8193 and 2*8192+1 take
+    # 683 and 964 lanes; 8*isqrt(count) reaches the 8192 cap at 2^20, so
+    # 2^20-1 takes 8129 lanes of 129 steps, 2^20 fills 8192 lanes of 128
+    # steps (eight whole 16-step blocks) and 2^20+1 takes 8129 lanes of 129.
+    # 14400, 16384 and 18496 fill 960, 1024 and 1088 lanes of 15, 16 and 17
+    # steps, one step short of, at and past one 16-step block; 14399, 16383
+    # and 18495 are the same step counts with a part-filled last lane.
+    BOUNDARY_COUNTS = (8191, 8192, 8193, 2 * 8192 + 1, 2 ** 20 - 1, 2 ** 20,
+                       2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496)
+
+    @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
+    def test_lane_and_block_boundaries(self, long_reference, count):
+        core = _Mrg32k3aCore.from_state(self.X0, self.X0)
+        assert list(core.words(count)) == long_reference[:count]
+        assert core._s1 == self.jumped(_MAT1, self.M1, count)
+        assert core._s2 == self.jumped(_MAT2, self.M2, count)
+
+    # per seed: SHA-256 of the little-endian uint64 words of words(2_000_003),
+    # the state after it, and SHA-256 of 10^6 draws of cmrg:seed:40, recorded
+    # before the lane kernel reduced by floor division; too long for the
+    # scalar reference
+    DIGESTS = {
+        7: ("5c5a6df49320df31bb55f01019a3863833324159b02e656f88b337dc5a3a87c2",
+            [2916585763, 3435359985, 2172691834], [2867226749, 3409597772, 1721699639],
+            "8eed93743dfd482ee6bf5919c45b838b85dadc3c1d31c9cb458a63c261040f8f"),
+        2 ** 64 - 1: ("b9fe1802dd52d3a0dd9dbc65a89126fb058ac3050a8214dcd8fec20a9c8f855e",
+                      [334351682, 1068486443, 516934160], [4040183878, 3014524749, 3416532644],
+                      "4df13c5feab5721de82b6b9e2ecbbcd1823cc1b6a96b741d07ef45b16d21a6a6"),
+    }
+
+    @staticmethod
+    def digest(words):
+        return hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_literal_digests(self, seed):
+        words_sha, s1, s2, draws_sha = self.DIGESTS[seed]
+        core = _Mrg32k3aCore(seed)
+        assert self.digest(core.words(2_000_003)) == words_sha
+        assert (core._s1, core._s2) == (s1, s2)
+        draws = KBitStream(GeneratorSpec("cmrg", seed, 40)).take_kbits(10 ** 6)
+        assert self.digest(draws) == draws_sha
+
+    def test_reductions_exact_at_extremes(self):
+        m1, m2 = self.M1, self.M2
+        # the step's numerators run from 0 up to a12*(m1-1) + m1*a13 and
+        # a21*(m2-1) + m2*a23; the output's p1 + m1 - p2 up to 2*m1 - 1
+        for m, top in ((m1, 1403580 * (m1 - 1) + m1 * 810728),
+                       (m2, 527612 * (m2 - 1) + m2 * 1370589)):
+            x = [0, 1, m - 1, m, m + 1, 2 * m - 1, 2 ** 32, top - m, top - 1, top]
+            got = prng._mod(np.array(x, dtype=np.uint64), np.uint64(m))
+            assert got.tolist() == [v % m for v in x]
+        # the 16-bit split of a lane-start jump stays exact at its largest
+        # matrix and state entries
+        for m in (m1, m2):
+            j = ((m - 1,) * 3, (m - 1, 0, 1), (2 ** 16 - 1, 2 ** 16, m - 2))
+            x = np.array([[m - 1, 0], [m - 1, 1], [m - 1, m - 2]], dtype=np.uint64)
+            want = [[sum(j[i][k] * int(x[k, c]) for k in range(3)) % m for c in range(2)]
+                    for i in range(3)]
+            assert prng._jump(j, x, np.uint64(m)).tolist() == want
 
     @pytest.mark.parametrize("bits", [32, 40])
     def test_stream_takes_match_one_bulk_take(self, bits):
