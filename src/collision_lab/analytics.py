@@ -20,7 +20,8 @@ and S the Stirling numbers of the second kind, taken in exact rationals
 from an exact integer table of S for n <= 64.  In floats it comes from
 second-order Eulerian numbers over the few c that carry mass when b >> n
 (O(c_max^2)), else from Knuth's occupancy recurrence over a window of
-occupancies (at most O(n^2), about 0.1 s at n = 10^4); within 1e-12
+occupancies, advanced 16 draws per numpy call by one band of the 16-draw
+transition (at most O(n^2) work, 15-50 ms at n = 10^4); within 1e-12
 relative, subnormal entries flushed to 0.
 """
 
@@ -433,13 +434,14 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
       flushed.  If 2(n-1) <= b, c_max <= 256 and 2(c_max + 1) < n, P(C = c)
       for c <= c_max comes from S(n, n-c) as a sum over second-order
       Eulerian numbers, in logs: O(c_max^2), a few ms at n = 10^4, where
-      the recurrence below spends 0.1 s on entries that end as 0.
+      the recurrence below spends 8-16 ms on entries that end as 0.
     * otherwise: q_n(n - c), where q_t(l) = P(t draws occupy exactly l
       buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
       q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1,
       in plain probabilities over the window of l that holds all but
-      2^-1022 of the mass: O(n * window), at most O(n^2), about 0.1 s at
-      n = 10^4.
+      2^-1022 of the mass, 16 draws at a time through one band of T^16
+      (T the one-draw transition): O(n * window), at most O(n^2), 15-50 ms
+      at n = 10^4.
 
     n above LOG_PMF_CAP raises CapacityError.
     """
@@ -467,6 +469,8 @@ _TINY = 2.0 ** -1022
 _LOG_FLUSH_TAIL = -1022 * math.log(2.0) - 40.0
 # largest c window the Eulerian kernel builds rows for
 _EULERIAN_C_CAP = 256
+# draws the occupancy recurrence takes per step, as one band of T^_BLOCK
+_BLOCK = 16
 
 
 def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
@@ -549,28 +553,60 @@ def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
 def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
     """P(C = c) from q[l], the chance that the draws so far fill l buckets.
 
-    Only l in [lo, min(t, b)] is updated.  The mass at or below a fixed l
-    never grows, so dropping q[lo] (and moving lo up) while the total
+    One draw maps q to T q, with T lower bidiagonal and the same at every
+    draw, so _BLOCK draws are one band of T^_BLOCK with _BLOCK + 1
+    diagonals over l = 0..min(n, b).  The band is built once, by _BLOCK
+    in-place bidiagonal updates of its diagonals (O(_BLOCK^2 min(n, b))),
+    and applied as one einsum per block over l in [lo, min(t, b)]: O(n
+    _BLOCK window) work in about n / _BLOCK numpy calls, 15-50 ms at
+    n = 10^4.  q_1 is e_1, so the first (n - 1) mod _BLOCK draws are
+    column 1 of the band while it is built.  The mass at or below a fixed
+    l never grows, so dropping q[lo] (and moving lo up) while the total
     dropped stays below 2^-1022 moves no entry by more than that; a zero
     test would not do, as stuck subnormals never reach 0.
     """
     b, bf = space.count, float(space.count)
-    l = np.arange(min(n, b) + 1, dtype=np.float64)
+    top_l = min(n, b)
+    l = np.arange(top_l + 1, dtype=np.float64)
     hit, miss = l / bf, (bf - l) / bf
-    q = np.zeros(n + 1)
-    q[1] = 1.0
+    m, rest = _BLOCK, (n - 1) % _BLOCK
+    # band[m - d, i]: coefficient of q[i - d] in row i of T^k, k = 0..m;
+    # T^(k+1) = T T^k adds diagonal k + 1 and updates the others from the
+    # top down, each from the old diagonal below it
+    band = np.zeros((m + 1, top_l + 1))
+    band[m] = 1.0
+    qpad = np.zeros(m + top_l + 1)  # m zeros below q[0]
+    q = qpad[m:]
+    for k in range(m):
+        if k == rest:  # q_(1 + rest) = T^rest e_1: row i, diagonal i - 1
+            i = np.arange(1, min(rest + 1, top_l) + 1)
+            q[i] = band[m + 1 - i, i]
+        for d in range(k + 1, 0, -1):
+            row = band[m - d, 1:]
+            row *= hit[1:]
+            row += miss[:-1] * band[m - d + 1, :-1]
+        band[m] *= hit
+    # win[i, j] = q[i - m + j], the q that band[j, i] multiplies
+    win = np.lib.stride_tricks.sliding_window_view(qpad, m + 1)
     lo, dropped = 1, 0.0
-    for t in range(2, n + 1):
+    for t in range(1 + rest + m, n + 1, m):
         top = min(t, b)
-        carry = q[lo:top] * miss[lo:top]
-        q[lo:top + 1] *= hit[lo:top + 1]
-        q[lo + 1:top + 1] += carry
-        while lo < top and dropped + q[lo] < _TINY:
-            dropped += q[lo]
-            q[lo] = 0.0
-            lo += 1
+        q[lo:top + 1] = np.einsum("ji,ij->i", band[:, lo:top + 1], win[lo:top + 1])
+        # drop from the head while the total dropped stays below 2^-1022;
+        # those partial sums are subnormal, so exact in any order
+        while lo < top:
+            cum = dropped + np.cumsum(q[lo:min(lo + m, top)])
+            drop = int(np.searchsorted(cum, _TINY))
+            if drop:
+                dropped = cum[drop - 1]
+                q[lo:lo + drop] = 0.0
+                lo += drop
+            if drop < cum.size:
+                break
     q[q < _TINY] = 0.0  # subnormals stop decaying: flush them
-    return q[:0:-1].copy()
+    probs = np.zeros(n)
+    probs[n - top_l:] = q[:0:-1]
+    return probs
 
 
 # --------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
-# simulate builds every stream before it prints; at --n 1 a seed takes about 0.34 ms
-# for mt19937 (cmrg 0.13 ms, splitcounter 0.11 ms, 2-core x86-64): the cap costs about 4 s
+# simulate builds every stream before it prints; at --n 1 a seed takes about 0.25 ms
+# for mt19937 (cmrg 0.12 ms, splitcounter 0.08 ms, 2-core x86-64): the cap costs about 2.5 s
 MAX_SEEDS = 10 ** 4
 
 
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, out=False)
     s.add_argument("--seeds", type=_exact_int, default=1,
                    help=f"number of seeds (default 1, at most {MAX_SEEDS}: one mt19937 "
-                        "seed takes about 0.34 ms, so the cap costs about 4 s at --n 1)")
+                        "seed takes about 0.25 ms, so the cap costs about 2.5 s at --n 1)")
     s.add_argument("--seed-base", type=_exact_int, default=None,
                    help="base seed; per-run seeds derive from it (default 1)")
     s.add_argument("--generator", default=None,

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -549,16 +550,17 @@ def occupancy_counts(n, b):
     return counts
 
 
-def assert_float_pmf_matches(probs, exact):
+def assert_float_pmf_matches(probs, exact, rel=1e-12):
     """Each float entry against its exact (numerator, denominator): exact
-    zeros are 0.0, entries from 1e-290 up are within 1e-12 relative."""
+    zeros are 0.0, entries from 1e-290 up are within rel (by default the
+    documented 1e-12) relative."""
     assert len(probs) == len(exact)
     for c, (p, (num, den)) in enumerate(zip(probs, exact)):
         want = num / den
         if num == 0:
             assert p == 0.0, c
         elif want >= 1e-290:
-            assert abs(p - want) <= 1e-12 * want, (c, p, want)
+            assert abs(p - want) <= rel * want, (c, p, want)
 
 
 def unwindowed_occupancy_pmf(n, b):
@@ -727,11 +729,42 @@ class TestCollisionPmf:
                     explicit += b & (b - 1) != 0
         assert explicit > 0
 
-    @pytest.mark.parametrize("n, b", [(10 ** 4, 1310), (10 ** 4, 9999), (4172, 1310)])
+    # b much above n reaches the recurrence when c_max passes _EULERIAN_C_CAP
+    @pytest.mark.parametrize("n, b", [(10 ** 4, 1310), (10 ** 4, 9999), (4172, 1310),
+                                      (10 ** 4, 2 ** 16), (10 ** 4, 2 ** 20),
+                                      (3333, 2 ** 16)])
     def test_windowed_recurrence_matches_unwindowed(self, n, b):
         assert _eulerian_window(n, b) is None
         assert_float_pmfs_agree(_pmf_occupancy(n, space_of(b)),
                                 unwindowed_occupancy_pmf(n, b))
+
+    # n - 1 = (n - 1) mod _BLOCK + a whole number of blocks: the remainder
+    # classes 0, 1 and _BLOCK - 1, and b from one bucket to twice n
+    @pytest.mark.parametrize("n", [65, 66, 80, 257, 258, 272])
+    @pytest.mark.parametrize("b", [1, 2, "m-1", "m", "n//3", "n-1", "2n"])
+    def test_blocked_recurrence_matches_integer_occupancy_counts(self, n, b):
+        m = analytics._BLOCK
+        assert (n - 1) % m in (0, 1, m - 1)
+        b = {"m-1": m - 1, "m": m, "n//3": n // 3, "n-1": n - 1, "2n": 2 * n}.get(b, b)
+        probs = _pmf_occupancy(n, space_of(b))
+        assert np.all(probs >= 0.0)
+        counts = occupancy_counts(n, b)
+        assert_float_pmf_matches(probs, [(counts[n - c], b ** n) for c in range(n)],
+                                 rel=1e-13)
+        assert_float_pmfs_agree(probs, unwindowed_occupancy_pmf(n, b))
+
+    def test_recurrence_peak_is_one_band(self):
+        # the band of T^_BLOCK is (_BLOCK + 1)(min(n, b) + 1) doubles; the
+        # limit leaves room for q, hit, miss, the output and a temporary at
+        # a time, not for a second copy of the band
+        n, b = 10 ** 4, 2 ** 20
+        tracemalloc.start()
+        try:
+            _pmf_occupancy(n, k(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (analytics._BLOCK + 1 + 8) * (min(n, b) + 1) * 8
 
     def test_caps(self):
         assert collision_pmf_exact(64, k(8)).representation == "exact-rational"
