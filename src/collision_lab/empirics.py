@@ -109,19 +109,60 @@ def _summary(keys: np.ndarray) -> TieSummary:
     return TieSummary.from_multiplicities(keys.size, _tied_runs(s[1:] == s[:-1]))
 
 
-def _tally(keys: np.ndarray):
-    """TieSummary of the keys and the mask of first-occurrence duplicates.
-
-    One unstable argsort groups equal keys; the first occurrence of each
-    value is the smallest original index in its group.
-    """
+def _argsort_tally(keys: np.ndarray):
+    """Multiplicities of the tied keys and the mask of first-occurrence
+    duplicates, from one unstable argsort: the first occurrence of each
+    value is the smallest original index in its group."""
     order = np.argsort(keys)
     s = keys[order]
     new_run = np.ones(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=new_run[1:])
     is_dup = np.ones(s.size, dtype=bool)
     is_dup[np.minimum.reduceat(order, np.flatnonzero(new_run))] = False
-    return TieSummary.from_multiplicities(s.size, _tied_runs(~new_run[1:])), is_dup
+    return _tied_runs(~new_run[1:]), is_dup
+
+
+_PHI = np.uint64(0x9E3779B97F4A7C15)  # odd, so x -> x*_PHI mod 2^64 is a bijection
+
+
+def _tally(keys: np.ndarray):
+    """TieSummary of the keys and the mask of first-occurrence duplicates.
+
+    One sort of uint64 words ``hash << b | index``, where the hash is the top
+    ``64 - b`` bits of ``key * _PHI mod 2^64`` and the low ``b`` bits hold
+    the original index, puts every value's draws in one run of equal hashes,
+    in index order: the run's head is the first occurrence and every later
+    member a duplicate.  A run whose adjacent entries differ in their full
+    keys mixes values that share a hash; its draws alone, in index order,
+    go through ``_argsort_tally``.
+    """
+    n = keys.size
+    b = max(1, (n - 1).bit_length())
+    low = np.uint64((1 << b) - 1)  # the index field
+    h = keys.astype(np.uint64)
+    h *= _PHI
+    h &= ~low
+    h |= np.arange(n, dtype=np.uint64)
+    h.sort()
+    same = (h[1:] ^ h[:-1]) <= low  # adjacent entries with equal hashes
+    counts = _tied_runs(same)
+    tied = np.flatnonzero(same)
+    earlier = (h[tied] & low).astype(np.intp)
+    later = (h[tied + 1] & low).astype(np.intp)
+    is_dup = np.zeros(n, dtype=bool)
+    clash = keys[later] != keys[earlier]
+    if clash.any():
+        run = np.cumsum(np.diff(tied, prepend=-2) != 1) - 1
+        mixed = np.zeros(counts.size, dtype=bool)
+        mixed[run[clash]] = True
+        in_mixed = mixed[run]
+        sub = np.union1d(earlier[in_mixed], later[in_mixed])
+        sub_counts, sub_dup = _argsort_tally(keys[sub])
+        is_dup[sub[sub_dup]] = True
+        later = later[~in_mixed]
+        counts = np.concatenate([counts[~mixed], sub_counts])
+    is_dup[later] = True
+    return TieSummary.from_multiplicities(n, counts), is_dup
 
 
 def count_duplicates(values: Sequence) -> int:
@@ -225,7 +266,8 @@ def collision_summary(stream: KBitStream, n: int) -> TieSummary:
 def trace_collisions(stream: KBitStream, n: int):
     """Consume ``n`` draws; return (TieSummary, CollisionTrace).
 
-    Duplicate detection is exact (sort-based over the k-bit integers) and
+    Duplicate detection is exact: one sort of hash-and-index words finds
+    the runs, and the full k-bit keys decide wherever hashes tie, so it
     agrees with count_duplicates/count_ties on the materialized sequence.
     Draw counts above the distinct-value cap raise CapacityError instead of
     degrading to approximate counting.

@@ -738,6 +738,20 @@ class TestCollisionPmf:
         assert_float_pmfs_agree(_pmf_occupancy(n, space_of(b)),
                                 unwindowed_occupancy_pmf(n, b))
 
+    # the kernel may drop at most 2^-1022 in all from the low-occupancy head:
+    # every tail c >= c0 that holds under 1e-300 in the unwindowed reference
+    # (where rounding is far below 2^-1022) loses no more than that
+    @pytest.mark.parametrize("n, b", [(10 ** 4, 2 ** 16), (3333, 2 ** 16), (8856, 2870)])
+    def test_dropped_mass_stays_below_smallest_normal(self, n, b):
+        assert _eulerian_window(n, b) is None
+        ref = unwindowed_occupancy_pmf(n, b)
+        probs = _pmf_occupancy(n, space_of(b))
+        ref_tail = np.cumsum(ref[::-1])[::-1]
+        lost = ref_tail - np.cumsum(probs[::-1])[::-1]
+        small = ref_tail < 1e-300
+        assert small.sum() > 1000
+        assert np.all(lost[small] <= 2.0 ** -1022 + 1e-12 * ref_tail[small])
+
     # n - 1 = (n - 1) mod _BLOCK + a whole number of blocks: the remainder
     # classes 0, 1 and _BLOCK - 1, and b from one bucket to twice n
     @pytest.mark.parametrize("n", [65, 66, 80, 257, 258, 272])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -386,6 +387,29 @@ class TestSimulate:
             "index,cumulative_collisions\n" + trajectory).encode("ascii")
         assert (tmp_path / "run_positions.csv").read_bytes() == (
             "collision_rank,position\n" + ranked).encode("ascii")
+
+    # SHA-256 of stdout and of both trace CSVs at 10^6 draws, recorded at
+    # the argsort positions kernel that the hash sort replaced
+    @pytest.mark.parametrize("seed, stdout, trajectory, positions", [
+        (1, "2f8a66b24731a10a9d44224af9e3aab8598e9fa3d3749dbca634a539f05a12f7",
+         "0b47f95769f32d2b34e9eceee852e77ff72849ece4d97326f73c956bd311108e",
+         "51c5e428b75585684c269574f73cba6bbe8db5156a84423af291ea41f7f166bc"),
+        (2023, "243d85d64dc5259dccc1e57fef79d4c02f3f325e67d30737cf1689d6fd681757",
+         "48cf5f4a5600cc59cad0b2f1b925d2a406ed2ce2307ff5bc4d4ece7400a3710e",
+         "4d1f0de506aadc5efc3000825646c95f2a70f663da3899ce1c267169c00306bd"),
+    ], ids=["seed1", "seed2023"])
+    def test_trace_bytes_pinned(self, capsys, tmp_path, seed, stdout, trajectory,
+                                positions):
+        code, out, _ = run(capsys, "simulate", "--n", "1e6", "--generator",
+                           f"mt19937:{seed}:32", "--out", str(tmp_path / "p"))
+        assert code == 0
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()
+
+        assert digest(out.encode("ascii")) == stdout
+        assert digest((tmp_path / "p_trajectory.csv").read_bytes()) == trajectory
+        assert digest((tmp_path / "p_positions.csv").read_bytes()) == positions
 
     def test_out_draws_each_stream_once(self, capsys, monkeypatch, tmp_path):
         drawn = []

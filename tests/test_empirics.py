@@ -1,6 +1,8 @@
+import hashlib
 import io
 import math
 import struct
+import tracemalloc
 from collections import Counter
 from itertools import zip_longest
 
@@ -11,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.empirics import (
     TieSummary,
+    _PHI,
+    _argsort_tally,
+    _tally,
     _write_indexed_csv,
     collision_positions,
     collision_summary,
@@ -375,6 +380,122 @@ class TestTraceCollisions:
         monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", bad)
         with pytest.raises(ValueError, match="COLLISION_LAB_MAX_DISTINCT"):
             trace_collisions(stream(), 600)
+
+
+PHI_INVERSE = pow(int(_PHI), -1, 2 ** 64)
+
+
+def assert_tally_exact(keys):
+    """The hash-sort kernel against the argsort kernel and the oracle."""
+    summary, is_dup = _tally(keys)
+    counts, want = _argsort_tally(keys)
+    assert summary == TieSummary.from_multiplicities(keys.size, counts)
+    assert np.array_equal(is_dup, want)
+    assert collision_positions(keys) == oracle_positions(keys.tolist())
+
+
+def clashing_keys(t, count):
+    """``count`` distinct 64-bit keys x + j*PHI^-1 with x*PHI = t * 2^32:
+    times PHI they differ only in j < count, below the index field of any
+    input of under 2^32 draws that holds them all, so they share a hash."""
+    x = (t << 32) * PHI_INVERSE % 2 ** 64
+    keys = [(x + j * PHI_INVERSE) % 2 ** 64 for j in range(count)]
+    assert len({k * int(_PHI) % 2 ** 64 >> 32 for k in keys}) == 1
+    return keys
+
+
+def position_digest(values):
+    positions = collision_positions(values)
+    return len(positions), hashlib.sha256(
+        np.asarray(positions, dtype="<i8").tobytes()).hexdigest()
+
+
+class TestHashSortKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forced_hash_clashes_mixed_with_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [k for t in (1, 2, 2 ** 31 + 5) for k in clashing_keys(t, 2 + seed)]
+        pool += rng.integers(0, 2 ** 63, size=20).tolist()
+        values = [v for v in pool for _ in range(int(rng.integers(1, 4)))]
+        keys = np.array(values, dtype=np.uint64)[rng.permutation(len(values))]
+        assert_tally_exact(keys)
+        assert_tally_exact(keys.view(np.int64))
+
+    def test_only_clashes(self):
+        # every run mixes values and none repeats: no duplicates at all
+        keys = np.array(clashing_keys(7, 50), dtype=np.uint64)[::-1]
+        summary, is_dup = _tally(keys)
+        assert summary.duplicates == 0 and not is_dup.any()
+        assert_tally_exact(keys)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64,
+                                       np.uint16, np.uint32, np.uint64])
+    def test_every_integer_key_dtype(self, dtype):
+        info = np.iinfo(dtype)
+        edges = [info.min, info.min + 1, info.max - 1, info.max, 0, 1, -1, -2]
+        if dtype == np.uint64:
+            edges += [2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+        elif dtype == np.int64:
+            edges += [2 ** 63 - 1, -2 ** 63]
+        edges = [e for e in edges if info.min <= e <= info.max]
+        rng = np.random.default_rng(int(info.bits) + (info.min < 0))
+        drawn = rng.integers(info.min, info.max, size=40, endpoint=True, dtype=dtype)
+        pool = np.array(edges + drawn.tolist(), dtype=dtype)
+        assert_tally_exact(pool[rng.integers(0, pool.size, size=3000)])
+
+    # the index field takes max(1, (n - 1).bit_length()) bits: n = 2^j needs
+    # j bits and n = 2^j + 1 one more
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 128, 129, 4096, 4097, 65536, 65537])
+    def test_index_width_edges(self, n):
+        bits = max(1, n.bit_length() - 1)
+        assert_tally_exact(stream(seed=n, bits=bits).take_kbits(n))
+        assert_tally_exact(stream(seed=n, bits=bits).take_kbits(n).astype(np.uint32))
+
+    def test_long_64bit_stream_with_certain_clashes(self):
+        # 2^22 + 1 draws leave 64 - 23 hash bits, so about four pairs of
+        # distinct draws share a hash; copies of the clashing draws and of
+        # others are written over the last draws
+        n = 2 ** 22 + 1
+        keys = stream("splitcounter", 1, 64).take_kbits(n)
+        hashes = (keys * _PHI) >> np.uint64(23)
+        s = np.sort(hashes)
+        shared = s[1:][s[1:] == s[:-1]]
+        assert shared.size >= 1
+        s = np.sort(keys)
+        assert np.all(s[1:] != s[:-1])
+        sources = np.concatenate([np.flatnonzero(np.isin(hashes, shared)),
+                                  np.arange(1000, 1010)])
+        assert sources.max() < n - 2 * sources.size
+        targets = n - 1 - np.arange(2 * sources.size)
+        keys[targets] = np.repeat(keys[sources], 2)
+        summary, is_dup = _tally(keys)
+        assert summary.histogram == {3: sources.size}
+        assert np.array_equal(np.flatnonzero(is_dup), np.sort(targets))
+        assert collision_positions(keys) == (np.sort(targets) + 1).tolist()
+
+    # recorded at the argsort kernel this one replaced
+    def test_positions_pinned(self):
+        words = stream("splitcounter", 5, 64).take_kbits(1 << 12)
+        picks = stream("mt19937", 9, 12).take_kbits(200000)
+        assert position_digest(words[picks]) == (
+            195904, "088df353d78f94ef8b0c05e14372f45667c70b68e854a3f5fc4ddd1a077985ee")
+        assert position_digest(stream("cmrg", 3, 10).take_kbits(200000)) == (
+            198976, "d13c44288501ea7a1249bd2eb785911f6646b8b58d5aa480d50329a7f0476133")
+
+    # tracemalloc peak of one 10^6-draw trace, in bytes per draw: the keys,
+    # the sorted hash-and-index words, one word-wide temporary and a mask
+    @pytest.mark.parametrize("family, bits, limit", [("mt19937", 32, 22),
+                                                     ("splitcounter", 64, 26)])
+    def test_trace_peak_per_draw(self, family, bits, limit):
+        n = 10 ** 6
+        s = stream(family, 3, bits)
+        tracemalloc.start()
+        try:
+            trace_collisions(s, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * n
 
 
 class TestRunSeeds:
