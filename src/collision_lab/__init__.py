@@ -9,7 +9,6 @@ IEEE-754 inspection toolkit.
 from .analytics import (
     BucketSpace,
     CollisionPmf,
-    StirlingTable,
     collision_pmf_exact,
     collision_probability,
     collision_probability_naive,
@@ -28,7 +27,6 @@ from .empirics import (
     collision_summary,
     count_duplicates,
     count_ties,
-    merge_summaries,
     run_seeds,
     trace_collisions,
 )
@@ -40,7 +38,6 @@ from .ieee754 import (
     decompose,
     machine_constants,
     spacing,
-    subnormal_threshold_check,
 )
 from .prng import (
     GeneratorSpec,
@@ -52,7 +49,6 @@ from .prng import (
 from .stable_math import (
     StableEvalReport,
     expm1_ref,
-    log1p_fallback,
     log1p_stable,
     sum_log1p,
 )

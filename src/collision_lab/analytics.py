@@ -17,7 +17,7 @@ i = 2b + 1 on, whose factors can overflow and give NaN.
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
 and S the Stirling numbers of the second kind, taken in exact rationals
-from an exact integer table of S for n <= 64.  In floats it comes from
+from exact integer rows of S for n <= 64.  In floats it comes from
 second-order Eulerian numbers over the few c that carry mass when b >> n
 (O(c_max^2)), else from Knuth's occupancy recurrence over a window of
 occupancies, advanced 16 draws per numpy call by one band of the 16-draw
@@ -34,12 +34,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BracketingError, CapacityError, DomainError, exact_index
+from .errors import BracketingError, CapacityError, DomainError, exact_index, real_number
 from .stable_math import StableEvalReport, sum_log1p
 
 __all__ = [
     "BucketSpace",
-    "StirlingTable",
     "CollisionPmf",
     "expected_collisions_naive",
     "expected_collisions",
@@ -117,7 +116,7 @@ def expected_collisions_naive(n, space: BucketSpace) -> float:
     the inner 1 - 1/b rounds to 1 and the result collapses to n.  Kept as a
     cross-check for small k and to measure the failure itself.
     """
-    if not 0 <= n < math.inf:
+    if not 0 <= real_number("n", n) < math.inf:
         raise DomainError(f"n must be finite and nonnegative, got {n}")
     bf = float(space.count)
     return n - bf * (1.0 - (1.0 - 1.0 / bf) ** n)
@@ -129,7 +128,7 @@ def expected_collisions(n, space: BucketSpace) -> float:
     Accepts real n (the root solver works on the continuous extension).
     Always finite and within [0, max(0, n-1)].
     """
-    if not 0 <= n < math.inf:
+    if not 0 <= real_number("n", n) < math.inf:
         raise DomainError(f"n must be finite and nonnegative, got {n}")
     if n <= 1:
         return 0.0
@@ -321,34 +320,14 @@ def _log_falling_series(m: int, b: int) -> tuple[float, int]:
 _TABLE_LIMIT = 64
 
 
-class StirlingTable:
-    """Triangle of exact S(n, l), 0 <= l <= n <= max_n <= 64.
-
-    Entries are arbitrary-size integers; they outgrow every fixed width
-    quickly, and past n = 64 the float pmf kernels take over.  Immutable
-    after construction.
-    """
-
-    def __init__(self, max_n: int):
-        max_n = exact_index("max_n", max_n)
-        if max_n > _TABLE_LIMIT:
-            raise CapacityError(
-                f"Stirling tables are capped at max_n = {_TABLE_LIMIT}, got {max_n}")
-        self.max_n = max_n
-        rows = [[1]]
-        for nn in range(1, max_n + 1):
-            prev = rows[-1]
-            row = [0] * (nn + 1)
-            row[nn] = 1
-            for l in range(1, nn):
-                row[l] = l * prev[l] + prev[l - 1]
-            rows.append(row)
-        self._rows = rows
-
-    def value(self, n: int, l: int) -> int:
-        """Exact S(n, l)."""
-        n = exact_index("n", n, 0, self.max_n)
-        return self._rows[n][exact_index("l", l, 0, n)]
+def _stirling_row(n: int) -> list:
+    """Exact S(n, l) for l = 0..n, as Python ints: they outgrow every fixed
+    width quickly, and past n = 64 the float pmf kernels take over."""
+    row = [1]
+    for nn in range(1, n + 1):
+        # S(nn, l) = l*S(nn-1, l) + S(nn-1, l-1)
+        row = [0] + [l * row[l] + row[l - 1] for l in range(1, nn)] + [1]
+    return row
 
 
 def stirling_log_row(n: int) -> np.ndarray:
@@ -367,8 +346,11 @@ def stirling_log_row(n: int) -> np.ndarray:
 
 
 def stirling2(n: int, l: int) -> int:
-    """Exact S(n, l) for n <= 64; CapacityError beyond."""
-    return StirlingTable(n).value(n, l)
+    """Exact S(n, l) for 0 <= l <= n <= 64; CapacityError for n > 64."""
+    n = exact_index("n", n)
+    if n > _TABLE_LIMIT:
+        raise CapacityError(f"stirling2 is capped at n = {_TABLE_LIMIT}, got {n}")
+    return _stirling_row(n)[exact_index("l", l, 0, n)]
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +407,7 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     """Exact PMF of the collision count.
 
     P(C = c) = (b)_(n-c) / b^n * S(n, n-c).  The representation follows n
-    alone: exact rationals from the exact Stirling table for
+    alone: exact rationals from exact Stirling numbers for
     n <= EXACT_PMF_CAP (64); floats for n <= LOG_PMF_CAP (10^4), entries
     from 1e-290 up within 1e-12 relative and those below 2^-1022 flushed
     to 0, from one of two kernels chosen by (n, b):
@@ -454,11 +436,11 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
 
 
 def _pmf_exact_rational(n: int, space: BucketSpace) -> CollisionPmf:
-    bn, table = space.count ** n, StirlingTable(n)
+    bn, row = space.count ** n, _stirling_row(n)
     falling = [1]  # (b)_l for l = 0..n; hits 0 once l exceeds b
     for l in range(n):
         falling.append(falling[-1] * (space.count - l))
-    probs = [Fraction(falling[l] * table.value(n, l), bn) for l in range(n, 0, -1)]
+    probs = [Fraction(falling[l] * row[l], bn) for l in range(n, 0, -1)]
     return CollisionPmf(n=n, space=space, probs=probs,
                         representation="exact-rational")
 
@@ -623,7 +605,7 @@ def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     not positive and finite raises DomainError.
     """
     n = exact_index("n", n, 1)
-    if not 0 < target < math.inf:
+    if not 0 < real_number("target", target) < math.inf:
         raise DomainError(f"target must be positive and finite, got {target}")
     for k in range(1, MAX_BITS + 1):
         if expected_collisions(n, BucketSpace.power_of_two(k)) <= target:
@@ -642,9 +624,9 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     bracket not finite with 0 <= lo < hi, and BracketingError when f(lo)
     and f(hi) share a sign.
     """
-    if not 0 < target < math.inf:
+    if not 0 < real_number("target", target) < math.inf:
         raise DomainError(f"target must be positive and finite, got {target}")
-    if not 0 <= lo < hi < math.inf:
+    if not 0 <= real_number("lo", lo) < real_number("hi", hi) < math.inf:
         raise DomainError(f"need finite 0 <= lo < hi, got [{lo}, {hi}]")
 
     def f(x):

@@ -24,7 +24,7 @@ import numpy as np
 from . import analytics, empirics, ieee754
 from .analytics import BucketSpace
 from .errors import CapacityError, exact_index, exact_int
-from .prng import FAMILIES, GeneratorSpec, KBitStream
+from .prng import FAMILIES, GeneratorSpec, KBitStream, seeds_from_base
 from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(run=cmd_solve)
 
     s = sub.add_parser("inspect", help="IEEE-754 anatomy of a double")
-    s.add_argument("value", help="decimal ('1.5e-3'), hex ('0x1.8p1'), inf, nan, -0.0")
+    s.add_argument("value", help="decimal ('1.5e-3'), hex ('0x1.8p1'), inf, nan, -0.0; "
+                                 "a value that argparse reads as an option, such as "
+                                 "-1e-300, -inf or -0x1p-1074, needs -- before it")
     s.add_argument("--format", choices=("csv", "human"), default="human")
     s.set_defaults(run=cmd_inspect)
 
@@ -259,7 +261,7 @@ def cmd_simulate(args, out) -> None:
     exact_index("--seeds", args.seeds, 1)
     if args.seeds > MAX_SEEDS:
         raise CapacityError(f"--seeds is capped at {MAX_SEEDS}, got {args.seeds}")
-    seeds = [spec.seed] if args.seeds == 1 else empirics.seeds_from_base(spec.seed, args.seeds)
+    seeds = [spec.seed] if args.seeds == 1 else seeds_from_base(spec.seed, args.seeds)
     if args.trace_prefix is None:
         summaries = empirics.run_seeds(spec.family, spec.output_bits, n, seeds)
     else:
@@ -329,10 +331,13 @@ def cmd_solve(args, out) -> None:
 
 
 def _parse_double(text: str) -> float:
+    """A decimal or special value, or hex when a 0x prefix follows the sign."""
+    if text.strip().lstrip("+-").lower().startswith("0x"):
+        return float.fromhex(text)
     try:
         return float(text)
     except ValueError:
-        return float.fromhex(text)
+        raise ValueError(f"expected a decimal or 0x-prefixed hex double, got {text!r}") from None
 
 
 def cmd_inspect(args, out) -> None:

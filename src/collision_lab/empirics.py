@@ -12,17 +12,16 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, exact_index, exact_int
-from .prng import GeneratorSpec, KBitStream, seeds_from_base
+from .prng import GeneratorSpec, KBitStream
 
 __all__ = [
     "DEFAULT_MAX_DISTINCT",
     "MAX_DISTINCT_ENV",
-    "exact_int",
     "TieSummary",
     "CollisionTrace",
     "count_duplicates",
@@ -31,8 +30,6 @@ __all__ = [
     "trace_collisions",
     "collision_summary",
     "run_seeds",
-    "seeds_from_base",
-    "merge_summaries",
     "write_trajectory_csv",
     "write_positions_csv",
 ]
@@ -207,25 +204,6 @@ class TieSummary:
         histogram = {int(m): int(c) for m, c in zip(mult, mult_counts)}
         ties = int(tied.sum())
         return cls(n=n, duplicates=ties - tied.size, ties=ties, histogram=histogram)
-
-    def merged_with(self, other: "TieSummary") -> "TieSummary":
-        hist = dict(self.histogram)
-        for m, c in other.histogram.items():
-            hist[m] = hist.get(m, 0) + c
-        return TieSummary(
-            n=self.n + other.n,
-            duplicates=self.duplicates + other.duplicates,
-            ties=self.ties + other.ties,
-            histogram=hist,
-        )
-
-
-def merge_summaries(summaries: Iterable[TieSummary]) -> TieSummary:
-    """Sum counts across independent runs (histograms merge per key)."""
-    merged = TieSummary(n=0, duplicates=0, ties=0, histogram={})
-    for s in summaries:
-        merged = merged.merged_with(s)
-    return merged
 
 
 @dataclass

@@ -1,7 +1,11 @@
-"""Exception types, and the integer check and parser every entry point shares."""
+"""Exception types, and the argument checks and parser every entry point shares."""
 
+import numbers
 import operator
 from decimal import Decimal, InvalidOperation
+
+__all__ = ["BracketingError", "CapacityError", "DomainError", "exact_index", "exact_int",
+           "real_number"]
 
 
 class DomainError(ValueError):
@@ -29,6 +33,15 @@ def exact_index(name: str, value, lo: int = 0, hi=None) -> int:
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise DomainError(f"{name} must be {bounds}, got {value}")
+    return value
+
+
+def real_number(name: str, value):
+    """``value`` unchanged when it is a real number (a Python or numpy int
+    or float, a Fraction); a bool, numpy's included, or a non-real raises
+    TypeError.  Range checks are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -19,11 +19,9 @@ from .errors import DomainError, exact_index
 __all__ = [
     "FloatAnatomy",
     "MachineConstants",
-    "SubnormalReport",
     "decompose",
     "compose",
     "machine_constants",
-    "subnormal_threshold_check",
     "spacing",
 ]
 
@@ -105,36 +103,6 @@ def machine_constants() -> MachineConstants:
             f"{(xmin, eps, xmax)} vs {(info.min, info.epsilon, info.max)}"
         )
     return MachineConstants(xmin=xmin, eps=eps, xmax=xmax)
-
-
-@dataclass(frozen=True)
-class SubnormalReport:
-    """Where truncation to zero actually happens below xmin."""
-
-    xmin: float
-    half_xmin: float            # xmin/2, still nonzero (subnormal)
-    smallest_subnormal: float   # xmin/2^52 = 2^-1074, still nonzero
-    underflow_result: float     # xmin/2^53, exactly 0
-    half_is_subnormal: bool
-    smallest_is_nonzero: bool
-    underflows_to_zero: bool
-
-
-def subnormal_threshold_check() -> SubnormalReport:
-    """Check that xmin/2^52 is still nonzero while xmin/2^53 is exactly 0."""
-    xmin = machine_constants().xmin
-    half = xmin / 2.0
-    smallest = xmin / 2.0 ** 52
-    under = xmin / 2.0 ** 53
-    return SubnormalReport(
-        xmin=xmin,
-        half_xmin=half,
-        smallest_subnormal=smallest,
-        underflow_result=under,
-        half_is_subnormal=decompose(half).float_class == "subnormal",
-        smallest_is_nonzero=smallest != 0.0,
-        underflows_to_zero=under == 0.0,
-    )
 
 
 def spacing(x: float) -> float:

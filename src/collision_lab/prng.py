@@ -17,9 +17,9 @@ Identical GeneratorSpec values always yield bitwise-identical streams.
 Each core returns exactly the words asked for, as a fresh uint64 array that
 it keeps no reference to, and keeps its own position, so ``KBitStream``
 holds no words between calls and may shift them in place.  One SplitMix64
-routine makes the splitcounter words, ``mix64``, ``derive_seed`` (word
-``index`` of the base seed's splitcounter stream) and ``seeds_from_base``
-(that stream's first words), which gives the six MRG32k3a component seeds.
+routine makes the splitcounter words, ``derive_seed`` (word ``index`` of
+the base seed's splitcounter stream) and ``seeds_from_base`` (that
+stream's first words), which gives the six MRG32k3a component seeds.
 
 Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 9 us from
@@ -53,7 +53,6 @@ __all__ = [
     "GeneratorSpec",
     "KBitStream",
     "derive_seed",
-    "mix64",
     "rand_int_rejection",
     "sample_ints",
     "seeds_from_base",
@@ -78,11 +77,6 @@ def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer of ``z`` in 0..2^64-1: a 64-bit bijective mixer."""
-    return int(_splitmix64(exact_index("z", z, 0, _MASK64), 0, 1)[0])
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -341,11 +335,10 @@ def _make_core(spec: GeneratorSpec):
 class KBitStream:
     """Stream of k-bit unsigned integers from one generator core.
 
-    ``position`` counts emitted k-bit draws; ``next_kbit`` advances it by
-    exactly one.  ``take_kbits``/``take_units`` are the bulk equivalents and
-    produce the identical sequence: the core returns exactly the native
-    words each call needs, so any interleaving of single and bulk draws
-    yields the same stream.
+    ``position`` counts emitted k-bit draws.  ``take_kbits`` and
+    ``take_units`` produce one sequence whatever the call sizes: the core
+    returns exactly the native words each call needs, so ``take_kbits(a)``
+    then ``take_kbits(b)`` equals ``take_kbits(a + b)``.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -383,12 +376,8 @@ class KBitStream:
         self.position += count
         return vals
 
-    def next_kbit(self) -> int:
-        """Next k-bit integer in [0, 2^k - 1]."""
-        return int(self.take_kbits(1)[0])
-
     def take_units(self, count: int) -> np.ndarray:
-        """Next ``count`` doubles in [0, 1], each next_kbit / 2^k.
+        """Next ``count`` doubles in [0, 1], each k-bit draw / 2^k.
 
         The quotient is exact and below 1 for k <= 53.  For k >= 54 the
         draw is rounded to a double first, and every v >= 2^k - 2^(k-54)

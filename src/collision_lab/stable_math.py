@@ -21,7 +21,6 @@ __all__ = [
     "StableEvalReport",
     "expm1_ref",
     "log1p_stable",
-    "log1p_fallback",
     "sum_log1p",
 ]
 
@@ -73,22 +72,6 @@ def log1p_stable(x: float) -> float:
     if math.isnan(x) or x <= -1.0:
         raise DomainError(f"log1p_stable requires x > -1, got {x!r}")
     return math.log1p(x)
-
-
-def log1p_fallback(x: float) -> float:
-    """log(1 + x) without a log1p intrinsic (Kahan's rounded-u trick).
-
-    Let u = fl(1 + x).  If u == 1 the true value is x to working precision;
-    otherwise log(u) * x / (u - 1) cancels the rounding error committed in
-    forming u.  Provided for platforms lacking an intrinsic and as an
-    independent cross-check of ``log1p_stable``.
-    """
-    if math.isnan(x) or x <= -1.0:
-        raise DomainError(f"log1p_fallback requires x > -1, got {x!r}")
-    u = 1.0 + x
-    if u == 1.0:
-        return x
-    return math.log(u) * x / (u - 1.0)
 
 
 def sum_log1p(terms) -> float:

@@ -25,8 +25,9 @@ from collision_lab.analytics import (
     probability_error_curve,
     sample_size_for_expected,
 )
-from collision_lab.empirics import count_duplicates, count_ties, run_seeds, seeds_from_base
+from collision_lab.empirics import count_duplicates, count_ties, run_seeds
 from collision_lab.ieee754 import compose, decompose, machine_constants
+from collision_lab.prng import seeds_from_base
 from collision_lab.stable_math import DOUBLE_EPS, expm1_ref
 
 N = 10 ** 6

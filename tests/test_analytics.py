@@ -18,7 +18,6 @@ from collision_lab.analytics import (
     _pmf_exact_rational,
     _pmf_log_domain,
     _pmf_occupancy,
-    StirlingTable,
     collision_pmf_exact,
     collision_probability,
     collision_probability_naive,
@@ -463,11 +462,10 @@ class TestStirling:
             return sum(1 for assign in product(range(l), repeat=n)
                        if len(set(assign)) == l)
 
-        table = StirlingTable(7)
         for n in range(1, 8):
             for l in range(1, n + 1):
                 expected = surjections(n, l) // math.factorial(l)
-                assert table.value(n, l) == expected
+                assert stirling2(n, l) == expected
 
     def test_known_values(self):
         assert stirling2(4, 2) == 7
@@ -476,24 +474,21 @@ class TestStirling:
             assert stirling2(n, n) == 1
 
     def test_recurrence(self):
-        t = StirlingTable(30)
         for n in range(2, 31):
             for l in range(1, n):
-                assert t.value(n, l) == l * t.value(n - 1, l) + t.value(n - 1, l - 1)
+                assert stirling2(n, l) == l * stirling2(n - 1, l) + stirling2(n - 1, l - 1)
 
     def test_argument_errors(self):
-        t = StirlingTable(5)
-        with pytest.raises(ValueError):
-            t.value(3, 4)
-        with pytest.raises(ValueError):
-            t.value(-1, 0)
-        with pytest.raises(ValueError):
-            t.value(6, 2)
+        for n, l in ((3, 4), (-1, 0), (3, -1)):
+            with pytest.raises(DomainError):
+                stirling2(n, l)
+        for n, l in ((True, 0), (3, True), (np.True_, 0), (3.0, 1), (3, 1.0)):
+            with pytest.raises(TypeError):
+                stirling2(n, l)
 
     def test_known_row_ten(self):
         # classic table row: S(10, l) for l = 0..10
-        t = StirlingTable(10)
-        assert [t.value(10, l) for l in range(11)] == [
+        assert [stirling2(10, l) for l in range(11)] == [
             0, 1, 511, 9330, 34105, 42525, 22827, 5880, 750, 45, 1]
 
     def test_row_sums_are_bell_numbers(self):
@@ -506,28 +501,26 @@ class TestStirling:
                 new.append(new[-1] + v)
             row = new
             bell.append(row[0])
-        t = StirlingTable(14)
         for n in range(15):
-            assert sum(t.value(n, l) for l in range(n + 1)) == bell[n]
+            assert sum(stirling2(n, l) for l in range(n + 1)) == bell[n]
 
     def test_log_row_matches_exact(self):
-        exact = StirlingTable(50)
         for n in range(0, 51):
             row = stirling_log_row(n)
             assert row.shape == (n + 1,)
             for l in range(0, n + 1):
-                v = exact.value(n, l)
+                v = stirling2(n, l)
                 if v == 0:
                     assert row[l] == -math.inf
                 else:
                     assert row[l] == pytest.approx(math.log(v), rel=1e-12)
 
     def test_caps(self):
-        assert StirlingTable(64).value(64, 1) == 1
-        with pytest.raises(CapacityError):
-            StirlingTable(65)
-        with pytest.raises(CapacityError):
-            stirling2(70, 3)
+        assert stirling2(64, 1) == 1
+        assert stirling2(64, 64) == 1
+        for n, l in ((65, 1), (70, 3), (70, 99)):
+            with pytest.raises(CapacityError):
+                stirling2(n, l)
 
 
 def brute_force_pmf(n, b):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collision_lab import empirics
+from collision_lab import cli
 from collision_lab.analytics import (BucketSpace, CollisionPmf, collision_pmf_exact,
                                      expected_collisions)
 from collision_lab.cli import MAX_SEEDS, main, write_pmf_csv
@@ -446,7 +446,7 @@ class TestSimulate:
         def derive(*args):
             raise AssertionError("a seed was derived")
 
-        monkeypatch.setattr(empirics, "seeds_from_base", derive)
+        monkeypatch.setattr(cli, "seeds_from_base", derive)
         code, out, err = run(capsys, "simulate", "--n", "1", "--seeds", seeds)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
@@ -534,6 +534,25 @@ class TestInspect:
     def test_garbage_value(self, capsys):
         code, _, err = run(capsys, "inspect", "not-a-number")
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["abc", "deadbeef", "1p4"])
+    def test_bare_hex_digits_refused(self, capsys, text):
+        # hex is read only behind a 0x prefix
+        code, out, err = run(capsys, "inspect", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, value", [("0X1P4", "16.0"), ("+0x1p0", "1.0"),
+                                             ("-0x1.8p1", "-3.0")])
+    def test_signed_and_upper_case_hex(self, capsys, text, value):
+        code, out, _ = run(capsys, "inspect", "--", text)
+        assert code == 0 and f"value            = {value}\n" in out
+
+    def test_negative_subnormal_after_double_dash(self, capsys):
+        code, out, _ = run(capsys, "inspect", "--", "-0x1p-1074")
+        assert code == 0
+        assert "sign             = 1" in out
+        assert "class            = subnormal" in out
 
 
 class TestRefusedCallsWriteNothing:

@@ -21,15 +21,13 @@ from collision_lab.empirics import (
     collision_summary,
     count_duplicates,
     count_ties,
-    merge_summaries,
     run_seeds,
-    seeds_from_base,
     trace_collisions,
     write_positions_csv,
     write_trajectory_csv,
 )
 from collision_lab.errors import CapacityError
-from collision_lab.prng import GeneratorSpec, KBitStream
+from collision_lab.prng import GeneratorSpec, KBitStream, seeds_from_base
 
 
 def stream(family="mt19937", seed=1, bits=32):
@@ -250,15 +248,6 @@ class TestTieSummary:
         s = TieSummary.from_multiplicities(10, np.array([2, 2, 3, 1, 1, 1]))
         assert s.duplicates == sum((m - 1) * c for m, c in s.histogram.items())
         assert s.ties == sum(m * c for m, c in s.histogram.items())
-
-    def test_merge(self):
-        a = TieSummary(n=3, duplicates=1, ties=2, histogram={2: 1})
-        b = TieSummary(n=6, duplicates=3, ties=5, histogram={2: 1, 3: 1})
-        m = merge_summaries([a, b])
-        assert m.n == 9
-        assert m.duplicates == 4
-        assert m.ties == 7
-        assert m.histogram == {2: 2, 3: 1}
 
 
 class StubCore:

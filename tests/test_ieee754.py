@@ -13,7 +13,6 @@ from collision_lab.ieee754 import (
     decompose,
     machine_constants,
     spacing,
-    subnormal_threshold_check,
 )
 
 
@@ -129,13 +128,14 @@ class TestMachineConstants:
 
 class TestSubnormals:
     def test_threshold_report(self):
-        r = subnormal_threshold_check()
-        assert r.half_is_subnormal
-        assert format(r.half_xmin, ".7g") == "1.112537e-308"
-        assert r.smallest_is_nonzero
-        assert r.smallest_subnormal == 5e-324
-        assert r.underflows_to_zero
-        assert r.underflow_result == 0.0
+        xmin = machine_constants().xmin
+        half = xmin / 2.0
+        assert decompose(half).float_class == "subnormal"
+        assert format(half, ".7g") == "1.112537e-308"
+        smallest = xmin / 2.0 ** 52
+        assert decompose(smallest) == FloatAnatomy(0, 0, 1)
+        assert smallest == 5e-324
+        assert decompose(xmin / 2.0 ** 53).float_class == "zero"
 
     def test_direct(self):
         xmin = sys.float_info.min

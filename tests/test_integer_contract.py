@@ -1,6 +1,7 @@
 """The integer contract at every entry point: a bool or a non-integer where
 an integer belongs raises TypeError, a value out of range raises a
-ValueError subclass, and Python and numpy integers pass unchanged."""
+ValueError subclass, and Python and numpy integers pass unchanged.  A bool
+where a real number belongs raises TypeError too."""
 
 import math
 
@@ -9,7 +10,6 @@ import pytest
 
 from collision_lab.analytics import (
     BucketSpace,
-    StirlingTable,
     collision_pmf_exact,
     collision_probability,
     expected_collisions,
@@ -18,11 +18,10 @@ from collision_lab.analytics import (
     sample_size_for_expected,
     stirling2,
 )
-from collision_lab.empirics import seeds_from_base
 from collision_lab.errors import DomainError, exact_index
 from collision_lab.ieee754 import FloatAnatomy, compose
-from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed, mix64,
-                                sample_ints)
+from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed,
+                                sample_ints, seeds_from_base)
 
 K32 = BucketSpace.power_of_two(32)
 
@@ -46,7 +45,7 @@ REFUSED = {
     "prob-True": (lambda: collision_probability(True, K32), TypeError),
     "take_kbits-True": (lambda: stream().take_kbits(True), TypeError),
     "stirling2-l-True": (lambda: stirling2(5, True), TypeError),
-    "table-True": (lambda: StirlingTable(True), TypeError),
+    "stirling2-n-True": (lambda: stirling2(True, 0), TypeError),
     "compose-sign-True": (lambda: compose(FloatAnatomy(True, 1023, 0)), TypeError),
     "cmrg-state-float": (lambda: _Mrg32k3aCore.from_state([12345.7, 12345, 12345],
                                                           [12345] * 3), TypeError),
@@ -58,9 +57,15 @@ REFUSED = {
     "derive-base-2^64": (lambda: derive_seed(2 ** 64, 0), DomainError),
     "derive-index-negative": (lambda: derive_seed(1, -1), DomainError),
     "derive-index-True": (lambda: derive_seed(1, True), TypeError),
-    "mix64-negative": (lambda: mix64(-1), DomainError),
-    "mix64-2^64": (lambda: mix64(2 ** 64), DomainError),
-    "mix64-2.0": (lambda: mix64(2.0), TypeError),
+    # real arguments: a bool is not a number of draws, a target or a bound
+    "expect-True": (lambda: expected_collisions(True, K32), TypeError),
+    "expect-np.True_": (lambda: expected_collisions(np.True_, K32), TypeError),
+    "expect_naive-True": (lambda: expected_collisions_naive(True, K32), TypeError),
+    "expect-complex": (lambda: expected_collisions(1j, K32), TypeError),
+    "min_bits-target-True": (lambda: min_bits_for_expected(10 ** 6, True), TypeError),
+    "solve-target-True": (lambda: sample_size_for_expected(K32, True, 1, 1e12), TypeError),
+    "solve-lo-True": (lambda: sample_size_for_expected(K32, 1e3, True, 1e12), TypeError),
+    "solve-hi-np.True_": (lambda: sample_size_for_expected(K32, 1e3, 1, np.True_), TypeError),
 }
 
 
@@ -86,9 +91,11 @@ def test_integer_types_accepted(cast):
                           sample_ints(stream(), 100, 50))
     assert seeds_from_base(cast(271), cast(4)) == seeds_from_base(271, 4)
     assert derive_seed(cast(5), cast(2)) == derive_seed(5, 2)
-    assert mix64(cast(5)) == mix64(5)
     assert all(type(v) is int for v in (*seeds_from_base(cast(271), cast(4)),
-                                        derive_seed(cast(5), cast(2)), mix64(cast(5))))
+                                        derive_seed(cast(5), cast(2))))
+    assert expected_collisions(cast(10 ** 5), K32) == expected_collisions(10 ** 5, K32)
+    assert (sample_size_for_expected(K32, cast(1), cast(1), cast(10 ** 12))
+            == sample_size_for_expected(K32, 1, 1, 10 ** 12))
 
 
 def test_exact_index_bounds():

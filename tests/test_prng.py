@@ -17,7 +17,6 @@ from collision_lab.prng import (
     _make_core,
     _mat_pow,
     derive_seed,
-    mix64,
     rand_int_rejection,
     sample_ints,
 )
@@ -33,6 +32,20 @@ MT_SEED_5489_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
 
 def stream(family="mt19937", seed=5489, bits=32):
     return KBitStream(GeneratorSpec(family, seed, bits))
+
+
+def draw(s):
+    """The stream's next k-bit draw as an int: its one-value call."""
+    return int(s.take_kbits(1)[0])
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """The SplitMix64 mixer of z: word 1 of splitcounter:(z - golden) mod 2^64:64,
+    the mixer of (z - golden) + 1 * golden."""
+    return draw(stream("splitcounter", (z - GOLDEN) % 2 ** 64, 64))
 
 
 class AllOnesCore:
@@ -54,7 +67,7 @@ class AllOnesCore:
 class TestMt19937:
     def test_reference_vector(self):
         s = stream()
-        assert [s.next_kbit() for _ in range(5)] == MT_SEED_5489_FIRST
+        assert [draw(s) for _ in range(5)] == MT_SEED_5489_FIRST
 
     def test_against_numpy_legacy_randomstate(self):
         # numpy's legacy RandomState seeds with the same init_genrand
@@ -81,7 +94,7 @@ class TestMt19937:
         # 624-word twist blocks must be invisible in the output
         a = stream(seed=9).take_kbits(2000)
         b_ = stream(seed=9)
-        singles = np.array([b_.next_kbit() for _ in range(2000)], dtype=np.uint64)
+        singles = np.array([draw(b_) for _ in range(2000)], dtype=np.uint64)
         assert np.array_equal(a, singles)
 
 
@@ -130,7 +143,7 @@ class TestMrg32k3a:
     def test_single_draw_path_matches_bulk(self):
         a = stream("cmrg", seed=7).take_kbits(9000)
         s = stream("cmrg", seed=7)
-        b_ = np.array([s.next_kbit() for _ in range(9000)], dtype=np.uint64)
+        b_ = np.array([draw(s) for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
     # 1, 2, 3, 5 and 7 are one-step lanes, one word each; every other
@@ -284,7 +297,7 @@ class TestStreamContract:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_position_counts_draws(self, family):
         s = stream(family, seed=3, bits=16)
-        s.next_kbit()
+        draw(s)
         s.take_kbits(99)
         assert s.position == 100
 
@@ -319,7 +332,7 @@ class TestStreamContract:
 
     def test_mixed_single_and_bulk_draws(self):
         s = stream(seed=42)
-        mixed = [s.next_kbit(), *s.take_kbits(700).tolist(), s.next_kbit()]
+        mixed = [draw(s), *s.take_kbits(700).tolist(), draw(s)]
         ref = stream(seed=42).take_kbits(702).tolist()
         assert mixed == ref
 
@@ -327,7 +340,7 @@ class TestStreamContract:
         # wide draws pair two native words; single draws must not shift the
         # pairing for later bulk draws
         s = stream(seed=6, bits=64)
-        mixed = [s.next_kbit(), s.next_kbit(), *s.take_kbits(50).tolist()]
+        mixed = [draw(s), draw(s), *s.take_kbits(50).tolist()]
         ref = stream(seed=6, bits=64).take_kbits(52).tolist()
         assert mixed == ref
 
@@ -361,7 +374,7 @@ class TestStreamContract:
 
     def test_max_seed_accepted(self):
         s = stream(seed=2 ** 64 - 1)
-        assert s.next_kbit() < 2 ** 32
+        assert draw(s) < 2 ** 32
 
     @pytest.mark.parametrize("family", ["mt19937", "cmrg"])
     def test_uniformity_top_10_bits(self, family):
@@ -560,7 +573,7 @@ def split_draws(spec, n, splits):
     """The same three after ``sample_ints`` calls of the given sizes."""
     s = KBitStream(spec)
     values = [v for c in splits for v in sample_ints(s, n, c).tolist()]
-    return values, s.position, s.next_kbit()
+    return values, s.position, draw(s)
 
 
 class TestFrozenSampler:
@@ -578,7 +591,7 @@ class TestFrozenSampler:
         expected = frozen_draws(spec, n, 60)
         s = KBitStream(spec)
         one_by_one = [rand_int_rejection(s, n) for _ in range(60)]
-        assert (one_by_one, s.position, s.next_kbit()) == expected
+        assert (one_by_one, s.position, draw(s)) == expected
         assert split_draws(spec, n, [60]) == expected
         assert split_draws(spec, n, [1, 7, 1, 0, 51]) == expected
 
@@ -620,9 +633,9 @@ class TestSpecAndSeeds:
         assert mix64(1) != mix64(2)
 
     def test_splitcounter_reference(self):
-        got = [stream("splitcounter", 42, 64).next_kbit() for _ in range(1)]
+        got = [draw(stream("splitcounter", 42, 64)) for _ in range(1)]
         s = stream("splitcounter", 42, 64)
-        first3 = [s.next_kbit() for _ in range(3)]
+        first3 = [draw(s) for _ in range(3)]
         assert first3 == [13679457532755275413, 2949826092126892291,
                           5139283748462763858]
         assert got[0] == first3[0]
@@ -659,7 +672,7 @@ class TestSeedingPins:
     # per (family, seed): a core's words 0..5 and 620..629 when drawn in
     # calls of 1, 2, 3 and 700 words (mt19937 twists its 624-word block
     # inside the last call), then the first eight 40-bit draws of a
-    # KBitStream taken as three next_kbit calls and one take_kbits(5)
+    # KBitStream taken as three one-draw calls and one take_kbits(5)
     FIRST_WORDS = {
         ("mt19937", 0): (
             [2357136044, 2546248239, 3071714933, 3626093760, 2588848963, 3684848379],
@@ -747,4 +760,4 @@ class TestSeedingPins:
         assert words[:6].tolist() == head
         assert words[620:630].tolist() == at620
         s = stream(family, seed, 40)
-        assert [s.next_kbit() for _ in range(3)] + s.take_kbits(5).tolist() == kbit40
+        assert [draw(s) for _ in range(3)] + s.take_kbits(5).tolist() == kbit40

@@ -9,7 +9,6 @@ from collision_lab.stable_math import (
     DOUBLE_EPS,
     StableEvalReport,
     expm1_ref,
-    log1p_fallback,
     log1p_stable,
     sum_log1p,
 )
@@ -89,22 +88,6 @@ class TestLog1p:
     def test_domain_error(self, x):
         with pytest.raises(DomainError):
             log1p_stable(x)
-        with pytest.raises(DomainError):
-            log1p_fallback(x)
-
-    def test_fallback_matches_intrinsic(self):
-        xs = np.concatenate([
-            np.logspace(-300, 15, 300),
-            -np.logspace(-300, math.log10(0.999999), 300),
-            [0.0, 1e-16, -1e-16, 0.5, -0.5, 3.0],
-        ])
-        for x in xs:
-            x = float(x)
-            ref = math.log1p(x)
-            if ref == 0.0:
-                assert log1p_fallback(x) == ref
-            else:
-                assert abs(log1p_fallback(x) - ref) <= 4e-16 * abs(ref)
 
 
 class TestSumLog1p:
