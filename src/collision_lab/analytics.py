@@ -17,12 +17,14 @@ i = 2b + 1 on, whose factors can overflow and give NaN.
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
 and S the Stirling numbers of the second kind, taken in exact rationals
-from exact integer rows of S for n <= 64.  In floats it comes from
+from exact integer rows of S for n <= 64; its sum and mean add integer
+numerators over one common denominator.  In floats it comes from
 second-order Eulerian numbers over the few c that carry mass when b >> n
-(O(c_max^2)), else from Knuth's occupancy recurrence over a window of
-occupancies, advanced 16 draws per numpy call by one band of the 16-draw
-transition (at most O(n^2) work, 15-50 ms at n = 10^4); within 1e-12
-relative, subnormal entries flushed to 0.
+(O(c_max^2) on one c x k grid of at most 0.53 MB), else from Knuth's
+occupancy recurrence over a window of occupancies, advanced 16 draws per
+numpy call by one band of the 16-draw transition (at most O(n^2) work,
+15-50 ms at n = 10^4); within 1e-12 relative, subnormal entries flushed
+to 0.
 """
 
 from __future__ import annotations
@@ -377,16 +379,25 @@ class CollisionPmf:
     def total(self):
         """Sum of all probabilities (exactly 1 in rational mode)."""
         if self.representation == "exact-rational":
-            return sum(self.probs, Fraction(0))
+            nums, lcm = self._over_lcm()
+            return Fraction(sum(nums), lcm)
         _, p = self._nonzero()
         return math.fsum(p.tolist())
 
     def mean(self) -> float:
         """Expected collision count sum c * P(C = c)."""
         if self.representation == "exact-rational":
-            return float(sum((c * p for c, p in enumerate(self.probs)), Fraction(0)))
+            nums, lcm = self._over_lcm()
+            # int / int rounds the exact quotient once, as float(Fraction) does
+            return sum(c * num for c, num in enumerate(nums)) / lcm
         c, p = self._nonzero()
         return math.fsum((c * p).tolist())
+
+    def _over_lcm(self) -> tuple:
+        # the exact probabilities as integer numerators over the lcm of
+        # their denominators, so that a sum reduces one Fraction, not n
+        lcm = math.lcm(*(p.denominator for p in self.probs))
+        return [p.numerator * (lcm // p.denominator) for p in self.probs], lcm
 
     def prob_any_collision(self) -> float:
         """P(C > 0); summed in float mode, as 1 - P(C = 0) would cancel."""
@@ -408,15 +419,19 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
 
     P(C = c) = (b)_(n-c) / b^n * S(n, n-c).  The representation follows n
     alone: exact rationals from exact Stirling numbers for
-    n <= EXACT_PMF_CAP (64); floats for n <= LOG_PMF_CAP (10^4), entries
-    from 1e-290 up within 1e-12 relative and those below 2^-1022 flushed
-    to 0, from one of two kernels chosen by (n, b):
+    n <= EXACT_PMF_CAP (64), whose total() and mean() sum integer
+    numerators over the lcm of the denominators; floats for
+    n <= LOG_PMF_CAP (10^4), entries from 1e-290 up within 1e-12 relative
+    and those below 2^-1022 flushed to 0, from one of two kernels chosen
+    by (n, b):
 
     * b >> n: a Chernoff bound gives the c_max past which every entry is
       flushed.  If 2(n-1) <= b, c_max <= 256 and 2(c_max + 1) < n, P(C = c)
       for c <= c_max comes from S(n, n-c) as a sum over second-order
-      Eulerian numbers, in logs: O(c_max^2), a few ms at n = 10^4, where
-      the recurrence below spends 8-16 ms on entries that end as 0.
+      Eulerian numbers, in logs on one (c_max + 1) x c_max grid (at most
+      0.53 MB): O(c_max^2), a few ms at n = 10^4, where the recurrence
+      below spends 8-16 ms on entries that end as 0.  Only the rows of
+      Eulerian numbers are built c by c; the rest runs on the whole grid.
     * otherwise: q_n(n - c), where q_t(l) = P(t draws occupy exactly l
       buckets) follows Knuth's occupancy recurrence (TAOCP 3.3.2)
       q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1,
@@ -498,7 +513,11 @@ def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
     C(n+c-1-k, 2c) = n^2c / (2c)! prod_{o=-c-k}^{c-1-k} (1 + o/n),
     P(C = c) = (b)_(n-c) / b^(n-c) * (n^2/2b)^c / c!
                * sum_k e_c(k) prod_o (1 + o/n),
-    evaluated in logs, one row of e_c at a time; entries past c_max are 0.
+    evaluated in logs on one (c_max + 1) x c_max grid, at most 0.53 MB:
+    row c holds the terms for k < max(c, 1) and -inf past them.  Only the
+    recurrence of the e_c rows runs c by c; the window sums, maxima and
+    exp run on the whole grid.  Each row is summed on its own, as a
+    padded 2-D sum would add in another order; entries past c_max are 0.
     """
     b, bf = space.count, float(space.count)
     # log((b)_(n-c) / b^(n-c)); _eulerian_window checks the series' domain 2(n-1) <= b
@@ -507,25 +526,31 @@ def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
     # prefix sums of log1p(o/n), o = -2c_max .. c_max-1: the log products
     off = 2 * c_max
     prefix = np.concatenate(([0.0], np.cumsum(np.log1p(np.arange(-off, c_max) / n))))
-    ks = np.arange(c_max + 1)
     logs = np.log(np.arange(1, off + 1))  # logs[j] = log(j + 1)
     log_half_n2_b = math.log(n * n / (2.0 * bf))
+    # grid[c, k] = log e_c(k); rows 0 and 1 are [0]
+    grid = np.full((c_max + 1, c_max), -np.inf)
+    grid[:2, 0] = 0.0
+    spare = np.empty(c_max)
+    for c in range(2, c_max + 1):
+        # <<c,k>> = (k+1) <<c-1,k>> + (2c-1-k) <<c-1,k-1>>
+        prev, row = grid[c - 1, :c - 1], grid[c, :c]
+        np.add(logs[:c - 1], prev, out=row[:c - 1])
+        up = np.add(logs[2 * c - 3:c - 2:-1], prev, out=spare[:c - 1])
+        np.logaddexp(row[1:], up, out=row[1:])
+        np.subtract(row, logs[2 * c - 2], out=row)
+    # prefix[off + c - k] and prefix[off - c - k] at [c, k], as views:
+    # window[i, k] = prefix[i + c_max - 1 - k]
+    window = np.lib.stride_tricks.sliding_window_view(prefix, c_max)[:, ::-1]
+    grid += window[c_max + 1:]
+    grid -= window[c_max + 1:0:-1]
+    tops = grid.max(axis=1)
+    grid -= tops[:, None]
+    np.exp(grid, out=grid)
     log_p = np.empty(c_max + 1)
-    row = np.zeros(1)  # log e_c(k) for k = 0..c-1; rows 0 and 1 are [0]
-    for c in range(c_max + 1):
-        if c >= 2:
-            # <<c,k>> = (k+1) <<c-1,k>> + (2c-1-k) <<c-1,k-1>>
-            new = np.empty(c)
-            new[:c - 1] = logs[:c - 1] + row
-            new[c - 1] = -np.inf
-            new[1:] = np.logaddexp(new[1:], logs[2 * c - 3:c - 2:-1] + row)
-            new -= logs[2 * c - 2]
-            row = new
-        k = ks[:row.size]
-        terms = row + prefix[off + c - k] - prefix[off - c - k]
-        top = terms.max()
+    for c, top in enumerate(tops.tolist()):
         log_p[c] = (log_falling[c] + c * log_half_n2_b - math.lgamma(c + 1)
-                    + top + math.log(np.exp(terms - top).sum()))
+                    + top + math.log(np.add.reduce(grid[c, :max(c, 1)])))
     probs = np.zeros(n)
     probs[:c_max + 1] = np.exp(log_p)
     probs[probs < _TINY] = 0.0

@@ -12,6 +12,7 @@ from collision_lab import analytics
 from collision_lab.analytics import (
     LITERAL_CAP,
     BucketSpace,
+    CollisionPmf,
     _eulerian_window,
     _log_falling_series,
     _pmf_eulerian,
@@ -592,6 +593,39 @@ def space_of(b):
     return k(b.bit_length() - 1) if b > 1 and b & (b - 1) == 0 else BucketSpace.exact(b)
 
 
+def frozen_pmf_eulerian(n, space, c_max):
+    """The Eulerian kernel as it stood before its grid: one row of e_c and
+    one set of numpy calls per c.  Frozen as the bit-for-bit reference of
+    _pmf_eulerian; do not change it with the library."""
+    b, bf = space.count, float(space.count)
+    steps = np.log1p(-np.arange(n - 1, n - 1 - c_max, -1) / bf)
+    log_falling = -_log_falling_series(n - 1, b)[0] - np.concatenate(([0.0], np.cumsum(steps)))
+    off = 2 * c_max
+    prefix = np.concatenate(([0.0], np.cumsum(np.log1p(np.arange(-off, c_max) / n))))
+    ks = np.arange(c_max + 1)
+    logs = np.log(np.arange(1, off + 1))
+    log_half_n2_b = math.log(n * n / (2.0 * bf))
+    log_p = np.empty(c_max + 1)
+    row = np.zeros(1)
+    for c in range(c_max + 1):
+        if c >= 2:
+            new = np.empty(c)
+            new[:c - 1] = logs[:c - 1] + row
+            new[c - 1] = -np.inf
+            new[1:] = np.logaddexp(new[1:], logs[2 * c - 3:c - 2:-1] + row)
+            new -= logs[2 * c - 2]
+            row = new
+        k = ks[:row.size]
+        terms = row + prefix[off + c - k] - prefix[off - c - k]
+        top = terms.max()
+        log_p[c] = (log_falling[c] + c * log_half_n2_b - math.lgamma(c + 1)
+                    + top + math.log(np.exp(terms - top).sum()))
+    probs = np.zeros(n)
+    probs[:c_max + 1] = np.exp(log_p)
+    probs[probs < 2.0 ** -1022] = 0.0
+    return probs
+
+
 class TestCollisionPmf:
     def test_two_draws_two_buckets(self):
         pmf = collision_pmf_exact(2, BucketSpace.exact(2))
@@ -618,6 +652,30 @@ class TestCollisionPmf:
                 assert pmf.total() == 1
                 e = expected_collisions(n, BucketSpace.exact(b))
                 assert abs(pmf.mean() - e) <= 1e-12
+
+    # one denominator for the exact moments, against the plain Fraction sums;
+    # b = 1, 2 and 7 are below most n here
+    @pytest.mark.parametrize("b", [1, 2, 7, 63, 2 ** 32, 2 ** 64])
+    def test_exact_total_and_mean_are_fraction_sums(self, b):
+        for n in range(1, 65):
+            pmf = collision_pmf_exact(n, space_of(b))
+            assert pmf.representation == "exact-rational"
+            total = pmf.total()
+            assert isinstance(total, Fraction)
+            assert total == sum(pmf.probs, Fraction(0)) == 1, n
+            mean = sum((c * p for c, p in enumerate(pmf.probs)), Fraction(0))
+            assert pmf.mean() == float(mean), n
+
+    def test_exact_moments_of_hand_built_pmf(self):
+        # denominators 3, 5, 7 and 9 divide no power of b = 2, and the
+        # entries need not sum to 1
+        for probs in ([Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)],
+                      [Fraction(2, 7), Fraction(0), Fraction(4, 9), Fraction(1, 2)]):
+            pmf = CollisionPmf(n=len(probs), space=k(1), probs=probs,
+                               representation="exact-rational")
+            assert pmf.total() == sum(probs, Fraction(0))
+            mean = sum((c * p for c, p in enumerate(probs)), Fraction(0))
+            assert pmf.mean() == float(mean)
 
     def test_pigeonhole_zero(self):
         pmf = collision_pmf_exact(5, BucketSpace.exact(3))
@@ -692,6 +750,51 @@ class TestCollisionPmf:
         assert c_max is not None
         space = space_of(b)
         assert_float_pmfs_agree(_pmf_eulerian(n, space, c_max), _pmf_occupancy(n, space))
+
+    # the smallest windows, at the smallest n the kernel takes, 2(c_max + 1) < n
+    @pytest.mark.parametrize("c_max", [1, 2, 3])
+    @pytest.mark.parametrize("b", [2 ** 16, 2 ** 64, 10 ** 9 + 7])
+    def test_eulerian_grid_is_frozen_loop_small_windows(self, c_max, b):
+        for n in (2 * (c_max + 1) + 1, 2 * (c_max + 1) + 2, 100):
+            space = space_of(b)
+            assert np.array_equal(_pmf_eulerian(n, space, c_max),
+                                  frozen_pmf_eulerian(n, space, c_max)), n
+
+    # windows the kernel choice gives, up to _EULERIAN_C_CAP (9682944 gives
+    # c_max = 256 at n = 10^4), and the cap at its smallest n
+    @pytest.mark.parametrize("n, b, c_max", [
+        (65, 2 ** 60 + 33, None), (200, 2 ** 64, None), (300, 2 ** 32, None),
+        (8793, 2 ** 36, None), (10 ** 4, 2 ** 24, None), (6000, 2 ** 22, None),
+        (10 ** 4, 9682944, None), (515, 2 ** 20, 256), (515, 10 ** 6 + 3, 256),
+        (515, 10 ** 6 + 3, 255),
+    ])
+    def test_eulerian_grid_is_frozen_loop(self, n, b, c_max):
+        if c_max is None:
+            c_max = _eulerian_window(n, b)
+        assert c_max is not None and 2 * (c_max + 1) < n
+        space = space_of(b)
+        assert np.array_equal(_pmf_eulerian(n, space, c_max),
+                               frozen_pmf_eulerian(n, space, c_max))
+
+    def test_eulerian_grid_peak_below_recurrence_band(self):
+        # the grid is (c_max + 1) x c_max doubles, 0.53 MB at the cap, and
+        # its window terms are views, not a second grid-sized temporary; a
+        # float pmf's peak memory is then the recurrence band's
+        def peak(kernel, *args):
+            tracemalloc.start()
+            try:
+                kernel(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        band = peak(_pmf_occupancy, 10 ** 4, k(20))
+        for n, b in ((6000, 2 ** 22), (10 ** 4, 9682944)):
+            c_max = _eulerian_window(n, b)
+            assert c_max >= 240
+            grid_peak = peak(_pmf_eulerian, n, space_of(b), c_max)
+            assert grid_peak < band, (n, b)
+            assert grid_peak < 1.5 * (c_max + 1) * c_max * 8, (n, b)
 
     @pytest.mark.parametrize("n, b, eulerian", [
         (8793, 2 ** 36, True), (4212, 2319, False), (10 ** 4, 2 ** 16, False),
