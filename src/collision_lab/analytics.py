@@ -30,6 +30,7 @@ to 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -118,8 +119,8 @@ def expected_collisions_naive(n, space: BucketSpace) -> float:
     the inner 1 - 1/b rounds to 1 and the result collapses to n.  Kept as a
     cross-check for small k and to measure the failure itself.
     """
-    if not 0 <= real_number("n", n) < math.inf:
-        raise DomainError(f"n must be finite and nonnegative, got {n}")
+    if not 0 <= real_number("n", n) <= sys.float_info.max:
+        raise DomainError(f"n must be nonnegative and at most the largest double, got {n}")
     bf = float(space.count)
     return n - bf * (1.0 - (1.0 - 1.0 / bf) ** n)
 
@@ -130,8 +131,8 @@ def expected_collisions(n, space: BucketSpace) -> float:
     Accepts real n (the root solver works on the continuous extension).
     Always finite and within [0, max(0, n-1)].
     """
-    if not 0 <= real_number("n", n) < math.inf:
-        raise DomainError(f"n must be finite and nonnegative, got {n}")
+    if not 0 <= real_number("n", n) <= sys.float_info.max:
+        raise DomainError(f"n must be nonnegative and at most the largest double, got {n}")
     if n <= 1:
         return 0.0
     if space.count == 1:

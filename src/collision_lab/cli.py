@@ -175,11 +175,10 @@ def _write_comparison(out, fmt: str, n: int, space: BucketSpace, label: str,
 
 def cmd_expect(args, out) -> None:
     n, space = _n(args), _space_from(args)
+    naive = analytics.expected_collisions_naive(n, space)
+    stable = analytics.expected_collisions(n, space)
     _write_comparison(out, args.format, n, space, "expected collisions",
-                      StableEvalReport.compare(
-                          input=float(n),
-                          naive=analytics.expected_collisions_naive(n, space),
-                          stable=analytics.expected_collisions(n, space)))
+                      StableEvalReport.compare(input=float(n), naive=naive, stable=stable))
 
 
 def cmd_scan(args, out) -> None:
@@ -199,11 +198,10 @@ def cmd_prob(args, out) -> None:
         raise ValueError("--range applies only with --errcmp")
     n, space = _n(args), _space_from(args)
     if not args.errcmp:
+        naive = analytics.collision_probability_naive(n, space)
+        stable = analytics.collision_probability(n, space)
         _write_comparison(out, args.format, n, space, "collision probability",
-                          StableEvalReport.compare(
-                              input=float(n),
-                              naive=analytics.collision_probability_naive(n, space),
-                              stable=analytics.collision_probability(n, space)))
+                          StableEvalReport.compare(input=float(n), naive=naive, stable=stable))
         return
     # error-curve data; zero-error rows are flagged so log-scale plotting
     # tools can drop them

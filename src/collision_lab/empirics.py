@@ -63,13 +63,11 @@ def _key(value):
 def _keys(values) -> np.ndarray:
     """One integer key per element, equal exactly where the ``_key``s are."""
     if isinstance(values, np.ndarray) and values.ndim == 1:
-        if values.dtype == np.float64:
-            return values.view(np.uint64)
         if values.dtype.kind in "fc":
             _require_binary64(values.dtype)
             # widening a signalling NaN sets the invalid flag; it is a key here
             with np.errstate(invalid="ignore"):
-                return values.astype(np.float64).view(np.uint64)
+                return values.astype(np.float64, copy=False).view(np.uint64)
         if values.dtype.kind in "iu":
             return values
     if not isinstance(values, list):
@@ -106,19 +104,6 @@ def _summary(keys: np.ndarray) -> TieSummary:
     return TieSummary.from_multiplicities(keys.size, _tied_runs(s[1:] == s[:-1]))
 
 
-def _argsort_tally(keys: np.ndarray):
-    """Multiplicities of the tied keys and the mask of first-occurrence
-    duplicates, from one unstable argsort: the first occurrence of each
-    value is the smallest original index in its group."""
-    order = np.argsort(keys)
-    s = keys[order]
-    new_run = np.ones(s.size, dtype=bool)
-    np.not_equal(s[1:], s[:-1], out=new_run[1:])
-    is_dup = np.ones(s.size, dtype=bool)
-    is_dup[np.minimum.reduceat(order, np.flatnonzero(new_run))] = False
-    return _tied_runs(~new_run[1:]), is_dup
-
-
 _PHI = np.uint64(0x9E3779B97F4A7C15)  # odd, so x -> x*_PHI mod 2^64 is a bijection
 
 
@@ -130,8 +115,8 @@ def _tally(keys: np.ndarray):
     the original index, puts every value's draws in one run of equal hashes,
     in index order: the run's head is the first occurrence and every later
     member a duplicate.  A run whose adjacent entries differ in their full
-    keys mixes values that share a hash; its draws alone, in index order,
-    go through ``_argsort_tally``.
+    keys mixes values that share a hash; its draws alone, in index order, go
+    through ``np.unique``, whose first index per value is its first occurrence.
     """
     n = keys.size
     b = max(1, (n - 1).bit_length())
@@ -154,8 +139,9 @@ def _tally(keys: np.ndarray):
         mixed[run[clash]] = True
         in_mixed = mixed[run]
         sub = np.union1d(earlier[in_mixed], later[in_mixed])
-        sub_counts, sub_dup = _argsort_tally(keys[sub])
-        is_dup[sub[sub_dup]] = True
+        _, first, sub_counts = np.unique(keys[sub], return_index=True, return_counts=True)
+        is_dup[sub] = True
+        is_dup[sub[first]] = False
         later = later[~in_mixed]
         counts = np.concatenate([counts[~mixed], sub_counts])
     is_dup[later] = True

@@ -910,6 +910,13 @@ class TestInverseProblems:
         root = sample_size_for_expected(k(32), target, 1e3, 1e9)
         assert abs(root - 1e6) <= 1.0
 
+    def test_sample_size_target_met_at_a_bound(self):
+        # E[C] equal to the target at lo or at hi returns that bound, as a float
+        target = expected_collisions(N_HEADLINE, k(32))
+        for lo, hi in ((N_HEADLINE, 10 ** 9), (10 ** 3, N_HEADLINE)):
+            root = sample_size_for_expected(k(32), target, lo, hi)
+            assert root == N_HEADLINE and type(root) is float
+
     def test_sample_size_forward_check(self):
         root = sample_size_for_expected(k(32), 1.0, 1e2, 1e9)
         assert expected_collisions(root, k(32)) == pytest.approx(1.0, abs=1e-6)

@@ -229,6 +229,9 @@ class TestProb:
     @pytest.mark.parametrize("argv, golden", [
         (["prob", "--errcmp", "--n", "1e6"], ERRCMP_1E6),
         (["prob", "--n", "4e6", "--buckets", "1e6"], NAIVE_NAN_4E6),
+        # one draw never collides: no relative error to a stable 0
+        (["prob", "--errcmp", "--n", "1", "--range", "32:33"],
+         "k,relative_error,zero_error\n32,,stable_zero\n33,,stable_zero\n"),
     ])
     def test_literal_products_print_the_same_bytes(self, capsys, argv, golden):
         assert run(capsys, *argv) == (0, golden, "")
@@ -568,6 +571,11 @@ class TestRefusedCallsWriteNothing:
         "solve-range-with-n": ["solve", "--n", "1000", "--target", "1", "--range", "1:2"],
         "simulate-seed-base-with-generator": ["simulate", "--n", "1000", "--generator",
                                               "cmrg:1:16", "--seed-base", "99"],
+        "simulate-generator-bits-disagree": ["simulate", "--bits", "16", "--generator",
+                                             "cmrg:1:32"],
+        # a range that is not lo:hi with lo <= hi
+        "scan-range-one-bound": ["scan", "--n", "1000", "--range", "32"],
+        "scan-range-reversed": ["scan", "--n", "1000", "--range", "40:32"],
         # n beyond the double range, and a bound that float() makes infinite
         "expect-n-overflow": ["expect", "--n", "1e400"],
         "scan-n-overflow": ["scan", "--n", "1e400"],
@@ -592,6 +600,16 @@ class TestRefusedCallsWriteNothing:
             assert err.startswith("error:") and err.count("\n") == 1
         assert path.read_bytes() == b"earlier,bytes\n1,2\n"
         assert list(tmp_path.iterdir()) == [path]  # nor any trace file
+
+    # an n beyond the double range is refused by name, or by prob's literal cap
+    @pytest.mark.parametrize("case, says", [
+        ("expect-n-overflow", "error: n must be"), ("scan-n-overflow", "error: n must be"),
+        ("solve-n-overflow", "error: n must be"),
+        ("prob-n-overflow", "error: literal products are capped"),
+    ])
+    def test_n_overflow_names_n(self, capsys, case, says):
+        code, _, err = run(capsys, *self.REFUSED[case])
+        assert code == 1 and err.startswith(says) and err.count("\n") == 1
 
 
 class TestIntegerFlags:

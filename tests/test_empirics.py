@@ -14,7 +14,6 @@ from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.empirics import (
     TieSummary,
     _PHI,
-    _argsort_tally,
     _tally,
     _write_indexed_csv,
     collision_positions,
@@ -198,6 +197,27 @@ class TestCountingKernelMatchesOracle:
         assert_matches_oracle(lambda: a64)
         assert_matches_oracle(lambda: a64[::2])
 
+    @given(st.lists(st.sampled_from(BITS_64), max_size=40),
+           st.lists(st.one_of(st.integers(-2048, 2048).map(lambda k: k / 4),
+                              st.sampled_from([-0.0, math.inf, -math.inf, math.nan])),
+                    max_size=40))
+    @settings(max_examples=100)
+    def test_float_key_layouts_agree(self, bits64, small):
+        # one float branch widens without a copy where it can: byte-swapped,
+        # strided and narrow arrays must count as their native float64 copies
+        def counts(values):
+            return (count_duplicates(values), count_ties(values),
+                    collision_positions(values))
+
+        a64 = np.array(bits64, dtype=np.uint64).view(np.float64)
+        assert counts(a64.astype(">f8")) == counts(a64)
+        assert counts(a64[::2]) == counts(a64[::2].copy())
+        # quarters of integers up to 2048, signed zeros, infinities and the
+        # default NaN are exact in float16
+        exact = np.array(small, dtype=np.float64)
+        assert counts(exact.astype(np.float32)) == counts(exact)
+        assert counts(exact.astype(np.float16)) == counts(exact)
+
     @given(st.lists(st.integers(-5, 5), max_size=40),
            st.lists(st.sampled_from([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]),
                     max_size=40))
@@ -375,10 +395,15 @@ PHI_INVERSE = pow(int(_PHI), -1, 2 ** 64)
 
 
 def assert_tally_exact(keys):
-    """The hash-sort kernel against the argsort kernel and the oracle."""
+    """The hash-sort kernel against a numpy recount and the oracle."""
     summary, is_dup = _tally(keys)
-    counts, want = _argsort_tally(keys)
-    assert summary == TieSummary.from_multiplicities(keys.size, counts)
+    # np.unique's first index per value is its first occurrence
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    tied = counts[counts >= 2]
+    assert summary == TieSummary(n=keys.size, duplicates=keys.size - first.size,
+                                 ties=int(tied.sum()), histogram=dict(Counter(tied.tolist())))
+    want = np.ones(keys.size, dtype=bool)
+    want[first] = False
     assert np.array_equal(is_dup, want)
     assert collision_positions(keys) == oracle_positions(keys.tolist())
 

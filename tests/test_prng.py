@@ -249,6 +249,8 @@ class TestMrg32k3a:
             _Mrg32k3aCore.from_state([0, 0, 0], [12345] * 3)
         with pytest.raises(ValueError):
             _Mrg32k3aCore.from_state([12345] * 3, [1, 2, 4294944443])
+        with pytest.raises(ValueError, match="exactly 3 values"):
+            _Mrg32k3aCore.from_state([12345] * 2, [12345] * 3)
 
 
 class TestCoreMemory:
