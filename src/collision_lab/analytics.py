@@ -9,10 +9,13 @@ birthday-problem collision probability 1 - prod(1 - i/b), rewritten as
 -expm1(sum log1p(-i/b)), whose sum is taken at constant cost from exact
 power sums.  Both literal forms are kept alongside the stable ones so the
 error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
+For b = 2^k each factor is one subtraction of two exact doubles,
+(1 - q/b) - r/b with i = q + r, rounded once as the literal 1 - i/b is.
 Where the product is fixed without multiplying they return in O(1): when
-it saturates (n(n-1) >= 80b), and when it meets a zero factor (n > b),
-where the naive form still multiplies the chunks from the one holding
-i = 2b + 1 on, whose factors can overflow and give NaN.
+it saturates (n(n-1) >= 80b), and when it meets a zero factor (n > b).
+Past that factor the naive form multiplies only the chunks after the
+zero factor's own that hold some i >= 2b + 1, whose factors can overflow
+and give NaN.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
@@ -33,6 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -56,9 +60,11 @@ __all__ = [
     "probability_error_curve",
 ]
 
-# literal products: factors per chunk product, and per piece built at once
+# literal products: factors per chunk product, and per piece built at once;
+# 1 - q*2^-k is exact for every k <= 64 where q is a multiple of _ALIGN
 _CHUNK = 1 << 20
-_PIECE = 1 << 16
+_PIECE = 1 << 14
+_ALIGN = 1 << 11
 
 # the literal forms multiply O(n) factors; above this n they refuse
 LITERAL_CAP = 10 ** 8
@@ -155,7 +161,9 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     precision.  Each chunk of 2^20 factors, from i = 1 on, is multiplied
     out left to right, and the chunk products are multiplied into a running
     product in turn (the association perfbench/references.json pins).
-    Two cases are decided without multiplying, to the same bits:
+    Each factor is fl(1 - fl(i/b)); for b = 2^k it is built by one
+    subtraction (see _power_factors), to the same bits.  Two cases are
+    decided without multiplying, to the same bits:
 
     * n - 1 < b and n(n-1) >= 80b: every factor lies in (0, 1], so no
       rounded partial product grows.  The exact product is at most
@@ -163,12 +171,14 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
       by less than e^(u b (1 + ln b) + 2un) < 1.6 (u = 2^-53,
       b <= LITERAL_CAP^2/80), so the product stays below 2^-56 and
       1 - prod rounds to exactly 1.0;
-    * n - 1 >= b: the factor 1 - b/b is exactly 0 (b < LITERAL_CAP < 2^53),
-      so the chunk holding it multiplies out to +-0, and the running
-      product stays +-0 through every later chunk that holds only factors
-      of magnitude <= 1 (i <= 2b).  Only the chunks from the one holding
-      i = 2b + 1 are multiplied, to keep the NaN that an overflowing one
-      gives (0 * inf).
+    * n - 1 >= b: the factor 1 - b/b is exactly 0 (b < LITERAL_CAP < 2^53).
+      The factors before it lie in (0, 1], so the chunk holding it
+      multiplies out to +-0 without overflowing, even when it also holds
+      factors past i = 2b; the running product stays +-0 through every
+      later chunk that holds only factors of magnitude <= 1 (i <= 2b).
+      Only the chunks after the zero factor's that hold some i >= 2b + 1
+      are multiplied, to keep the NaN that an overflowing one gives
+      (0 * inf).
 
     Raises CapacityError for n > LITERAL_CAP.
     """
@@ -176,29 +186,68 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     _check_literal_cap(n)
     if n <= 1:
         return 0.0
-    b, bf = space.count, float(space.count)
-
-    def factors(i):
-        return np.subtract(1.0, np.divide(i, bf, out=i), out=i)
-
+    b = space.count
     if n - 1 < b:
         if n * (n - 1) >= 80 * b:
             return 1.0
-        return 1.0 - _chunked_product(1, n, factors, 1.0)
-    return 1.0 - _chunked_product(1 + 2 * b // _CHUNK * _CHUNK, n, factors, 0.0)
+        start, prod = 1, 1.0
+    else:
+        first = max(2 * b // _CHUNK, (b - 1) // _CHUNK + 1)
+        start, prod = 1 + first * _CHUNK, 0.0
+    if b & (b - 1) == 0:
+        factors = partial(_power_factors, b.bit_length() - 1)
+    else:
+        bf = float(b)
+        factors = partial(_index_factors,
+                          lambda i: np.subtract(1.0, np.divide(i, bf, out=i), out=i))
+    return 1.0 - _chunked_product(start, n, factors, prod)
+
+
+def _power_factors(k: int, size: int):
+    """Factors fl(1 - i·2^-k) at one subtraction each, for b = 2^k, in
+    pieces of at most size.
+
+    Write i = q + r, with q the piece's first index rounded down to a
+    multiple of _ALIGN.  Then 1 - q·2^-k is exact: 2^k - q is either a
+    multiple of 2^11 below 2^64, which 53 bits hold, or above -LITERAL_CAP.
+    r·2^-k is exact too, so their difference is one rounding of 1 - i·2^-k:
+    the bits of fl(1 - fl(i/2^k)), and of fl(2^k - i)/2^k, since scaling by
+    2^-k commutes with rounding.
+    """
+    scale = 2.0 ** -k
+    ramp = np.arange(size + _ALIGN, dtype=np.float64) * scale
+
+    def fill(p, out):
+        r = p % _ALIGN
+        return np.subtract(1.0 - (p - r) * scale, ramp[r:r + out.size], out=out)
+
+    return fill
+
+
+def _index_factors(of_index, size: int):
+    """Factors of_index(i), in pieces of at most size, where of_index maps a
+    float array of indices to their factors in place."""
+    ramp = np.arange(size, dtype=np.float64)
+
+    def fill(p, out):
+        return of_index(np.add(ramp[:out.size], p, out=out))
+
+    return fill
 
 
 def _chunked_product(start: int, stop: int, factors, prod: float) -> float:
-    """prod times factors(i) for i = start..stop-1, where factors maps a
-    float array of indices to its factors in place.
+    """prod times the factors of i = start..stop-1.  factors(size) returns
+    a builder fill(p, out) that writes the factors of i = p..p+len(out)-1
+    into out (len(out) <= size) and returns it.
 
     Each chunk of _CHUNK indices from start is multiplied out left to right
     and then into prod.  The factors are built _PIECE at a time in one
     buffer, and each piece continues its chunk's product as the initial
-    value of a sequential reduce, so the bits are those of whole chunks.
+    value of a sequential reduce, so the bits are those of whole chunks
+    whatever the piece size; 2^14 factors keep the buffers in cache.
     """
-    ramp = np.arange(min(_PIECE, max(stop - start, 0)), dtype=np.float64)
-    buf = np.empty_like(ramp)
+    size = min(_PIECE, max(stop - start, 0))
+    fill, buf = factors(size), np.empty(size)
     for lo in range(start, stop, _CHUNK):
         end = min(stop, lo + _CHUNK)
         part = 1.0
@@ -206,8 +255,7 @@ def _chunked_product(start: int, stop: int, factors, prod: float) -> float:
         # overflow is the behaviour measured, not a fault to report
         with np.errstate(over="ignore"):
             for p in range(lo, end, _PIECE):
-                i = np.add(ramp[:end - p], p, out=buf[:end - p])
-                part = np.multiply.reduce(factors(i), initial=part)
+                part = np.multiply.reduce(fill(p, buf[:end - p]), initial=part)
         prod *= float(part)
         if prod != prod:
             break  # NaN stays NaN
@@ -237,12 +285,16 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     arithmetic operands, not checked against a running R.  R's prod()
     accumulates sequentially in long double; here chunk products are
     accumulated in double, as in ``collision_probability_naive``, a
-    rounding-level difference.  When no operand is recycled (length = n, as
-    for every b < 2^53) and n - 1 >= b or n(n-1) >= 80b, the result is
-    exactly 1 and nothing is multiplied: from the zero factor c - b on the
-    product is exactly 0 (multiplying on would meet the overflowing factors
-    past it and give NaN, as ``collision_probability_naive`` does for n far
-    above b), and a saturated product rounds away as in that function.
+    rounding-level difference.  For b = 2^k the factor fl(c - i)/c is
+    fl(1 - i·2^-k), built by one subtraction as in that function, unless
+    the sequence is recycled: its factors keep the index i % length.
+
+    When no operand is recycled (length = n, as for every b < 2^53) and
+    n - 1 >= b or n(n-1) >= 80b, the result is exactly 1 and nothing is
+    multiplied: from the zero factor c - b on the product is exactly 0
+    (multiplying on would meet the overflowing factors past it and give
+    NaN, as ``collision_probability_naive`` does for n far above b), and a
+    saturated product rounds away as in that function.
     Raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
@@ -251,15 +303,19 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     length = pbirthday_sequence_length(n, space)
     if length == n and (n - 1 >= b or n * (n - 1) >= 80 * b):
         return 1.0
-    spare = np.empty(_PIECE)
+    if length < n or b & (b - 1):
+        spare = np.empty(_PIECE)
 
-    def factors(i):
-        if length < n:
-            # i % length, exact as i < 2^53; np.fmod takes twice as long
-            q = np.divide(i, length, out=spare[:i.size])
-            i -= np.multiply(np.floor(q, out=q), length, out=q)
-        return np.divide(np.subtract(c, i, out=i), c, out=i)
+        def of_index(i):
+            if length < n:
+                # i % length, exact as i < 2^53; np.fmod takes twice as long
+                q = np.divide(i, length, out=spare[:i.size])
+                i -= np.multiply(np.floor(q, out=q), length, out=q)
+            return np.divide(np.subtract(c, i, out=i), c, out=i)
 
+        factors = partial(_index_factors, of_index)
+    else:
+        factors = partial(_power_factors, b.bit_length() - 1)
     return 1.0 - _chunked_product(0, max(length, n) if n else 0, factors, 1.0)
 
 
@@ -647,13 +703,15 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     [lo, hi] is robust; it stops at _SOLVE_REL_TOL relative width, and the
     caller rounds the root to a count as needed.
     Raises DomainError for a target that is not positive and finite or a
-    bracket not finite with 0 <= lo < hi, and BracketingError when f(lo)
-    and f(hi) share a sign.
+    bracket [lo, hi] without 0 <= lo < hi <= the largest double (int bounds
+    included), and BracketingError when f(lo) and f(hi) share a sign.
     """
     if not 0 < real_number("target", target) < math.inf:
         raise DomainError(f"target must be positive and finite, got {target}")
-    if not 0 <= real_number("lo", lo) < real_number("hi", hi) < math.inf:
-        raise DomainError(f"need finite 0 <= lo < hi, got [{lo}, {hi}]")
+    # an int bound past the largest double would reach expected_collisions
+    if not 0 <= real_number("lo", lo) < real_number("hi", hi) <= sys.float_info.max:
+        raise DomainError(
+            f"need 0 <= lo < hi <= the largest double for the bracket, got [{lo}, {hi}]")
 
     def f(x):
         return expected_collisions(x, space) - target

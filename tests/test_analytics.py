@@ -415,15 +415,28 @@ _STRADDLE = [*[(n, 2 ** bits) for bits in range(30, 65)
                for n in (2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2)],
              *[(n, 2 ** bits) for bits in (30, 33, 34, 53, 54, 60, 64)
                for n in (2 ** 20, 2 ** 20 + 1, 2 ** 20 + 2)]]
+# b = 2^k around the unit-map edge (one subtraction per factor, rounded
+# once): the last factor at the edge of a 2^14 piece and of a 2^20 chunk
+_POWER_EDGE = [(n, 2 ** bits) for bits in (52, 53, 54, 55, 64)
+               for n in (2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 3 * 2 ** 14 + 1,
+                         2 ** 20, 2 ** 20 + 1, 2 ** 20 + 2)]
+# b and 2b + 1 in one chunk, which multiplies out to +-0 unmultiplied: n
+# inside that chunk, and past it into one finite chunk or one that
+# overflows to NaN, for b = 2^k and for an explicit b
+_ZERO_CHUNK = [(n, b) for b in (2 ** 18, 300_001)
+               for n in (b + 1, 2 * b + 2, 2 ** 20 + 1, 2 ** 20 + 2, 2 ** 20 + 2 ** 16)] + \
+              [(2 ** 20 + 10, 2 ** 19 - 1)]
 _IDENTITY_INPUTS = [
-    *_SATURATION_EDGE, *_ZERO_FACTOR, *_STRADDLE,
+    *_SATURATION_EDGE, *_ZERO_FACTOR, *_STRADDLE, *_POWER_EDGE, *_ZERO_CHUNK,
     # past the zero factor the product sticks at a subnormal again
     (3 * 10 ** 6, 700_000),
     # the chunk that starts at i = 2b + 1 overflows: NaN
     (2 ** 21 + 2 ** 16, 2 ** 20),
     # pbirthday's sequence is shorter than n and recycled (length 1, 1 and
-    # 4097), or longer than n (70,145 factors past a piece edge)
-    (3, 2 ** 64), (100, 2 ** 64), (5000, 2 ** 64), (70_000, 2 ** 62),
+    # 4097; 20,481 and 1,050,625 wrap inside a piece of the second piece and
+    # of the second chunk), or longer than n (70,145 factors past a piece edge)
+    (3, 2 ** 64), (100, 2 ** 64), (5000, 2 ** 64), (21_000, 2 ** 64),
+    (2 ** 20 + 3000, 2 ** 64), (70_000, 2 ** 62),
     (4 * 10 ** 6, 10 ** 6),
 ]
 
@@ -454,6 +467,9 @@ class TestLiteralIdentity:
         # multiplies nothing before the chunk that holds i = 2b + 1
         assert collision_probability_pbirthday(4 * 10 ** 6, _space(10 ** 6)) == 1.0
         assert collision_probability_naive(2 ** 21 + 1, _space(2 ** 20)) == 1.0
+        # b and 2b + 1 share a chunk that ends past n: its product is +-0
+        for n, b in [(680_347, 514_012), (670_572, 373_189)]:
+            assert collision_probability_naive(n, _space(b)) == 1.0
 
 
 class TestStirling:
@@ -932,6 +948,14 @@ class TestInverseProblems:
             min_bits_for_expected(0, 1.0)
         with pytest.raises(ValueError):
             min_bits_for_expected(10, 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10 ** 400), (10 ** 400, 10 ** 401),
+                                        (1e2, math.inf), (-1.0, 1e9), (1e9, 1e2)])
+    def test_bracket_outside_doubles_refused(self, lo, hi):
+        # an int bound past the largest double is refused as a bracket, not
+        # later as an n
+        with pytest.raises(DomainError, match="bracket"):
+            sample_size_for_expected(k(32), 1.0, lo, hi)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_refused(self, target):
