@@ -15,7 +15,7 @@ Where the product is fixed without multiplying they return in O(1): when
 it saturates (n(n-1) >= 80b), and when it meets a zero factor (n > b).
 Past that factor the naive form multiplies only the chunks after the
 zero factor's own that hold some i >= 2b + 1, whose factors can overflow
-and give NaN.
+and give NaN.  The factors pbirthday recycles are exactly 1: unmultiplied.
 
 The exact distribution of the collision count C is
 P(C = c) = (b)_(n-c) / b^n * S(n, n-c), with (b)_l the falling factorial
@@ -36,12 +36,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BracketingError, CapacityError, DomainError, exact_index, real_number
+from .errors import BracketingError, CapacityError, DomainError, exact_index, real_number, shown
 from .stable_math import StableEvalReport, sum_log1p
 
 __all__ = [
@@ -126,7 +125,8 @@ def expected_collisions_naive(n, space: BucketSpace) -> float:
     cross-check for small k and to measure the failure itself.
     """
     if not 0 <= real_number("n", n) <= sys.float_info.max:
-        raise DomainError(f"n must be nonnegative and at most the largest double, got {n}")
+        raise DomainError(
+            f"n must be nonnegative and at most the largest double, got {shown(n)}")
     bf = float(space.count)
     return n - bf * (1.0 - (1.0 - 1.0 / bf) ** n)
 
@@ -138,7 +138,8 @@ def expected_collisions(n, space: BucketSpace) -> float:
     Always finite and within [0, max(0, n-1)].
     """
     if not 0 <= real_number("n", n) <= sys.float_info.max:
-        raise DomainError(f"n must be nonnegative and at most the largest double, got {n}")
+        raise DomainError(
+            f"n must be nonnegative and at most the largest double, got {shown(n)}")
     if n <= 1:
         return 0.0
     if space.count == 1:
@@ -150,8 +151,24 @@ def expected_collisions(n, space: BucketSpace) -> float:
 def _check_literal_cap(n: int):
     if n > LITERAL_CAP:
         raise CapacityError(
-            f"literal products are capped at n = {LITERAL_CAP}, got {n}; "
+            f"literal products are capped at n = {LITERAL_CAP}, got {shown(n)}; "
             f"collision_probability has no cap")
+
+
+def _collision_certain(n: int, b: int) -> bool:
+    """Whether the birthday probability is exactly 1.0 in each form reading it:
+
+    * n > b (pigeonhole): R's sequential product meets the factor (c - b)/c
+      = 0 (c = b < n <= LITERAL_CAP) and stays 0; the naive form's chunk
+      products can overflow past i = 2b to NaN, so it skips this case.
+    * n(n-1) >= 80b: L = sum_{i<n} log1p(-i/b) <= -n(n-1)/2b <= -40, as
+      log1p(-x) <= -x, and -expm1(-40) rounds to 1.0.  With n <= b every
+      literal factor lies in (0, 1], so no rounded partial product grows:
+      the exact product is at most e^-40, rounding factors and products
+      raises it by less than e^(u b (1 + ln b) + 2un) < 1.6 (u = 2^-53,
+      b <= LITERAL_CAP^2/80), and 1 - prod rounds to 1.0.
+    """
+    return n > b or n * (n - 1) >= 80 * b
 
 
 def collision_probability_naive(n: int, space: BucketSpace) -> float:
@@ -165,12 +182,7 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     subtraction (see _power_factors), to the same bits.  Two cases are
     decided without multiplying, to the same bits:
 
-    * n - 1 < b and n(n-1) >= 80b: every factor lies in (0, 1], so no
-      rounded partial product grows.  The exact product is at most
-      e^(-n(n-1)/2b) <= e^-40, and rounding factors and products raises it
-      by less than e^(u b (1 + ln b) + 2un) < 1.6 (u = 2^-53,
-      b <= LITERAL_CAP^2/80), so the product stays below 2^-56 and
-      1 - prod rounds to exactly 1.0;
+    * n - 1 < b and n(n-1) >= 80b: saturated, 1.0 (see _collision_certain);
     * n - 1 >= b: the factor 1 - b/b is exactly 0 (b < LITERAL_CAP < 2^53).
       The factors before it lie in (0, 1], so the chunk holding it
       multiplies out to +-0 without overflowing, even when it also holds
@@ -184,23 +196,15 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
     """
     n = exact_index("n", n)
     _check_literal_cap(n)
-    if n <= 1:
-        return 0.0
-    b = space.count
-    if n - 1 < b:
-        if n * (n - 1) >= 80 * b:
-            return 1.0
-        start, prod = 1, 1.0
-    else:
+    b, bf = space.count, float(space.count)
+    start, prod = 1, 1.0
+    if n - 1 >= b:
         first = max(2 * b // _CHUNK, (b - 1) // _CHUNK + 1)
         start, prod = 1 + first * _CHUNK, 0.0
-    if b & (b - 1) == 0:
-        factors = partial(_power_factors, b.bit_length() - 1)
-    else:
-        bf = float(b)
-        factors = partial(_index_factors,
-                          lambda i: np.subtract(1.0, np.divide(i, bf, out=i), out=i))
-    return 1.0 - _chunked_product(start, n, factors, prod)
+    elif _collision_certain(n, b):
+        return 1.0
+    return 1.0 - _chunked_product(
+        start, n, b, lambda i: np.subtract(1.0, np.divide(i, bf, out=i), out=i), prod)
 
 
 def _power_factors(k: int, size: int):
@@ -224,21 +228,10 @@ def _power_factors(k: int, size: int):
     return fill
 
 
-def _index_factors(of_index, size: int):
-    """Factors of_index(i), in pieces of at most size, where of_index maps a
-    float array of indices to their factors in place."""
-    ramp = np.arange(size, dtype=np.float64)
-
-    def fill(p, out):
-        return of_index(np.add(ramp[:out.size], p, out=out))
-
-    return fill
-
-
-def _chunked_product(start: int, stop: int, factors, prod: float) -> float:
-    """prod times the factors of i = start..stop-1.  factors(size) returns
-    a builder fill(p, out) that writes the factors of i = p..p+len(out)-1
-    into out (len(out) <= size) and returns it.
+def _chunked_product(start: int, stop: int, b: int, rule, prod: float) -> float:
+    """prod times the factors of i = start..stop-1: for b = 2^k those of
+    _power_factors, the bits of both literal rules, else rule(i), which
+    maps a float array of indices to their factors in place.
 
     Each chunk of _CHUNK indices from start is multiplied out left to right
     and then into prod.  The factors are built _PIECE at a time in one
@@ -247,7 +240,14 @@ def _chunked_product(start: int, stop: int, factors, prod: float) -> float:
     whatever the piece size; 2^14 factors keep the buffers in cache.
     """
     size = min(_PIECE, max(stop - start, 0))
-    fill, buf = factors(size), np.empty(size)
+    if b & (b - 1):
+        ramp = np.arange(size, dtype=np.float64)
+
+        def fill(p, out):
+            return rule(np.add(ramp[:out.size], p, out=out))
+    else:
+        fill = _power_factors(b.bit_length() - 1, size)
+    buf = np.empty(size)
     for lo in range(start, stop, _CHUNK):
         end = min(stop, lo + _CHUNK)
         part = 1.0
@@ -277,57 +277,47 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     the colon operator's end point is to = (c - n) + 1 in double, its length
     is floor(|to - c| + 1 + FLT_EPSILON) and its values are the doubles
     c - i (for n >= 1, to never rounds above c).  Once the spacing of
-    doubles near c exceeds 1 (b >= 2^54) that length is wrong, and ``/``
-    recycles the shorter operand up to max(length, n) factors; rep(c, 0) is
-    empty, so n = 0 gives 0.
+    doubles below c exceeds 1 (c > 2^53) that length can be wrong, and
+    ``/`` recycles the shorter operand; rep(c, 0) is empty, so n = 0 gives 0.
+
+    Only i = 0..length-1 is multiplied, whatever n is: a longer sequence
+    recycles only the divisor c, and a shorter one only factors of exactly
+    1.0, which leave every double (+-0, NaN, subnormals) as it is.  For
+    n >= 1, length = c - to + 1 exactly, so a recycled index j = i % length
+    (length <= i < n) is below n - length = to - (c - n + 1).  Let u be the
+    spacing of doubles just below c; for u <= 1 every step is exact.  Else
+    fl(c - n) lies within u/2 of c - n, and the + 1 leaves it unchanged
+    where the spacing above it is 4 or more.  Where that spacing is 2, ties
+    go to even: an odd c - n rounds to a multiple of 4, which the + 1
+    keeps, and an even one is exact and gains at most 2.  So j <= u/2 - 2
+    for u >= 4 and j = 0 for u = 2: fl(c - j) = c, and c/c = 1.0.
 
     These semantics are taken from R's seq_colon rule and its recycling of
     arithmetic operands, not checked against a running R.  R's prod()
     accumulates sequentially in long double; here chunk products are
     accumulated in double, as in ``collision_probability_naive``, a
     rounding-level difference.  For b = 2^k the factor fl(c - i)/c is
-    fl(1 - i·2^-k), built by one subtraction as in that function, unless
-    the sequence is recycled: its factors keep the index i % length.
-
-    When no operand is recycled (length = n, as for every b < 2^53) and
-    n - 1 >= b or n(n-1) >= 80b, the result is exactly 1 and nothing is
-    multiplied: from the zero factor c - b on the product is exactly 0
-    (multiplying on would meet the overflowing factors past it and give
-    NaN, as ``collision_probability_naive`` does for n far above b), and a
-    saturated product rounds away as in that function.
+    fl(1 - i·2^-k), built by one subtraction as in that function.  Where
+    _collision_certain holds the result is 1.0, unmultiplied.
     Raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
     _check_literal_cap(n)
     b, c = space.count, float(space.count)
-    length = pbirthday_sequence_length(n, space)
-    if length == n and (n - 1 >= b or n * (n - 1) >= 80 * b):
+    if _collision_certain(n, b):
         return 1.0
-    if length < n or b & (b - 1):
-        spare = np.empty(_PIECE)
-
-        def of_index(i):
-            if length < n:
-                # i % length, exact as i < 2^53; np.fmod takes twice as long
-                q = np.divide(i, length, out=spare[:i.size])
-                i -= np.multiply(np.floor(q, out=q), length, out=q)
-            return np.divide(np.subtract(c, i, out=i), c, out=i)
-
-        factors = partial(_index_factors, of_index)
-    else:
-        factors = partial(_power_factors, b.bit_length() - 1)
-    return 1.0 - _chunked_product(0, max(length, n) if n else 0, factors, 1.0)
+    length = pbirthday_sequence_length(n, space) if n else 0
+    return 1.0 - _chunked_product(
+        0, length, b, lambda i: np.divide(np.subtract(c, i, out=i), c, out=i), 1.0)
 
 
 def collision_probability(n: int, space: BucketSpace) -> float:
     """Stable birthday probability -expm1(L), L = sum_{i<n} log1p(-i/b), in [0, 1].
 
-    Returns 0 for n <= 1 and (pigeonhole) exactly 1 for n > b.  Otherwise
-    the cost is bounded at every n; three regimes, told apart in exact
-    integers:
+    Returns 0 for n <= 1 and exactly 1 where _collision_certain holds:
+    n > b (pigeonhole), or n(n-1) >= 80b, where L <= -40.  Otherwise the
+    cost is bounded at every n; two regimes, told apart in exact integers:
 
-    * saturated, n(n-1) >= 80b: L <= -n(n-1)/(2b) <= -40 because
-      log1p(-x) <= -x, and -expm1(-40) rounds to exactly 1.0, returned as is;
     * series, 2(n-1) <= b: L = -sum_{j>=1} S_j(n-1) / (j b^j) with the
       power sums S_j(m) = sum_{i<=m} i^j taken exactly in integers.  With
       r = (n-1)/b, S_{j+1} <= m S_j bounds the tail after term j by
@@ -341,11 +331,9 @@ def collision_probability(n: int, space: BucketSpace) -> float:
     if n <= 1:
         return 0.0
     b = space.count
-    if n > b:
+    if _collision_certain(n, b):
         return 1.0
     m = n - 1
-    if n * m >= 80 * b:
-        return 1.0
     if 2 * m <= b:
         return -math.expm1(-_log_falling_series(m, b)[0])
     return -math.expm1(sum_log1p(-np.arange(1, n) / float(b)))
@@ -408,7 +396,7 @@ def stirling2(n: int, l: int) -> int:
     """Exact S(n, l) for 0 <= l <= n <= 64; CapacityError for n > 64."""
     n = exact_index("n", n)
     if n > _TABLE_LIMIT:
-        raise CapacityError(f"stirling2 is capped at n = {_TABLE_LIMIT}, got {n}")
+        raise CapacityError(f"stirling2 is capped at n = {_TABLE_LIMIT}, got {shown(n)}")
     return _stirling_row(n)[exact_index("l", l, 0, n)]
 
 
@@ -503,7 +491,7 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     if n <= EXACT_PMF_CAP:
         return _pmf_exact_rational(n, space)
     if n > LOG_PMF_CAP:
-        raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {n}")
+        raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {shown(n)}")
     return _pmf_log_domain(n, space)
 
 
@@ -711,7 +699,8 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     # an int bound past the largest double would reach expected_collisions
     if not 0 <= real_number("lo", lo) < real_number("hi", hi) <= sys.float_info.max:
         raise DomainError(
-            f"need 0 <= lo < hi <= the largest double for the bracket, got [{lo}, {hi}]")
+            f"need 0 <= lo < hi <= the largest double for the bracket, "
+            f"got [{shown(lo)}, {shown(hi)}]")
 
     def f(x):
         return expected_collisions(x, space) - target

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, exact_index, exact_int
+from .errors import CapacityError, exact_index, exact_int, shown
 from .prng import GeneratorSpec, KBitStream
 
 __all__ = [
@@ -62,7 +62,9 @@ def _key(value):
 
 def _keys(values) -> np.ndarray:
     """One integer key per element, equal exactly where the ``_key``s are."""
-    if isinstance(values, np.ndarray) and values.ndim == 1:
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise TypeError(f"can only count a 1-D array, got shape {values.shape}")
         if values.dtype.kind in "fc":
             _require_binary64(values.dtype)
             # widening a signalling NaN sets the invalid flag; it is a key here
@@ -210,7 +212,7 @@ def _check_cap(n: int):
             f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
     if n > cap:
         raise CapacityError(
-            f"{n} draws held at once exceed the distinct-value cap of {cap}; "
+            f"{shown(n)} draws held at once exceed the distinct-value cap of {cap}; "
             f"raise it via the {MAX_DISTINCT_ENV} environment variable "
             f"if you really want to hold that many values in memory")
 

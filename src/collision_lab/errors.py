@@ -5,7 +5,7 @@ import operator
 from decimal import Decimal, InvalidOperation
 
 __all__ = ["BracketingError", "CapacityError", "DomainError", "exact_index", "exact_int",
-           "real_number"]
+           "real_number", "shown"]
 
 
 class DomainError(ValueError):
@@ -32,8 +32,16 @@ def exact_index(name: str, value, lo: int = 0, hi=None) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise DomainError(f"{name} must be {bounds}, got {value}")
+        raise DomainError(f"{name} must be {bounds}, got {shown(value)}")
     return value
+
+
+def shown(value) -> str:
+    """str(value) for a message; an int too long for str() in scientific form."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{Decimal(value):.6e}"
 
 
 def real_number(name: str, value):

@@ -318,6 +318,26 @@ class TestPbirthday:
         for bits in range(20, 54):
             assert pbirthday_sequence_length(N_HEADLINE, k(bits)) == N_HEADLINE
 
+    @pytest.mark.parametrize("b", [*[2 ** bits for bits in range(54, 65)], 2 ** 53 + 2 ** 40 + 2,
+                                   2 ** 54 + 1, 2 ** 54 + 4, 2 ** 55 + 24, 2 ** 62 + 2 ** 10,
+                                   2 ** 63 - 1])
+    def test_recycled_factors_are_one(self, b):
+        # a sequence shorter than n recycles the indices j < n - length, and
+        # c - j rounds to c for each: every recycled factor is exactly 1.0,
+        # which is why only the sequence itself is multiplied
+        space, c = _space(b), float(b)
+        u = int(c - math.nextafter(c, 0))
+        ns = {m * u // 2 + d for m in range(1, 40) for d in range(-3, 4)}
+        ns |= {n + d for n in (10 ** 6, 3 * 10 ** 7 + 1, LITERAL_CAP - 5) for d in range(-3, 4)}
+        recycled = 0
+        for n in sorted(ns):
+            length = pbirthday_sequence_length(n, space)
+            if length < n:
+                recycled += 1
+                j = np.arange(min(length, n - length), dtype=np.float64)
+                assert np.all(c - j == c), (n, length)
+        assert recycled > 0
+
     def test_birthday_23_of_365(self):
         # oracle: exact rational 1 - 365_(23) / 365^23 = 0.5072972343...
         exact = float(1 - Fraction(math.perm(365, 23), 365 ** 23))
@@ -426,8 +446,15 @@ _POWER_EDGE = [(n, 2 ** bits) for bits in (52, 53, 54, 55, 64)
 _ZERO_CHUNK = [(n, b) for b in (2 ** 18, 300_001)
                for n in (b + 1, 2 * b + 2, 2 ** 20 + 1, 2 ** 20 + 2, 2 ** 20 + 2 ** 16)] + \
               [(2 ** 20 + 10, 2 ** 19 - 1)]
+# explicit b past 2^53, whose sequence is recycled, longer than n or exact:
+# n at 1, 2, 3, u/2 +- 1, u +- 1 and 2049, with u the spacing of doubles
+# just below double(b)
+_RECYCLED_EXPLICIT = [(n, b) for b, u in ((2 ** 53 + 2, 2), (2 ** 54 + 1, 2),
+                                          (2 ** 62 + 2 ** 10, 2 ** 10), (2 ** 63 - 1, 2 ** 10))
+                      for n in sorted({1, 2, 3, u // 2 - 1, u // 2 + 1, u - 1, u + 1, 2049})]
 _IDENTITY_INPUTS = [
     *_SATURATION_EDGE, *_ZERO_FACTOR, *_STRADDLE, *_POWER_EDGE, *_ZERO_CHUNK,
+    *_RECYCLED_EXPLICIT,
     # past the zero factor the product sticks at a subnormal again
     (3 * 10 ** 6, 700_000),
     # the chunk that starts at i = 2b + 1 overflows: NaN
@@ -455,9 +482,9 @@ class TestLiteralIdentity:
     def test_fixed_products_multiply_nothing(self, monkeypatch):
         multiply = analytics._chunked_product
 
-        def refuse(start, stop, factors, prod):
+        def refuse(start, stop, *rest):
             assert start >= stop, "a fixed product was multiplied"
-            return multiply(start, stop, factors, prod)
+            return multiply(start, stop, *rest)
 
         monkeypatch.setattr(analytics, "_chunked_product", refuse)
         for n, b in [(5 * 10 ** 7, 2 ** 32), (1_692_275, 2_542_407)]:

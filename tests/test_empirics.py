@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import struct
 import tracemalloc
 from collections import Counter
@@ -229,6 +230,14 @@ class TestCountingKernelMatchesOracle:
     def test_unhashable_elements_refused(self):
         with pytest.raises(TypeError):
             count_duplicates([[1], [1]])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (0, 2), ()])
+    def test_arrays_not_1d_refused(self, shape):
+        # the rows of a 2-D array are not values to compare, and an empty
+        # one is no empty sequence
+        for count in (count_duplicates, count_ties, collision_positions):
+            with pytest.raises(TypeError, match=re.escape(f"got shape {shape}")):
+                count(np.zeros(shape))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
                         reason="long double is binary64 on this platform")

@@ -1,7 +1,8 @@
 """The integer contract at every entry point: a bool or a non-integer where
 an integer belongs raises TypeError, a value out of range raises a
-ValueError subclass, and Python and numpy integers pass unchanged.  A bool
-where a real number belongs raises TypeError too."""
+ValueError subclass (CapacityError past a size cap), and Python and numpy
+integers pass unchanged.  A bool where a real number belongs raises
+TypeError too."""
 
 import math
 
@@ -12,13 +13,16 @@ from collision_lab.analytics import (
     BucketSpace,
     collision_pmf_exact,
     collision_probability,
+    collision_probability_naive,
+    collision_probability_pbirthday,
     expected_collisions,
     expected_collisions_naive,
     min_bits_for_expected,
     sample_size_for_expected,
     stirling2,
 )
-from collision_lab.errors import DomainError, exact_index
+from collision_lab.empirics import collision_summary
+from collision_lab.errors import CapacityError, DomainError, exact_index
 from collision_lab.ieee754 import FloatAnatomy, compose
 from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed,
                                 sample_ints, seeds_from_base)
@@ -69,6 +73,17 @@ REFUSED = {
     "solve-target-True": (lambda: sample_size_for_expected(K32, True, 1, 1e12), TypeError),
     "solve-lo-True": (lambda: sample_size_for_expected(K32, 1e3, True, 1e12), TypeError),
     "solve-hi-np.True_": (lambda: sample_size_for_expected(K32, 1e3, 1, np.True_), TypeError),
+    # an int with more digits than str() takes is named all the same
+    "exact-10^5000": (lambda: BucketSpace.exact(10 ** 5000), DomainError),
+    "expect-10^5000": (lambda: expected_collisions(10 ** 5000, K32), DomainError),
+    "expect_naive-10^5000": (lambda: expected_collisions_naive(10 ** 5000, K32), DomainError),
+    "naive-10^5000": (lambda: collision_probability_naive(10 ** 5000, K32), CapacityError),
+    "pbirthday-10^5000": (lambda: collision_probability_pbirthday(10 ** 5000, K32),
+                          CapacityError),
+    "stirling2-10^5000": (lambda: stirling2(10 ** 5000, 1), CapacityError),
+    "pmf-10^5000": (lambda: collision_pmf_exact(10 ** 5000, K32), CapacityError),
+    "solve-hi-10^5000": (lambda: sample_size_for_expected(K32, 1, 1, 10 ** 5000), DomainError),
+    "summary-10^5000": (lambda: collision_summary(stream(), 10 ** 5000), CapacityError),
 }
 
 
@@ -99,6 +114,16 @@ def test_integer_types_accepted(cast):
     assert expected_collisions(cast(10 ** 5), K32) == expected_collisions(10 ** 5, K32)
     assert (sample_size_for_expected(K32, cast(1), cast(1), cast(10 ** 12))
             == sample_size_for_expected(K32, 1, 1, 10 ** 12))
+
+
+def test_long_integers_in_messages():
+    # str() takes 4,300 digits, unchanged; more read in scientific form
+    with pytest.raises(DomainError) as info:
+        exact_index("x", 10 ** 4299, 0, 1)
+    assert str(info.value) == f"x must be in 0..1, got {10 ** 4299}"
+    with pytest.raises(DomainError) as info:
+        exact_index("x", -7 * 10 ** 5000, 0, 1)
+    assert str(info.value) == "x must be in 0..1, got -7.000000e+5000"
 
 
 def test_exact_index_bounds():
