@@ -47,8 +47,8 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    run(["simulate", "--n", args.n, "--bits", args.bits,
-         "--seed-base", args.seed, "--out", str(outdir / "collisions")])
+    run(["simulate", "--n", args.n, "--generator", f"mt19937:{args.seed}:{args.bits}",
+         "--out", str(outdir / "collisions")])
     run(["scan", "--n", args.n, "--out", str(outdir / "expected_scan.csv")])
     run(["prob", "--n", args.n, "--errcmp",
          "--out", str(outdir / "prob_relative_error.csv")])

@@ -43,7 +43,6 @@ from .prng import (
     GeneratorSpec,
     KBitStream,
     derive_seed,
-    rand_int_rejection,
     sample_ints,
 )
 from .stable_math import (

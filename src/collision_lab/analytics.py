@@ -714,7 +714,7 @@ def sample_size_for_expected(space: BucketSpace, target: float,
         raise BracketingError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
     while hi - lo > _SOLVE_REL_TOL * max(abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halved first: lo + hi may overflow
         if mid in (lo, hi):
             break
         fm = f(mid)
@@ -724,7 +724,7 @@ def sample_size_for_expected(space: BucketSpace, target: float,
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def probability_error_curve(n: int, k_lo: int, k_hi: int):

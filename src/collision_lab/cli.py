@@ -121,10 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=_exact_int, default=1,
                    help=f"number of seeds (default 1, at most {MAX_SEEDS}: one mt19937 "
                         "seed takes about 0.25 ms, so the cap costs about 2.5 s at --n 1)")
-    s.add_argument("--seed-base", type=_exact_int, default=None,
-                   help="base seed; per-run seeds derive from it (default 1)")
     s.add_argument("--generator", default=None,
-                   help="family:seed:bits, families " + "/".join(FAMILIES))
+                   help="family:seed:bits, families " + "/".join(FAMILIES) +
+                        "; the seed is the base of --seeds (default mt19937:1:<bits>)")
     s.add_argument("--out", dest="trace_prefix", metavar="OUT", default=None,
                    help="prefix for <out>_trajectory.csv and <out>_positions.csv "
                         "(first seed's trace)")
@@ -135,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--target", type=float, required=True,
                    help="target expected collision count")
     s.add_argument("--range", default=None,
-                   help="bracket lo:hi for the sample-size solve (default 1:1e12)")
+                   help="bracket lo:hi for the sample-size solve (default 1:1e12, "
+                        "or 1:2*(target+buckets) when the root lies past 1e12)")
     s.set_defaults(run=cmd_solve)
 
     s = sub.add_parser("inspect", help="IEEE-754 anatomy of a double")
@@ -246,12 +246,8 @@ def cmd_simulate(args, out) -> None:
     if space.bits is None:
         raise ValueError("simulate needs a power-of-two space (--bits)")
     if args.generator is None:
-        spec = GeneratorSpec("mt19937", 1 if args.seed_base is None else args.seed_base,
-                             space.bits)
+        spec = GeneratorSpec("mt19937", 1, space.bits)
     else:
-        if args.seed_base is not None:
-            raise ValueError("--seed-base does not apply with --generator; "
-                             "give the seed as family:seed:bits")
         spec = GeneratorSpec.parse(args.generator)
         if args.bits is not None and spec.output_bits != args.bits:
             raise ValueError("--generator bits disagree with --bits")
@@ -314,6 +310,10 @@ def cmd_solve(args, out) -> None:
             out.write(f"smallest k with expected collisions <= "
                       f"{_fmt(target, 'human')} at n = {n}: k = {k}\n")
     elif space_given:
+        if args.range is None and analytics.expected_collisions(hi, space) < target < math.inf:
+            # E[C](n) >= n - b, so E[C] passes the target below n = 2(target + b);
+            # at the largest double E[C] is that double, above every finite target
+            hi = min(2 * (target + space.count), sys.float_info.max)
         root = analytics.sample_size_for_expected(space, target, lo, hi)
         check = analytics.expected_collisions(root, space)
         if args.format == "csv":

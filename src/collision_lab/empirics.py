@@ -9,19 +9,15 @@ the exact 64-bit representation (bit patterns), never on a tolerance.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, exact_index, exact_int, shown
 from .prng import GeneratorSpec, KBitStream
 
 __all__ = [
-    "DEFAULT_MAX_DISTINCT",
-    "MAX_DISTINCT_ENV",
     "TieSummary",
     "CollisionTrace",
     "count_duplicates",
@@ -33,9 +29,6 @@ __all__ = [
     "write_trajectory_csv",
     "write_positions_csv",
 ]
-
-DEFAULT_MAX_DISTINCT = 10 ** 8
-MAX_DISTINCT_ENV = "COLLISION_LAB_MAX_DISTINCT"
 
 
 def _require_binary64(dtype: np.dtype) -> None:
@@ -202,21 +195,6 @@ class CollisionTrace:
     cumulative: np.ndarray
 
 
-def _check_cap(n: int):
-    """Refuse holding ``n`` draws in memory at once beyond the cap."""
-    env = os.environ.get(MAX_DISTINCT_ENV)
-    try:
-        cap = exact_index(MAX_DISTINCT_ENV, exact_int(env), 1) if env else DEFAULT_MAX_DISTINCT
-    except ValueError:
-        raise ValueError(
-            f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
-    if n > cap:
-        raise CapacityError(
-            f"{shown(n)} draws held at once exceed the distinct-value cap of {cap}; "
-            f"raise it via the {MAX_DISTINCT_ENV} environment variable "
-            f"if you really want to hold that many values in memory")
-
-
 def _stream_keys(stream: KBitStream, n: int) -> np.ndarray:
     """The next ``n`` draws as sort keys, uint32 when they fit in 32 bits."""
     keys = stream.take_kbits(n)
@@ -225,7 +203,6 @@ def _stream_keys(stream: KBitStream, n: int) -> np.ndarray:
 
 def collision_summary(stream: KBitStream, n: int) -> TieSummary:
     """TieSummary of the next ``n`` draws (no positional trace)."""
-    _check_cap(n)
     return _summary(_stream_keys(stream, n))
 
 
@@ -235,10 +212,9 @@ def trace_collisions(stream: KBitStream, n: int):
     Duplicate detection is exact: one sort of hash-and-index words finds
     the runs, and the full k-bit keys decide wherever hashes tie, so it
     agrees with count_duplicates/count_ties on the materialized sequence.
-    Draw counts above the distinct-value cap raise CapacityError instead of
-    degrading to approximate counting.
+    Draw counts above the distinct-value cap raise CapacityError from
+    ``take_kbits`` instead of degrading to approximate counting.
     """
-    _check_cap(n)
     summary, is_dup = _tally(_stream_keys(stream, n))
     trace = CollisionTrace(
         positions=np.flatnonzero(is_dup) + 1,

@@ -33,34 +33,60 @@ lane setup (2-core x86-64).
 ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
 most one pattern per value still wanted, so it takes exactly the draws its
 accepted values need and calls of any size interleave.
-``rand_int_rejection`` is its one-value call.
+
+``take_kbits``, ``sample_ints`` and ``seeds_from_base`` refuse a count past
+the distinct-value cap with CapacityError before they draw or allocate.
 
 Streams are single-owner mutable state: move them between threads, never
-share one.  Multi-seed runs derive one seed per stream via ``derive_seed``.
+share one.  Multi-seed runs take one seed per stream from
+``seeds_from_base``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import exact_index, exact_int
+from .errors import CapacityError, exact_index, exact_int, shown
 
 __all__ = [
+    "DEFAULT_MAX_DISTINCT",
     "FAMILIES",
     "GeneratorSpec",
     "KBitStream",
+    "MAX_DISTINCT_ENV",
     "derive_seed",
-    "rand_int_rejection",
     "sample_ints",
     "seeds_from_base",
 ]
 
+DEFAULT_MAX_DISTINCT = 10 ** 8
+MAX_DISTINCT_ENV = "COLLISION_LAB_MAX_DISTINCT"
+
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _capped_count(count) -> int:
+    """``count`` as an int >= 0 (``exact_index``), refusing to hold more
+    values in memory at once than the distinct-value cap."""
+    count = exact_index("count", count)
+    env = os.environ.get(MAX_DISTINCT_ENV)
+    try:
+        cap = exact_index(MAX_DISTINCT_ENV, exact_int(env), 1) if env else DEFAULT_MAX_DISTINCT
+    except ValueError:
+        raise ValueError(
+            f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
+    if count > cap:
+        raise CapacityError(
+            f"{shown(count)} draws held at once exceed the distinct-value cap of {cap}; "
+            f"raise it via the {MAX_DISTINCT_ENV} environment variable "
+            f"if you really want to hold that many values in memory")
+    return count
 
 
 def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
@@ -90,9 +116,10 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def seeds_from_base(base_seed: int, count: int) -> list:
     """The first ``count`` >= 0 words of ``splitcounter:base_seed:64`` as ints,
-    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``."""
+    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``.
+    A count past the distinct-value cap raises CapacityError."""
     base_seed = exact_index("base_seed", base_seed, 0, _MASK64)
-    return _splitmix64(base_seed, 1, exact_index("count", count)).tolist()
+    return _splitmix64(base_seed, 1, _capped_count(count)).tolist()
 
 
 @dataclass(frozen=True)
@@ -111,13 +138,10 @@ class GeneratorSpec:
         object.__setattr__(self, "output_bits",
                            exact_index("output_bits", self.output_bits, 1, 64))
 
-    def serialize(self) -> str:
-        """Plain-text triple ``family:seed:bits`` used by the CLI."""
-        return f"{self.family}:{self.seed}:{self.output_bits}"
-
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":
-        """Inverse of ``serialize``; seed and bits also take exact_int's forms ('1e3')."""
+        """The spec written ``family:seed:bits``; seed and bits also take
+        exact_int's forms ('1e3')."""
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"generator spec must be family:seed:bits, got {text!r}")
@@ -230,8 +254,8 @@ class _Mrg32k3aCore:
     native_bits = 32
 
     def __init__(self, seed: int):
-        # six component seeds in [1, m-1] from the seed's derived seeds
-        raw = seeds_from_base(seed, 6)
+        # six component seeds in [1, m-1]: the seed's first six derived seeds
+        raw = _splitmix64(seed, 1, 6).tolist()
         self._init_state([v % (_M1 - 1) + 1 for v in raw[:3]],
                          [v % (_M2 - 1) + 1 for v in raw[3:]])
 
@@ -357,8 +381,9 @@ class KBitStream:
         return self.spec.output_bits <= 52
 
     def take_kbits(self, count: int) -> np.ndarray:
-        """Next ``count`` k-bit integers as a uint64 array."""
-        count = exact_index("count", count)
+        """Next ``count`` k-bit integers as a uint64 array; a count past the
+        distinct-value cap raises CapacityError and leaves the stream as it was."""
+        count = _capped_count(count)
         k = self.spec.output_bits
         nb = self._core.native_bits
         if k <= nb:
@@ -391,11 +416,6 @@ class KBitStream:
 _MAX_REJECTIONS = 10 ** 6
 
 
-def rand_int_rejection(stream: KBitStream, n: int) -> int:
-    """One uniform integer in {1..n}: ``sample_ints(stream, n, 1)`` as an int."""
-    return int(sample_ints(stream, n, 1)[0])
-
-
 def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     """``count`` uniform integers in {1..n}, 1 <= n < 2^64, by rejection on
     ceil(log2 n)-bit patterns.
@@ -406,12 +426,13 @@ def sample_ints(stream: KBitStream, n: int, count: int) -> np.ndarray:
     round draws at most one pattern per value still wanted, in at most 2^22
     draws, so no pattern past the last accepted one is drawn: the stream
     ends exactly where ``count`` one-value calls leave it, and calls of any
-    size interleave.  n = 1 draws nothing.  A stream that yields
+    size interleave.  n = 1 draws nothing.  A count past the distinct-value
+    cap raises CapacityError before anything is drawn.  A stream that yields
     _MAX_REJECTIONS rejected patterns in a row at the end of a round raises
     RuntimeError.
     """
     n = exact_index("n", n, 1, _MASK64)
-    count = exact_index("count", count)
+    count = _capped_count(count)
     out = np.empty(count, dtype=np.uint64)
     if n == 1:
         out.fill(1)

@@ -316,8 +316,8 @@ class TestSimulate:
         assert "duplicates=0" in out and "ties=0" in out
 
     def test_csv_deterministic(self, capsys):
-        args = ("simulate", "--n", "20000", "--bits", "16", "--seeds", "3",
-                "--seed-base", "7", "--format", "csv")
+        args = ("simulate", "--n", "20000", "--generator", "mt19937:7:16", "--seeds", "3",
+                "--format", "csv")
         code, out1, _ = run(capsys, *args)
         assert code == 0
         code, out2, _ = run(capsys, *args)
@@ -329,8 +329,8 @@ class TestSimulate:
     def test_top_seed_base_bytes(self, capsys):
         # recorded before seeds_from_base drew its seeds as splitcounter
         # words; the base 2^64 - 1 wraps the first seed's counter past 2^64
-        code, out, _ = run(capsys, "simulate", "--n", "1000", "--bits", "16", "--seeds", "5",
-                           "--seed-base", "18446744073709551615", "--format", "csv")
+        code, out, _ = run(capsys, "simulate", "--n", "1000", "--seeds", "5", "--generator",
+                           "mt19937:18446744073709551615:16", "--format", "csv")
         assert code == 0
         assert out == ("seed,duplicates,ties\n"
                        "16490336266968443936,6,12\n"
@@ -359,8 +359,8 @@ class TestSimulate:
 
     def test_trace_files(self, capsys, tmp_path):
         prefix = tmp_path / "run"
-        code, out, _ = run(capsys, "simulate", "--n", "5000", "--bits", "16",
-                           "--seed-base", "5", "--out", str(prefix))
+        code, out, _ = run(capsys, "simulate", "--n", "5000", "--generator", "mt19937:5:16",
+                           "--out", str(prefix))
         assert code == 0
         traj = (tmp_path / "run_trajectory.csv").read_text().splitlines()
         pos = (tmp_path / "run_positions.csv").read_text().splitlines()
@@ -374,8 +374,8 @@ class TestSimulate:
         # 20000 draws in 2^12 buckets: the cumulative column crosses 10, 100,
         # 1000 and 10000, so both files change digit widths in both columns
         n, seed = 20000, 11
-        code, _, _ = run(capsys, "simulate", "--n", str(n), "--bits", "12",
-                         "--seed-base", str(seed), "--out", str(tmp_path / "run"))
+        code, _, _ = run(capsys, "simulate", "--n", str(n), "--generator",
+                         f"mt19937:{seed}:12", "--out", str(tmp_path / "run"))
         assert code == 0
         keys = KBitStream(GeneratorSpec("mt19937", seed, 12)).take_kbits(n)
         _, first = np.unique(keys, return_index=True)
@@ -501,6 +501,21 @@ class TestSolve:
                            "--range", "1e6:1e7")
         assert code == 1 and err.startswith("error:")
 
+    # without --range the bracket [1, 1e12] widens to [1, 2(target + b)],
+    # which holds the root since E[C](n) >= n - b; near the largest double
+    # the bisection midpoint must not overflow
+    @pytest.mark.parametrize("space, target, root", [
+        (["--bits", "64"], "1e6", 6.074001334e12),
+        (["--buckets", "1000"], "1e12", 1.0000000005e12),
+        (["--buckets", "1000"], "1e308", 1e308),
+    ])
+    def test_root_past_default_bracket(self, capsys, space, target, root):
+        code, out, _ = run(capsys, "solve", *space, "--target", target, "--format", "csv")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert float(rows[0][2]) == pytest.approx(root, rel=1e-9)
+        assert abs(float(rows[0][3]) / float(target) - 1) <= 5e-10
+
 
 class TestInspect:
     def test_one(self, capsys):
@@ -569,8 +584,6 @@ class TestRefusedCallsWriteNothing:
         # flags that would otherwise be ignored
         "prob-range-without-errcmp": ["prob", "--n", "1000", "--range", "35:36"],
         "solve-range-with-n": ["solve", "--n", "1000", "--target", "1", "--range", "1:2"],
-        "simulate-seed-base-with-generator": ["simulate", "--n", "1000", "--generator",
-                                              "cmrg:1:16", "--seed-base", "99"],
         "simulate-generator-bits-disagree": ["simulate", "--bits", "16", "--generator",
                                              "cmrg:1:32"],
         # a range that is not lo:hi with lo <= hi
@@ -619,10 +632,10 @@ class TestIntegerFlags:
         "buckets": (["expect", "--n", "1000", "--buckets", "1e6"],
                     ["expect", "--n", "1000", "--buckets", "1000000"]),
         "bits": (["pmf", "--n", "70", "--bits", "1.6e1"], ["pmf", "--n", "70", "--bits", "16"]),
-        "seeds-and-base": (["simulate", "--n", "1000", "--bits", "16", "--seeds", "1e1",
-                            "--seed-base", "1e3", "--format", "csv"],
-                           ["simulate", "--n", "1000", "--bits", "16", "--seeds", "10",
-                            "--seed-base", "1000", "--format", "csv"]),
+        "seeds-and-base": (["simulate", "--n", "1000", "--seeds", "1e1",
+                            "--generator", "mt19937:1e3:16", "--format", "csv"],
+                           ["simulate", "--n", "1000", "--seeds", "10",
+                            "--generator", "mt19937:1000:16", "--format", "csv"]),
         "generator": (["simulate", "--n", "1000", "--generator", "cmrg:1e3:32"],
                       ["simulate", "--n", "1000", "--generator", "cmrg:1000:32"]),
     }
@@ -634,7 +647,7 @@ class TestIntegerFlags:
 
     @pytest.mark.parametrize("argv", [
         ["expect", "--bits", "32.5"], ["expect", "--buckets", "1e-3"],
-        ["simulate", "--seeds", "True"], ["simulate", "--seed-base", "0x10"],
+        ["simulate", "--seeds", "True"], ["simulate", "--seeds", "0x10"],
     ])
     def test_non_integer_flags_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -645,7 +658,9 @@ class TestIntegerFlags:
         ["simulate", "--n", "1000", "--generator", "cmrg:1.5:32"],
         ["simulate", "--n", "1000", "--generator", "cmrg:1:True"],
         ["simulate", "--n", "1000", "--seeds", "0"],
-        ["simulate", "--n", "1000", "--seed-base", "-1"],
+        ["simulate", "--n", "1000", "--generator", "mt19937:-1:32"],
+        # the seed is a field of family:seed:bits, which GeneratorSpec.parse reads
+        ["simulate", "--n", "1000", "--generator", "mt19937:0x10:32"],
     ])
     def test_refused_with_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -668,13 +683,15 @@ class TestRepeatedCalls:
     )
 
     @staticmethod
-    def alone(argv):
+    def alone(argv, module="collision_lab.cli"):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-m", "collision_lab.cli", *argv],
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
                               env=env, capture_output=True, text=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
     def test_each_call_prints_what_it_prints_alone(self, capsys):
         in_process = [run(capsys, *argv) for argv in self.ARGVS]
         assert in_process == [self.alone(argv) for argv in self.ARGVS]
+        # the package entry that README documents, python -m collision_lab
+        assert in_process[-2] == self.alone(self.ARGVS[-2], "collision_lab")

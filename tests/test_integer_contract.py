@@ -84,6 +84,10 @@ REFUSED = {
     "pmf-10^5000": (lambda: collision_pmf_exact(10 ** 5000, K32), CapacityError),
     "solve-hi-10^5000": (lambda: sample_size_for_expected(K32, 1, 1, 10 ** 5000), DomainError),
     "summary-10^5000": (lambda: collision_summary(stream(), 10 ** 5000), CapacityError),
+    # every call that holds `count` values at once is under the distinct-value cap
+    "take_kbits-10^5000": (lambda: stream().take_kbits(10 ** 5000), CapacityError),
+    "sample_ints-10^5000": (lambda: sample_ints(stream(), 5, 10 ** 5000), CapacityError),
+    "seeds-count-10^5000": (lambda: seeds_from_base(1, 10 ** 5000), CapacityError),
 }
 
 
@@ -99,7 +103,8 @@ def test_integer_types_accepted(cast):
     assert type(BucketSpace.exact(cast(365)).count) is int
     assert BucketSpace.power_of_two(cast(40)) == BucketSpace.power_of_two(40)
     spec = GeneratorSpec("cmrg", cast(271), cast(32))
-    assert spec == GeneratorSpec("cmrg", 271, 32) and spec.serialize() == "cmrg:271:32"
+    assert spec == GeneratorSpec("cmrg", 271, 32)
+    assert type(spec.seed) is type(spec.output_bits) is int
     assert np.array_equal(stream().take_kbits(cast(5)), stream().take_kbits(5))
     assert collision_probability(cast(10 ** 6), K32) == collision_probability(10 ** 6, K32)
     assert collision_pmf_exact(cast(30), K32) == collision_pmf_exact(30, K32)
@@ -140,8 +145,8 @@ def test_exact_index_bounds():
     GeneratorSpec("cmrg", 1, 1), GeneratorSpec("mt19937", 2 ** 64 - 1, 64),
     GeneratorSpec("splitcounter", np.uint64(7), np.int64(24)),
 ])
-def test_parse_inverts_serialize(spec):
-    assert GeneratorSpec.parse(spec.serialize()) == spec
+def test_parse_reads_family_seed_bits(spec):
+    assert GeneratorSpec.parse(f"{spec.family}:{spec.seed}:{spec.output_bits}") == spec
 
 
 def test_parse_takes_exact_integer_forms():

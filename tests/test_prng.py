@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collision_lab import prng
-from collision_lab.errors import DomainError
+from collision_lab.errors import CapacityError, DomainError
 from collision_lab.prng import (
     FAMILIES,
     GeneratorSpec,
@@ -17,8 +17,8 @@ from collision_lab.prng import (
     _make_core,
     _mat_pow,
     derive_seed,
-    rand_int_rejection,
     sample_ints,
+    seeds_from_base,
 )
 
 # chi-square 0.999 quantiles (scipy.stats.chi2.ppf(0.999, df)); tests pass
@@ -37,6 +37,11 @@ def stream(family="mt19937", seed=5489, bits=32):
 def draw(s):
     """The stream's next k-bit draw as an int: its one-value call."""
     return int(s.take_kbits(1)[0])
+
+
+def sample_one(s, n):
+    """One uniform integer in {1..n} as an int: the sampler's one-value call."""
+    return int(sample_ints(s, n, 1)[0])
 
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -312,6 +317,21 @@ class TestStreamContract:
         draws = stream(family, seed=11, bits=bits).take_kbits(10 ** 5)
         assert int(draws.max()) < 2 ** bits
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cap_refuses_before_drawing(self, family, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1000")
+        s = stream(family, bits=40)
+        with pytest.raises(CapacityError):
+            s.take_kbits(1001)
+        with pytest.raises(CapacityError):
+            sample_ints(s, 5, 1001)
+        # neither the position nor the core moved
+        assert s.position == 0
+        assert np.array_equal(s.take_kbits(1000), stream(family, bits=40).take_kbits(1000))
+        with pytest.raises(CapacityError):
+            seeds_from_base(1, 1001)
+        assert len(seeds_from_base(1, 1000)) == 1000
+
     def test_one_bit_stream(self):
         vals = set(stream(bits=1).take_kbits(10 ** 4).tolist())
         assert vals == {0, 1}
@@ -442,7 +462,7 @@ class TestUnitMapping:
 class TestRejectionSampler:
     def test_n_one_draws_nothing(self):
         s = stream(seed=2)
-        assert rand_int_rejection(s, 1) == 1
+        assert sample_one(s, 1) == 1
         assert s.position == 0
 
     def test_two_sided_frequencies(self):
@@ -456,7 +476,7 @@ class TestRejectionSampler:
         s = stream(seed=17, bits=32)
         draws = 10 ** 5
         for _ in range(draws):
-            v = rand_int_rejection(s, 3)
+            v = sample_one(s, 3)
             assert 1 <= v <= 3
         rate = draws / s.position
         assert abs(rate - 0.75) <= 0.01
@@ -473,13 +493,13 @@ class TestRejectionSampler:
     def test_scalar_and_vectorized_agree(self):
         a = stream(seed=31)
         b_ = stream(seed=31)
-        scalar = [rand_int_rejection(a, 5) for _ in range(1000)]
+        scalar = [sample_one(a, 5) for _ in range(1000)]
         vector = sample_ints(b_, 5, 1000).tolist()
         assert scalar == vector
 
     def test_power_of_two_n_never_rejects(self):
         s = stream(seed=41)
-        vals = [rand_int_rejection(s, 8) for _ in range(2000)]
+        vals = [sample_one(s, 8) for _ in range(2000)]
         assert s.position == 2000  # 3-bit patterns, every draw accepted
         assert set(vals) <= set(range(1, 9))
 
@@ -487,7 +507,7 @@ class TestRejectionSampler:
         # 100 needs 7-bit patterns from a 4-bit stream: two draws per attempt
         a = stream(seed=37, bits=4)
         b_ = stream(seed=37, bits=4)
-        scalar = [rand_int_rejection(a, 100) for _ in range(500)]
+        scalar = [sample_one(a, 100) for _ in range(500)]
         vector = sample_ints(b_, 100, 500).tolist()
         assert scalar == vector
         assert min(scalar) >= 1 and max(scalar) <= 100
@@ -497,27 +517,23 @@ class TestRejectionSampler:
                         (64, 2 ** 64 - 1)]:
             a = stream(seed=37, bits=bits)
             b_ = stream(seed=37, bits=bits)
-            scalar = [rand_int_rejection(a, n) for _ in range(200)]
+            scalar = [sample_one(a, n) for _ in range(200)]
             assert sample_ints(b_, n, 200).tolist() == scalar
             assert max(scalar) > n // 2
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            rand_int_rejection(stream(), 0)
-        with pytest.raises(DomainError):
             sample_ints(stream(), 0, 10)
         with pytest.raises(DomainError):
             # the uint64 output cannot hold n = 2^64
             sample_ints(stream(), 2 ** 64, 10)
-        with pytest.raises(DomainError):
-            rand_int_rejection(stream(), 2 ** 64)
 
     def test_rejection_cap_flags_broken_generator(self, monkeypatch):
         monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
         s = stream(bits=2)
         s._core = AllOnesCore()
         with pytest.raises(RuntimeError, match="rejection"):
-            rand_int_rejection(s, 3)
+            sample_one(s, 3)
 
     def test_rejection_cap_stops_batch_sampler(self, monkeypatch):
         monkeypatch.setattr(prng, "_MAX_REJECTIONS", 1000)
@@ -579,8 +595,8 @@ def split_draws(spec, n, splits):
 
 
 class TestFrozenSampler:
-    """``rand_int_rejection`` and ``sample_ints``, in calls of any size, draw
-    the values, end at the position and leave the next word of the frozen
+    """``sample_ints``, in one-value calls and in calls of any size, draws
+    the values, ends at the position and leaves the next word of the frozen
     scalar loop: a pattern is drawn only while a value is still wanted."""
 
     @pytest.mark.parametrize("seed", [1, 37])
@@ -592,7 +608,7 @@ class TestFrozenSampler:
         spec = GeneratorSpec(family, seed, bits)
         expected = frozen_draws(spec, n, 60)
         s = KBitStream(spec)
-        one_by_one = [rand_int_rejection(s, n) for _ in range(60)]
+        one_by_one = [sample_one(s, n) for _ in range(60)]
         assert (one_by_one, s.position, draw(s)) == expected
         assert split_draws(spec, n, [60]) == expected
         assert split_draws(spec, n, [1, 7, 1, 0, 51]) == expected
@@ -606,17 +622,11 @@ class TestFrozenSampler:
 
 
 class TestSpecAndSeeds:
-    def test_serialize_roundtrip(self):
-        spec = GeneratorSpec("cmrg", 271, 32)
-        assert spec.serialize() == "cmrg:271:32"
-        assert GeneratorSpec.parse("cmrg:271:32") == spec
-
     @given(st.sampled_from(FAMILIES), st.integers(0, 2 ** 64 - 1),
            st.integers(1, 64))
     @settings(max_examples=50)
     def test_parse_any_valid_triple(self, family, seed, bits):
-        spec = GeneratorSpec(family, seed, bits)
-        assert GeneratorSpec.parse(spec.serialize()) == spec
+        assert GeneratorSpec.parse(f"{family}:{seed}:{bits}") == GeneratorSpec(family, seed, bits)
 
     @pytest.mark.parametrize("bad", [
         "nosuch:1:32", "mt19937:1", "mt19937:x:32", "mt19937:1:0",
