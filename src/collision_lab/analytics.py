@@ -26,7 +26,7 @@ second-order Eulerian numbers over the few c that carry mass when b >> n
 (O(c_max^2) on one c x k grid of at most 0.53 MB), else from Knuth's
 occupancy recurrence over a window of occupancies, advanced 16 draws per
 numpy call by one band of the 16-draw transition (at most O(n^2) work,
-15-50 ms at n = 10^4); within 1e-12 relative, subnormal entries flushed
+8-30 ms at n = 10^4); within 1e-12 relative, subnormal entries flushed
 to 0.
 """
 
@@ -482,8 +482,8 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
       q_t(l) = q_{t-1}(l) l/b + q_{t-1}(l-1) (1 - (l-1)/b), q_1(1) = 1,
       in plain probabilities over the window of l that holds all but
       2^-1022 of the mass, 16 draws at a time through one band of T^16
-      (T the one-draw transition): O(n * window), at most O(n^2), 15-50 ms
-      at n = 10^4.
+      (T the one-draw transition), carried times 2^512 so that no operand
+      is subnormal: O(n * window), at most O(n^2), 8-30 ms at n = 10^4.
 
     n above LOG_PMF_CAP raises CapacityError.
     """
@@ -513,6 +513,8 @@ _LOG_FLUSH_TAIL = -1022 * math.log(2.0) - 40.0
 _EULERIAN_C_CAP = 256
 # draws the occupancy recurrence takes per step, as one band of T^_BLOCK
 _BLOCK = 16
+# power of two the occupancy recurrence carries q times (see _pmf_occupancy)
+_SCALE = 2.0 ** 512
 
 
 def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
@@ -610,12 +612,18 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
     diagonals over l = 0..min(n, b).  The band is built once, by _BLOCK
     in-place bidiagonal updates of its diagonals (O(_BLOCK^2 min(n, b))),
     and applied as one einsum per block over l in [lo, min(t, b)]: O(n
-    _BLOCK window) work in about n / _BLOCK numpy calls, 15-50 ms at
+    _BLOCK window) work in about n / _BLOCK numpy calls, 8-30 ms at
     n = 10^4.  q_1 is e_1, so the first (n - 1) mod _BLOCK draws are
     column 1 of the band while it is built.  The mass at or below a fixed
     l never grows, so dropping q[lo] (and moving lo up) while the total
     dropped stays below 2^-1022 moves no entry by more than that; a zero
     test would not do, as stuck subnormals never reach 0.
+
+    q is carried times _SCALE, a power of two, and unscaled once at the
+    end.  That is exact for every normal value, and it keeps the window's
+    low-occupancy head, which the drop budget cannot afford to drop, out
+    of the subnormal range, where each einsum would run about 4 times
+    slower.  q <= 1, so nothing scaled exceeds _SCALE.
     """
     b, bf = space.count, float(space.count)
     top_l = min(n, b)
@@ -632,7 +640,7 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
     for k in range(m):
         if k == rest:  # q_(1 + rest) = T^rest e_1: row i, diagonal i - 1
             i = np.arange(1, min(rest + 1, top_l) + 1)
-            q[i] = band[m + 1 - i, i]
+            q[i] = band[m + 1 - i, i] * _SCALE
         for d in range(k + 1, 0, -1):
             row = band[m - d, 1:]
             row *= hit[1:]
@@ -644,17 +652,17 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
     for t in range(1 + rest + m, n + 1, m):
         top = min(t, b)
         q[lo:top + 1] = np.einsum("ji,ij->i", band[:, lo:top + 1], win[lo:top + 1])
-        # drop from the head while the total dropped stays below 2^-1022;
-        # those partial sums are subnormal, so exact in any order
+        # drop from the head while the total dropped stays below 2^-1022
         while lo < top:
             cum = dropped + np.cumsum(q[lo:min(lo + m, top)])
-            drop = int(np.searchsorted(cum, _TINY))
+            drop = int(np.searchsorted(cum, _TINY * _SCALE))
             if drop:
                 dropped = cum[drop - 1]
                 q[lo:lo + drop] = 0.0
                 lo += drop
             if drop < cum.size:
                 break
+    q *= 1.0 / _SCALE
     q[q < _TINY] = 0.0  # subnormals stop decaying: flush them
     probs = np.zeros(n)
     probs[n - top_l:] = q[:0:-1]

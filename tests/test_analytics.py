@@ -669,6 +669,48 @@ def frozen_pmf_eulerian(n, space, c_max):
     return probs
 
 
+def frozen_pmf_occupancy(n, space):
+    """The blocked occupancy recurrence as it stood before q was carried
+    scaled: the window's low-occupancy head ran subnormal.  Frozen as the
+    reference of _pmf_occupancy; do not change it with the library."""
+    b, bf = space.count, float(space.count)
+    top_l = min(n, b)
+    l = np.arange(top_l + 1, dtype=np.float64)
+    hit, miss = l / bf, (bf - l) / bf
+    m, rest = 16, (n - 1) % 16
+    band = np.zeros((m + 1, top_l + 1))
+    band[m] = 1.0
+    qpad = np.zeros(m + top_l + 1)
+    q = qpad[m:]
+    for k in range(m):
+        if k == rest:
+            i = np.arange(1, min(rest + 1, top_l) + 1)
+            q[i] = band[m + 1 - i, i]
+        for d in range(k + 1, 0, -1):
+            row = band[m - d, 1:]
+            row *= hit[1:]
+            row += miss[:-1] * band[m - d + 1, :-1]
+        band[m] *= hit
+    win = np.lib.stride_tricks.sliding_window_view(qpad, m + 1)
+    lo, dropped = 1, 0.0
+    for t in range(1 + rest + m, n + 1, m):
+        top = min(t, b)
+        q[lo:top + 1] = np.einsum("ji,ij->i", band[:, lo:top + 1], win[lo:top + 1])
+        while lo < top:
+            cum = dropped + np.cumsum(q[lo:min(lo + m, top)])
+            drop = int(np.searchsorted(cum, 2.0 ** -1022))
+            if drop:
+                dropped = cum[drop - 1]
+                q[lo:lo + drop] = 0.0
+                lo += drop
+            if drop < cum.size:
+                break
+    q[q < 2.0 ** -1022] = 0.0
+    probs = np.zeros(n)
+    probs[n - top_l:] = q[:0:-1]
+    return probs
+
+
 class TestCollisionPmf:
     def test_two_draws_two_buckets(self):
         pmf = collision_pmf_exact(2, BucketSpace.exact(2))
@@ -905,6 +947,35 @@ class TestCollisionPmf:
         assert_float_pmf_matches(probs, [(counts[n - c], b ** n) for c in range(n)],
                                  rel=1e-13)
         assert_float_pmfs_agree(probs, unwindowed_occupancy_pmf(n, b))
+
+    # scaling by a power of two is exact for normal values, so only the
+    # subnormal head, which the frozen kernel rounded to multiples of
+    # 2^-1074, may move; every entry from 1e-290 up stays bit for bit
+    @pytest.mark.parametrize("n, b", [
+        *((n, b) for n in (65, 66, 80, 257, 272)
+          for b in (1, 2, 15, 16, n // 3, n - 1, n, 2 * n, 2 ** 16, 2 ** 32)),
+        (8997, 2 ** 16), (8767, 7714), (6963, 4951), (6952, 2 ** 19),
+        (10 ** 4, 9999), (10 ** 4, 1310),
+    ])
+    def test_scaled_recurrence_is_frozen_kernel(self, n, b):
+        space = space_of(b)
+        probs, ref = _pmf_occupancy(n, space), frozen_pmf_occupancy(n, space)
+        assert np.array_equal(probs == 0.0, ref == 0.0)
+        big = ref >= 1e-290
+        assert np.array_equal(probs[big], ref[big])
+        nonzero = ref > 0.0
+        assert np.all(np.abs(probs[nonzero] - ref[nonzero]) <= 1e-12 * ref[nonzero])
+
+    # one bucket to three below n: the whole mass sits at c = n - b, so the
+    # seed column and the final unscale carry all of it
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_scale_at_its_edges(self, b):
+        n = 10 ** 4
+        probs = np.asarray(collision_pmf_exact(n, space_of(b)).probs)
+        assert np.all(np.isfinite(probs))
+        assert not np.any((probs > 0.0) & (probs < 2.0 ** -1022))
+        assert np.flatnonzero(probs).tolist() == [n - b]
+        assert ulps_apart(probs[n - b], 1.0) <= 2
 
     def test_recurrence_peak_is_one_band(self):
         # the band of T^_BLOCK is (_BLOCK + 1)(min(n, b) + 1) doubles; the
