@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BracketingError, CapacityError, DomainError, exact_index, real_number, shown
+from .errors import BracketingError, CapacityError, exact_index, real_number, shown
 from .stable_math import StableEvalReport, sum_log1p
 
 __all__ = [
@@ -124,9 +124,7 @@ def expected_collisions_naive(n, space: BucketSpace) -> float:
     the inner 1 - 1/b rounds to 1 and the result collapses to n.  Kept as a
     cross-check for small k and to measure the failure itself.
     """
-    if not 0 <= real_number("n", n) <= sys.float_info.max:
-        raise DomainError(
-            f"n must be nonnegative and at most the largest double, got {shown(n)}")
+    n = real_number("n", n, 0, sys.float_info.max)
     bf = float(space.count)
     return n - bf * (1.0 - (1.0 - 1.0 / bf) ** n)
 
@@ -137,9 +135,7 @@ def expected_collisions(n, space: BucketSpace) -> float:
     Accepts real n (the root solver works on the continuous extension).
     Always finite and within [0, max(0, n-1)].
     """
-    if not 0 <= real_number("n", n) <= sys.float_info.max:
-        raise DomainError(
-            f"n must be nonnegative and at most the largest double, got {shown(n)}")
+    n = real_number("n", n, 0, sys.float_info.max)
     if n <= 1:
         return 0.0
     if space.count == 1:
@@ -683,8 +679,7 @@ def min_bits_for_expected(n: int, target: float) -> Optional[int]:
     not positive and finite raises DomainError.
     """
     n = exact_index("n", n, 1)
-    if not 0 < real_number("target", target) < math.inf:
-        raise DomainError(f"target must be positive and finite, got {target}")
+    target = real_number("target", target, math.ulp(0.0), sys.float_info.max)
     for k in range(1, MAX_BITS + 1):
         if expected_collisions(n, BucketSpace.power_of_two(k)) <= target:
             return k
@@ -699,16 +694,12 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     [lo, hi] is robust; it stops at _SOLVE_REL_TOL relative width, and the
     caller rounds the root to a count as needed.
     Raises DomainError for a target that is not positive and finite or a
-    bracket [lo, hi] without 0 <= lo < hi <= the largest double (int bounds
+    bracket [lo, hi] without 0 <= lo <= hi <= the largest double (int bounds
     included), and BracketingError when f(lo) and f(hi) share a sign.
     """
-    if not 0 < real_number("target", target) < math.inf:
-        raise DomainError(f"target must be positive and finite, got {target}")
-    # an int bound past the largest double would reach expected_collisions
-    if not 0 <= real_number("lo", lo) < real_number("hi", hi) <= sys.float_info.max:
-        raise DomainError(
-            f"need 0 <= lo < hi <= the largest double for the bracket, "
-            f"got [{shown(lo)}, {shown(hi)}]")
+    target = real_number("target", target, math.ulp(0.0), sys.float_info.max)
+    lo = real_number("bracket lo", lo, 0, sys.float_info.max)
+    hi = real_number("bracket hi", hi, lo, sys.float_info.max)
 
     def f(x):
         return expected_collisions(x, space) - target
@@ -721,7 +712,7 @@ def sample_size_for_expected(space: BucketSpace, target: float,
     if (flo < 0) == (fhi < 0):
         raise BracketingError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > _SOLVE_REL_TOL * max(abs(lo), abs(hi)):
+    while hi - lo > _SOLVE_REL_TOL * hi:
         mid = 0.5 * lo + 0.5 * hi  # halved first: lo + hi may overflow
         if mid in (lo, hi):
             break

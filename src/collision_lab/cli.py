@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import math
 import sys
 
 import numpy as np
@@ -58,16 +57,13 @@ def _exact_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_range(text: str, lo_default, hi_default, integer: bool):
+def _parse_range(text: str, lo_default, hi_default, conv):
     if text is None:
         return lo_default, hi_default
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"--range must be lo:hi, got {text!r}")
-    conv = exact_int if integer else float
     lo, hi = conv(parts[0]), conv(parts[1])
-    if not integer and not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"--range bounds must be finite, got {text!r}")
     if lo > hi:
         raise ValueError(f"--range must have lo <= hi, got {text!r}")
     return lo, hi
@@ -182,7 +178,7 @@ def cmd_expect(args, out) -> None:
 
 
 def cmd_scan(args, out) -> None:
-    k_lo, k_hi = _parse_range(args.range, 32, 64, integer=True)
+    k_lo, k_hi = _parse_range(args.range, 32, 64, exact_int)
     n = _n(args)
     out.write("k,naive,stable\n")
     for k in range(k_lo, k_hi + 1):
@@ -193,7 +189,7 @@ def cmd_scan(args, out) -> None:
 
 
 def cmd_prob(args, out) -> None:
-    k_lo, k_hi = _parse_range(args.range, 32, 64, integer=True)
+    k_lo, k_hi = _parse_range(args.range, 32, 64, exact_int)
     if args.range is not None and not args.errcmp:
         raise ValueError("--range applies only with --errcmp")
     n, space = _n(args), _space_from(args)
@@ -243,14 +239,15 @@ def _write_zero_rows(out, lo: int, hi: int) -> None:
 
 def cmd_simulate(args, out) -> None:
     n, space = _n(args), _space_from(args)
-    if space.bits is None:
-        raise ValueError("simulate needs a power-of-two space (--bits)")
+    bits = space.count.bit_length() - 1  # --buckets 2^k is --bits k
+    if space.count != 1 << bits or bits < 1:
+        raise ValueError("simulate needs a power-of-two space (--bits, or --buckets 2^k)")
     if args.generator is None:
-        spec = GeneratorSpec("mt19937", 1, space.bits)
+        spec = GeneratorSpec("mt19937", 1, bits)
     else:
         spec = GeneratorSpec.parse(args.generator)
-        if args.bits is not None and spec.output_bits != args.bits:
-            raise ValueError("--generator bits disagree with --bits")
+        if (args.bits is not None or args.buckets is not None) and spec.output_bits != bits:
+            raise ValueError("--generator bits disagree with --bits or --buckets")
         space = BucketSpace.power_of_two(spec.output_bits)
     exact_index("--seeds", args.seeds, 1)
     if args.seeds > MAX_SEEDS:
@@ -288,7 +285,7 @@ def cmd_simulate(args, out) -> None:
 
 
 def cmd_solve(args, out) -> None:
-    lo, hi = _parse_range(args.range, 1.0, 1e12, integer=False)
+    lo, hi = _parse_range(args.range, 1.0, 1e12, float)
     space = _space_from(args)
     space_given = args.bits is not None or args.buckets is not None
     target = args.target
@@ -310,7 +307,7 @@ def cmd_solve(args, out) -> None:
             out.write(f"smallest k with expected collisions <= "
                       f"{_fmt(target, 'human')} at n = {n}: k = {k}\n")
     elif space_given:
-        if args.range is None and analytics.expected_collisions(hi, space) < target < math.inf:
+        if args.range is None and analytics.expected_collisions(hi, space) < target:
             # E[C](n) >= n - b, so E[C] passes the target below n = 2(target + b);
             # at the largest double E[C] is that double, above every finite target
             hi = min(2 * (target + space.count), sys.float_info.max)

@@ -4,7 +4,7 @@ Duplicates follow the first-occurrence convention: a draw is a duplicate
 when it equals some earlier draw, so m equal values count m-1 duplicates.
 Ties follow the Kendall convention: every member of a group of equal
 values is a tie, so the same group counts m ties.  Equality is always on
-the exact 64-bit representation (bit patterns), never on a tolerance.
+the exact 64-bit representation (bit patterns and a datetime's unit), never on a tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import real_number, require_binary64
 from .prng import GeneratorSpec, KBitStream
 
 __all__ = [
@@ -31,25 +32,17 @@ __all__ = [
 ]
 
 
-def _require_binary64(dtype: np.dtype) -> None:
-    """Refuse complex values and floats wider than binary64: they have no
-    binary64 bit pattern, and rounding them onto one would merge values."""
-    if dtype.kind == "c" or np.finfo(dtype).nmant > 52:
-        raise TypeError(f"cannot count {dtype} values: counting compares "
-                        f"binary64 bit patterns")
-
-
 def _key(value):
     # floats compare by bit payload: -0.0 != 0.0, NaNs equal per payload
     if isinstance(value, (float, np.floating)):
-        if not isinstance(value, float):
-            # a numpy float other than float64, which subclasses float
-            _require_binary64(value.dtype)
-        return struct.unpack("<Q", struct.pack("<d", float(value)))[0], "f"
+        value = real_number("counted values", value)  # a Python float, or refused
+        return struct.unpack("<Q", struct.pack("<d", value))[0], "f"
+    if isinstance(value, (np.datetime64, np.timedelta64)):  # before np.integer's int()
+        return int(value.view(np.int64)), value.dtype.str
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (complex, np.complexfloating)):
-        _require_binary64(np.result_type(value))
+        require_binary64("counted values", np.result_type(value))
     return value
 
 
@@ -59,12 +52,14 @@ def _keys(values) -> np.ndarray:
         if values.ndim != 1:
             raise TypeError(f"can only count a 1-D array, got shape {values.shape}")
         if values.dtype.kind in "fc":
-            _require_binary64(values.dtype)
+            require_binary64("counted values", values.dtype)
             # widening a signalling NaN sets the invalid flag; it is a key here
             with np.errstate(invalid="ignore"):
                 return values.astype(np.float64, copy=False).view(np.uint64)
         if values.dtype.kind in "iu":
             return values
+        if values.dtype.kind in "mM":  # one unit per array; NaT is one payload
+            return values.view(np.int64)
     if not isinstance(values, list):
         values = list(values)
     types = set(map(type, values))

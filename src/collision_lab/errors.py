@@ -1,11 +1,14 @@
-"""Exception types, and the argument checks and parser every entry point shares."""
+"""Exception types, and the argument rules and parser every entry point shares:
+one rule each for integer arguments, real arguments and binary64 values."""
 
 import numbers
 import operator
 from decimal import Decimal, InvalidOperation
 
+import numpy as np
+
 __all__ = ["BracketingError", "CapacityError", "DomainError", "exact_index", "exact_int",
-           "real_number", "shown"]
+           "real_number", "require_binary64", "shown"]
 
 
 class DomainError(ValueError):
@@ -44,12 +47,28 @@ def shown(value) -> str:
         return f"{Decimal(value):.6e}"
 
 
-def real_number(name: str, value):
-    """``value`` unchanged when it is a real number (a Python or numpy int
-    or float, a Fraction); a bool, numpy's included, or a non-real raises
-    TypeError.  Range checks are the caller's."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def require_binary64(name: str, dtype: np.dtype) -> None:
+    """Refuse complex values and floats wider than binary64, which no double holds."""
+    if dtype.kind == "c" or np.finfo(dtype).nmant > 52:
+        raise TypeError(f"{name} must fit binary64, got {dtype}")
+
+
+def real_number(name: str, value, lo=None, hi=None):
+    """``value`` as a real number in [lo, hi]; None is no bound, and an open
+    bound is given as the adjacent double (math.ulp(0.0) for > 0).  A numpy
+    float becomes the equal Python float, so no argument's type picks the
+    precision a formula runs in; ints, floats, Fractions and numpy ints pass
+    unchanged.  A bool, a timedelta64, a non-real or a float wider than
+    binary64 raises TypeError; a value outside [lo, hi] raises DomainError,
+    and so does NaN against any bound."""
+    if isinstance(value, np.floating):
+        require_binary64(name, value.dtype)
+        value = float(value)
+    elif isinstance(value, (bool, np.timedelta64)) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
+    if (lo is not None and not value >= lo) or (hi is not None and not value <= hi):
+        raise DomainError(f"{name} must be in [{'-inf' if lo is None else shown(lo)}, "
+                          f"{'inf' if hi is None else shown(hi)}], got {shown(value)}")
     return value
 
 

@@ -14,7 +14,7 @@ import struct
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, exact_index
+from .errors import exact_index, real_number
 
 __all__ = [
     "FloatAnatomy",
@@ -63,8 +63,8 @@ def _from_bits(bits: int) -> float:
 
 
 def decompose(x: float) -> FloatAnatomy:
-    """Split ``x`` into its literal bit groups (1 + 11 + 52 bits)."""
-    bits = _to_bits(x)
+    """Split ``x``, NaN and infinities too, into its bit groups (1 + 11 + 52 bits)."""
+    bits = _to_bits(real_number("x", x))
     return FloatAnatomy(
         sign=bits >> 63,
         exponent_field=(bits >> SIGNIFICAND_BITS) & _EXP_MAX_FIELD,
@@ -112,6 +112,5 @@ def spacing(x: float) -> float:
     smallest subnormal 2^-1074, spacing(1.0) is 2^-52.  At the top of a
     binade the gap of that binade is reported (spacing(xmax) = 2^971).
     """
-    if math.isinf(x) or math.isnan(x):
-        raise DomainError(f"spacing requires a finite argument, got {x!r}")
+    x = real_number("x", x, -sys.float_info.max, sys.float_info.max)
     return math.ulp(abs(x))

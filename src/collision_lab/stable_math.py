@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .errors import real_number
 
 __all__ = [
     "DOUBLE_EPS",
@@ -45,16 +45,17 @@ def expm1_ref(x: float) -> float:
       a in [2^-52, 1e-8]  -> y = (x/2 + 1)*x, then one Newton step
 
     The Newton step improves the root of f(y) = log(1+y) - x via
-    y <- y - (1+y)*(log1p(y) - x).  Exactly one step is applied.
+    y <- y - (1+y)*(log1p(y) - x).  Exactly one step is applied; NaN raises DomainError.
     """
+    x = real_number("x", x, -math.inf, math.inf)
     a = abs(x)
     if a < DOUBLE_EPS:
         return x
     if a > _DIRECT_THRESHOLD:
         try:
             return math.exp(x) - 1.0
-        except OverflowError:
-            return math.inf
+        except OverflowError:  # also an int or Fraction beyond the doubles
+            return math.inf if x > 0 else -1.0
     if a > _TAYLOR_THRESHOLD:
         y = math.exp(x) - 1.0
     else:
@@ -66,12 +67,10 @@ def expm1_ref(x: float) -> float:
 def log1p_stable(x: float) -> float:
     """log(1 + x) with full relative accuracy near x = 0.
 
-    Raises DomainError for x <= -1 rather than returning -inf/NaN, so that
-    probability code downstream can distinguish misuse from underflow.
+    Raises DomainError for x <= -1 or NaN rather than returning -inf/NaN, so
+    that probability code downstream can distinguish misuse from underflow.
     """
-    if math.isnan(x) or x <= -1.0:
-        raise DomainError(f"log1p_stable requires x > -1, got {x!r}")
-    return math.log1p(x)
+    return math.log1p(real_number("x", x, math.nextafter(-1.0, 0.0)))
 
 
 def sum_log1p(terms) -> float:
@@ -82,7 +81,7 @@ def sum_log1p(terms) -> float:
     accumulation, strictly stronger than Kahan compensation.  The empty sum
     is 0.
     """
-    return math.fsum(map(log1p_stable, map(float, terms)))
+    return math.fsum(map(log1p_stable, terms))
 
 
 @dataclass(frozen=True)

@@ -455,6 +455,15 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(MAX_SEEDS) in err
 
+    def test_power_of_two_buckets_is_bits(self, capsys):
+        # --buckets 1024 is the 10-bit space, as analytics treats it
+        args = ("simulate", "--n", "3000", "--seeds", "3", "--format", "csv")
+        code, by_count, _ = run(capsys, *args, "--buckets", "1024")
+        assert code == 0
+        assert (code, by_count) == run(capsys, *args, "--bits", "10")[:2]
+        code, _, err = run(capsys, *args, "--buckets", "1024", "--generator", "cmrg:1:12")
+        assert code == 1 and "disagree" in err
+
     def test_buckets_rejected(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "100", "--buckets", "100")
         assert code == 1

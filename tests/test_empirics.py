@@ -150,6 +150,25 @@ class TestTieConventions:
         assert count_duplicates([1.0, np.float64(1.0)]) == 1
         assert count_duplicates([2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 2]) == 1
 
+    @pytest.mark.parametrize("dtype", ["m8[s]", "m8[ns]", ">m8[ms]", "M8[D]", "M8[ns]"])
+    @pytest.mark.parametrize("form", [lambda a: a, list], ids=["array", "list"])
+    def test_datetimes_count_by_payload(self, dtype, form):
+        # the int64 payload is the value: NaT equals NaT, as equal NaN
+        # payloads do, whatever the unit
+        nat = np.iinfo(np.int64).min
+        values = form(np.array([1, 1, nat, 2, nat, nat], dtype=np.int64).astype(dtype))
+        assert count_duplicates(values) == 3
+        assert count_ties(values) == 5
+        assert collision_positions(values) == [2, 5, 6]
+
+    def test_datetime_scalars_keep_their_unit(self):
+        # 1 s and 1000 ms are one duration in two units, as 1 and 1.0 are
+        # one number in two types: they differ
+        assert count_duplicates([np.timedelta64(1, "s"), np.timedelta64(1000, "ms")]) == 0
+        assert count_duplicates([np.timedelta64(1, "s"), np.datetime64(1, "s"), 1]) == 0
+        assert count_duplicates([np.timedelta64("NaT", "s"), np.timedelta64("NaT", "s"),
+                                 np.datetime64("NaT", "s")]) == 1
+
     @given(st.lists(st.integers(min_value=0, max_value=8), max_size=60),
            st.randoms(use_true_random=False))
     @settings(max_examples=100)
