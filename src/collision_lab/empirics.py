@@ -5,6 +5,10 @@ when it equals some earlier draw, so m equal values count m-1 duplicates.
 Ties follow the Kendall convention: every member of a group of equal
 values is a tie, so the same group counts m ties.  Equality is always on
 the exact 64-bit representation (bit patterns and a datetime's unit), never on a tolerance.
+
+A stream's draws are counted as the keys ``KBitStream.take_keys`` fills
+in blocks, which are sorted in place; values a caller passes in are
+never changed.
 """
 
 from __future__ import annotations
@@ -88,13 +92,13 @@ def _tied_runs(equal: np.ndarray) -> np.ndarray:
     return np.diff(run_starts, append=tied.size) + 1
 
 
-def _summary(keys: np.ndarray) -> TieSummary:
-    """TieSummary of the keys from one unstable sort."""
-    s = np.sort(keys)
-    return TieSummary.from_multiplicities(keys.size, _tied_runs(s[1:] == s[:-1]))
+def _summary(s: np.ndarray) -> TieSummary:
+    """TieSummary of sorted keys ``s``."""
+    return TieSummary.from_multiplicities(s.size, _tied_runs(s[1:] == s[:-1]))
 
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)  # odd, so x -> x*_PHI mod 2^64 is a bijection
+_TALLY_BLOCK = 1 << 15  # entries per pass of _tally's whole-array work
 
 
 def _tally(keys: np.ndarray):
@@ -107,20 +111,32 @@ def _tally(keys: np.ndarray):
     member a duplicate.  A run whose adjacent entries differ in their full
     keys mixes values that share a hash; its draws alone, in index order, go
     through ``np.unique``, whose first index per value is its first occurrence.
+    The words, and the mask of adjacent entries with equal hashes, are built
+    _TALLY_BLOCK entries at a time, through one block-sized scratch array.
     """
     n = keys.size
     b = max(1, (n - 1).bit_length())
     low = np.uint64((1 << b) - 1)  # the index field
-    h = keys.astype(np.uint64)
-    h *= _PHI
-    h &= ~low
-    h |= np.arange(n, dtype=np.uint64)
+    h = np.empty(n, dtype=np.uint64)
+    t = np.arange(min(n, _TALLY_BLOCK), dtype=np.uint64)  # the first block's indices
+    for a in range(0, n, _TALLY_BLOCK):
+        w = h[a:a + _TALLY_BLOCK]
+        w[:] = keys[a:a + _TALLY_BLOCK]  # int64 keys wrap, as under astype
+        w *= _PHI
+        w &= ~low
+        w |= t[:w.size]
+        t += np.uint64(_TALLY_BLOCK)
     h.sort()
-    same = (h[1:] ^ h[:-1]) <= low  # adjacent entries with equal hashes
+    same = np.empty(max(n - 1, 0), dtype=bool)  # adjacent entries with equal hashes
+    for a in range(0, n - 1, _TALLY_BLOCK):
+        e = min(a + _TALLY_BLOCK, n - 1)
+        np.less_equal(np.bitwise_xor(h[a + 1:e + 1], h[a:e], out=t[:e - a]), low,
+                      out=same[a:e])
     counts = _tied_runs(same)
     tied = np.flatnonzero(same)
     earlier = (h[tied] & low).astype(np.intp)
     later = (h[tied + 1] & low).astype(np.intp)
+    del h, same  # the tied entries hold all that is left to read
     is_dup = np.zeros(n, dtype=bool)
     clash = keys[later] != keys[earlier]
     if clash.any():
@@ -140,12 +156,12 @@ def _tally(keys: np.ndarray):
 
 def count_duplicates(values: Sequence) -> int:
     """Number of elements equal to at least one earlier element."""
-    return _summary(_keys(values)).duplicates
+    return _summary(np.sort(_keys(values))).duplicates
 
 
 def count_ties(values: Sequence) -> int:
     """Total multiplicity of all values appearing more than once."""
-    return _summary(_keys(values)).ties
+    return _summary(np.sort(_keys(values))).ties
 
 
 def collision_positions(values: Sequence) -> list:
@@ -190,15 +206,15 @@ class CollisionTrace:
     cumulative: np.ndarray
 
 
-def _stream_keys(stream: KBitStream, n: int) -> np.ndarray:
-    """The next ``n`` draws as sort keys, uint32 when they fit in 32 bits."""
-    keys = stream.take_kbits(n)
-    return keys.astype(np.uint32) if stream.spec.output_bits <= 32 else keys
-
-
 def collision_summary(stream: KBitStream, n: int) -> TieSummary:
-    """TieSummary of the next ``n`` draws (no positional trace)."""
-    return _summary(_stream_keys(stream, n))
+    """TieSummary of the next ``n`` draws (no positional trace).
+
+    The draws arrive in blocks as the stream's keys (``take_keys``), which
+    are ours, so they are sorted in place.
+    """
+    keys = stream.take_keys(n)
+    keys.sort()
+    return _summary(keys)
 
 
 def trace_collisions(stream: KBitStream, n: int):
@@ -208,14 +224,14 @@ def trace_collisions(stream: KBitStream, n: int):
     the runs, and the full k-bit keys decide wherever hashes tie, so it
     agrees with count_duplicates/count_ties on the materialized sequence.
     Draw counts above the distinct-value cap raise CapacityError from
-    ``take_kbits`` instead of degrading to approximate counting.
+    ``take_keys``, before anything is allocated, instead of degrading to
+    approximate counting.
     """
-    summary, is_dup = _tally(_stream_keys(stream, n))
-    trace = CollisionTrace(
-        positions=np.flatnonzero(is_dup) + 1,
-        cumulative=np.cumsum(is_dup),
-    )
-    return summary, trace
+    summary, is_dup = _tally(stream.take_keys(n))
+    # summed in place: np.cumsum of the mask would widen it in a second copy
+    cumulative = is_dup.astype(np.int64)
+    np.cumsum(cumulative, out=cumulative)
+    return summary, CollisionTrace(positions=np.flatnonzero(is_dup) + 1, cumulative=cumulative)
 
 
 def run_seeds(family: str, output_bits: int, n: int, seeds: Sequence[int]) -> list:

@@ -56,14 +56,17 @@ def require_binary64(name: str, dtype: np.dtype) -> None:
 def real_number(name: str, value, lo=None, hi=None):
     """``value`` as a real number in [lo, hi]; None is no bound, and an open
     bound is given as the adjacent double (math.ulp(0.0) for > 0).  A numpy
-    float becomes the equal Python float, so no argument's type picks the
-    precision a formula runs in; ints, floats, Fractions and numpy ints pass
-    unchanged.  A bool, a timedelta64, a non-real or a float wider than
-    binary64 raises TypeError; a value outside [lo, hi] raises DomainError,
-    and so does NaN against any bound."""
+    float becomes the equal Python float and a numpy int the equal Python
+    int, so no argument's type picks the precision a formula runs in or
+    wraps a comparison in fixed width; Python ints and floats and Fractions
+    pass unchanged.  A bool, a timedelta64, a non-real or a float wider
+    than binary64 raises TypeError; a value outside [lo, hi] raises
+    DomainError, and so does NaN against any bound."""
     if isinstance(value, np.floating):
         require_binary64(name, value.dtype)
         value = float(value)
+    elif isinstance(value, np.integer):
+        value = int(value)
     elif isinstance(value, (bool, np.timedelta64)) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     if (lo is not None and not value >= lo) or (hi is not None and not value <= hi):

@@ -14,7 +14,7 @@ import struct
 import sys
 from dataclasses import dataclass
 
-from .errors import exact_index, real_number
+from .errors import DomainError, exact_index, real_number, shown
 
 __all__ = [
     "FloatAnatomy",
@@ -63,8 +63,16 @@ def _from_bits(bits: int) -> float:
 
 
 def decompose(x: float) -> FloatAnatomy:
-    """Split ``x``, NaN and infinities too, into its bit groups (1 + 11 + 52 bits)."""
-    bits = _to_bits(real_number("x", x))
+    """Split ``x``, NaN and infinities too, into its bit groups (1 + 11 + 52 bits).
+    A finite value that rounds past the largest double, which has no bit
+    fields, raises DomainError."""
+    x = real_number("x", x)
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(f"x must be in the double range [-{sys.float_info.max}, "
+                          f"{sys.float_info.max}], or be inf or nan, got {shown(x)}") from None
+    bits = _to_bits(x)
     return FloatAnatomy(
         sign=bits >> 63,
         exponent_field=(bits >> SIGNIFICAND_BITS) & _EXP_MAX_FIELD,

@@ -19,7 +19,15 @@ it keeps no reference to, and keeps its own position, so ``KBitStream``
 holds no words between calls and may shift them in place.  One SplitMix64
 routine makes the splitcounter words, ``derive_seed`` (word ``index`` of
 the base seed's splitcounter stream) and ``seeds_from_base`` (that
-stream's first words), which gives the six MRG32k3a component seeds.
+stream's first words), which gives the six MRG32k3a component seeds; it
+mixes its output 2^15 words at a time, so each pass stays in cache.
+
+``KBitStream.take_keys`` is the one path from a core to sort keys: it
+fills a preallocated key array (uint32 for k <= 32) with one
+``take_kbits`` call per block of 2^16 draws.  cmrg, which pays its lane
+setup per request, takes one request, and its keys are made over that
+request's own buffer.  Since every stream is call-size-invariant, the
+blocks change no draw.
 
 Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 9 us from
@@ -34,8 +42,9 @@ ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
 most one pattern per value still wanted, so it takes exactly the draws its
 accepted values need and calls of any size interleave.
 
-``take_kbits``, ``sample_ints`` and ``seeds_from_base`` refuse a count past
-the distinct-value cap with CapacityError before they draw or allocate.
+``take_kbits``, ``take_keys``, ``sample_ints`` and ``seeds_from_base`` refuse
+a count past the distinct-value cap with CapacityError before they draw or
+allocate.
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Multi-seed runs take one seed per stream from
@@ -70,6 +79,9 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# uint64 words per pass of whole-array work: 256 KB, which stays in cache
+_CACHE_WORDS = 1 << 15
+
 
 def _capped_count(count) -> int:
     """``count`` as an int >= 0 (``exact_index``), refusing to hold more
@@ -89,20 +101,31 @@ def _capped_count(count) -> int:
     return count
 
 
+# j * golden-ratio increment mod 2^64 for j in 0 .. _CACHE_WORDS - 1
+_RAMP = np.arange(_CACHE_WORDS, dtype=np.uint64)
+_RAMP *= np.uint64(_GOLDEN)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
+
 def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
     """SplitMix64 words ``first`` .. ``first + count - 1`` of ``seed``: word j
     is seed + j * golden-ratio increment mod 2^64 through the bijective mixer
-    of Steele, Lea & Flood (OOPSLA 2014)."""
-    z = np.arange(count, dtype=np.uint64)
-    # the mixer in place, wrapping mod 2^64: one temporary at a time
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64((seed + first * _GOLDEN) & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
+    of Steele, Lea & Flood (OOPSLA 2014).  Each block of _CACHE_WORDS words
+    goes through the whole mixer before the next is started."""
+    out = np.empty(count, dtype=np.uint64)
+    t = np.empty(min(count, _CACHE_WORDS), dtype=np.uint64)
+    for a in range(0, count, _CACHE_WORDS):
+        z = out[a:a + _CACHE_WORDS]
+        s = t[:z.size]
+        # the mixer in place, wrapping mod 2^64
+        np.add(_RAMP[:z.size], np.uint64((seed + (first + a) * _GOLDEN) & _MASK64), out=z)
+        z ^= np.right_shift(z, _U30, out=s)
+        z *= _MIX1
+        z ^= np.right_shift(z, _U27, out=s)
+        z *= _MIX2
+        z ^= np.right_shift(z, _U31, out=s)
+    return out
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -356,6 +379,34 @@ def _make_core(spec: GeneratorSpec):
     return _CORES[spec.family](spec.seed)
 
 
+# draws per take_kbits call in take_keys: 2^16 keeps a call's words in
+# cache; None is one call for all, for cmrg, which pays its lane setup
+# per request
+_KEY_BLOCK = {"mt19937": 1 << 16, "cmrg": None, "splitcounter": 1 << 16}
+
+
+def _pairs(words: np.ndarray, nb: int) -> np.ndarray:
+    """``words`` paired into draws ``words[2i] << nb | words[2i+1]``, written
+    over the front half of ``words`` and returned as a view of it, which
+    keeps the whole buffer.  A block's pairs are made before they are
+    stored, and they land where the words of earlier blocks were."""
+    count = words.size // 2
+    for a in range(0, count, _CACHE_WORDS):
+        b = min(a + _CACHE_WORDS, count)
+        words[a:b] = (words[2 * a:2 * b:2] << np.uint64(nb)) | words[2 * a + 1:2 * b:2]
+    return words[:count]
+
+
+def _narrowed(vals: np.ndarray) -> np.ndarray:
+    """uint64 values below 2^32 as uint32, written over the front of their
+    own buffer: a block is narrowed before it is stored, and it lands where
+    earlier blocks were read."""
+    keys = vals.view(np.uint32)[:vals.size]
+    for a in range(0, vals.size, _CACHE_WORDS):
+        keys[a:a + _CACHE_WORDS] = vals[a:a + _CACHE_WORDS].astype(np.uint32)
+    return keys
+
+
 class KBitStream:
     """Stream of k-bit unsigned integers from one generator core.
 
@@ -391,15 +442,36 @@ class KBitStream:
             vals = self._core.words(count)
             shift = nb - k
         else:
-            # two native words per draw, first word supplies the high bits;
-            # numpy elides the shift's temporary, so the or reuses its buffer
-            words = self._core.words(2 * count)
-            vals = (words[0::2] << np.uint64(nb)) | words[1::2]
+            # two native words per draw, the first supplying the high bits,
+            # paired over the front of their own buffer
+            vals = _pairs(self._core.words(2 * count), nb)
             shift = 2 * nb - k
         if shift:
             vals >>= np.uint64(shift)
         self.position += count
         return vals
+
+    def take_keys(self, count: int) -> np.ndarray:
+        """Next ``count`` k-bit integers as sort keys that the caller owns and
+        may sort in place: uint32 for k <= 32, otherwise uint64.
+
+        A count past the distinct-value cap raises CapacityError before
+        anything is allocated or drawn.  The keys are filled by one
+        ``take_kbits`` call per block of draws, the block size set per
+        family in _KEY_BLOCK; a single call's own array becomes the keys,
+        narrowed in its own buffer for k <= 32, so no second full-size
+        array is made beside it.
+        """
+        count = _capped_count(count)
+        narrow = self.spec.output_bits <= 32
+        block = _KEY_BLOCK[self.spec.family] or count
+        if count <= block:
+            vals = self.take_kbits(count)
+            return _narrowed(vals) if narrow else vals
+        keys = np.empty(count, dtype=np.uint32 if narrow else np.uint64)
+        for a in range(0, count, block):
+            keys[a:a + block] = self.take_kbits(min(block, count - a))
+        return keys
 
     def take_units(self, count: int) -> np.ndarray:
         """Next ``count`` doubles in [0, 1], each k-bit draw / 2^k.

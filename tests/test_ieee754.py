@@ -44,6 +44,18 @@ class TestDecompose:
         assert decompose(math.nan).float_class == "nan"
         assert decompose(-1.5).float_class == "normal"
 
+    @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3),
+                                   2 ** 1024 - 2 ** 970])
+    def test_past_the_doubles_refused(self, x):
+        # an exact value beyond the largest double has no bit fields
+        with pytest.raises(DomainError, match=r"^x must be in the double range \["):
+            decompose(x)
+
+    def test_largest_exact_int_that_rounds_to_a_double(self):
+        # 2^1024 - 2^970, halfway from xmax to 2^1024, rounds up past the
+        # doubles; every int below it rounds to xmax
+        assert decompose(2 ** 1024 - 2 ** 970 - 1) == decompose(sys.float_info.max)
+
 
 class TestCompose:
     def test_largest_normal(self):

@@ -21,7 +21,7 @@ from collision_lab.analytics import (
     sample_size_for_expected,
     stirling2,
 )
-from collision_lab.empirics import collision_summary
+from collision_lab.empirics import collision_summary, trace_collisions
 from collision_lab.errors import CapacityError, DomainError, exact_index
 from collision_lab.ieee754 import FloatAnatomy, compose
 from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed,
@@ -51,6 +51,7 @@ REFUSED = {
     "pmf-True": (lambda: collision_pmf_exact(True, K32), TypeError),
     "prob-True": (lambda: collision_probability(True, K32), TypeError),
     "take_kbits-True": (lambda: stream().take_kbits(True), TypeError),
+    "take_keys-True": (lambda: stream().take_keys(True), TypeError),
     "stirling2-l-True": (lambda: stirling2(5, True), TypeError),
     "stirling2-n-True": (lambda: stirling2(True, 0), TypeError),
     "compose-sign-True": (lambda: compose(FloatAnatomy(True, 1023, 0)), TypeError),
@@ -84,8 +85,10 @@ REFUSED = {
     "pmf-10^5000": (lambda: collision_pmf_exact(10 ** 5000, K32), CapacityError),
     "solve-hi-10^5000": (lambda: sample_size_for_expected(K32, 1, 1, 10 ** 5000), DomainError),
     "summary-10^5000": (lambda: collision_summary(stream(), 10 ** 5000), CapacityError),
+    "trace-10^5000": (lambda: trace_collisions(stream(), 10 ** 5000), CapacityError),
     # every call that holds `count` values at once is under the distinct-value cap
     "take_kbits-10^5000": (lambda: stream().take_kbits(10 ** 5000), CapacityError),
+    "take_keys-10^5000": (lambda: stream().take_keys(10 ** 5000), CapacityError),
     "sample_ints-10^5000": (lambda: sample_ints(stream(), 5, 10 ** 5000), CapacityError),
     "seeds-count-10^5000": (lambda: seeds_from_base(1, 10 ** 5000), CapacityError),
 }

@@ -9,14 +9,17 @@ its assumption, and checks that assumption alone on crafted inputs.
 """
 
 import functools
+import itertools
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 
 from collision_lab.analytics import _SCALE
 from collision_lab.empirics import _PHI
-from collision_lab.prng import _M1, _U16, _U32, _UA12, _UC1, _UM1, _LOW16
+from collision_lab.prng import (_GOLDEN, _M1, _MIX1, _RAMP, _U16, _U30, _U32, _UA12, _UC1,
+                                _UM1, _LOW16, _narrowed, _pairs)
 
 MASK64 = (1 << 64) - 1
 WIDE = [0, 1, 2 ** 32 - 1, 2 ** 63 + 12345, MASK64]
@@ -152,3 +155,97 @@ def test_pmf_occupancy_scaling_by_2_to_512_is_exact():
     assert np.array_equal(scaled / _SCALE, q)
     scaled *= 1.0 / _SCALE
     assert np.array_equal(scaled, q)
+
+
+def test_take_keys_uint64_below_2_to_32_assigned_into_uint32_slice_arrive_unchanged():
+    # KBitStream.take_keys stores each block's uint64 draws into a slice of
+    # uint32 keys; the assignment casts unsafely, with no same-kind refusal
+    keys = np.zeros(8, dtype=np.uint32)
+    draws = np.array([0, 1, 2 ** 31, 2 ** 32 - 1], dtype=np.uint64)
+    keys[2:6] = draws
+    assert keys.tolist() == [0, 0, 0, 1, 2 ** 31, 2 ** 32 - 1, 0, 0]
+
+
+def test_narrowed_uint32_view_of_a_uint64_buffer_holds_the_values():
+    # prng._narrowed writes uint32 keys over the front of their own uint64
+    # buffer through a uint32 view, block by block
+    rnd = random.Random(8)
+    values = [rnd.randrange(2 ** 32) for _ in range(3 * 2 ** 15 + 7)]
+    vals = np.array(values, dtype=np.uint64)
+    keys = _narrowed(vals)
+    assert keys.dtype == np.uint32 and keys.size == len(values)
+    assert keys.tolist() == values
+
+
+def test_pairs_shift_and_or_of_strided_uint64_words_over_their_own_buffer():
+    # prng._pairs makes two-word draws from strided uint64 slices shifted
+    # by a np.uint64 scalar, and stores them over the front of the words
+    rnd = random.Random(9)
+    words = [rnd.randrange(2 ** 32) for _ in range(2 * (2 ** 15 + 3))]
+    got = _pairs(np.array(words, dtype=np.uint64), 32)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [
+        (words[2 * i] << 32) | words[2 * i + 1] for i in range(len(words) // 2)]
+
+
+def test_splitmix64_block_add_and_shift_with_out_stay_uint64():
+    # prng._splitmix64 starts each block as _RAMP plus a np.uint64 scalar
+    # into an out= slice, and xors it with its shift into a scratch array
+    assert _RAMP.dtype == np.uint64
+    assert _RAMP[:4].tolist() == [j * _GOLDEN & MASK64 for j in range(4)]
+    z = np.empty(4, dtype=np.uint64)
+    start = np.uint64(MASK64 - 1)
+    np.add(_RAMP[:4], start, out=z)
+    assert z.tolist() == [(int(start) + j * _GOLDEN) & MASK64 for j in range(4)]
+    want = [v ^ (v >> 30) for v in z.tolist()]
+    s = np.empty(4, dtype=np.uint64)
+    z ^= np.right_shift(z, _U30, out=s)
+    assert z.dtype == np.uint64 and z.tolist() == want
+    z *= _MIX1
+    assert z.tolist() == [v * int(_MIX1) & MASK64 for v in want]
+
+
+def test_tally_signed_keys_assigned_into_uint64_slice_wrap_as_astype():
+    # empirics._tally copies each block of keys into its uint64 words by
+    # slice assignment; negative int64 keys must wrap as astype wraps them
+    keys = np.array([-1, -2 ** 63, 0, 2 ** 63 - 1], dtype=np.int64)
+    words = np.zeros(6, dtype=np.uint64)
+    words[1:5] = keys
+    assert words[1:5].tolist() == keys.astype(np.uint64).tolist()
+
+
+def test_tally_equal_hash_mask_compares_uint64_exactly():
+    # empirics._tally marks adjacent equal hashes with np.less_equal of a
+    # uint64 xor and a np.uint64 scalar into a bool slice; values above
+    # 2^53 must compare exactly, with no detour through float64
+    low = np.uint64(2 ** 60 - 1)
+    x = np.array([2 ** 60 - 1, 2 ** 60, 2 ** 64 - 1, 0], dtype=np.uint64)
+    same = np.ones(6, dtype=bool)
+    np.less_equal(x, low, out=same[1:5])
+    assert same.tolist() == [True, True, False, False, True, True]
+
+
+def test_trace_collisions_cumsum_in_place_is_the_cumsum():
+    # empirics.trace_collisions sums its int64 duplicate mask in place
+    rnd = random.Random(10)
+    mask = np.array([rnd.random() < 0.3 for _ in range(10000)])
+    cumulative = mask.astype(np.int64)
+    np.cumsum(cumulative, out=cumulative)
+    assert cumulative.tolist() == list(itertools.accumulate(mask.tolist()))
+
+
+def test_collision_summary_sorts_in_place_without_a_full_copy():
+    # empirics.collision_summary sorts the stream's keys with ndarray.sort;
+    # its memory bound holds only if that sort needs no second array
+    rnd = random.Random(11)
+    values = [rnd.randrange(2 ** 32) for _ in range(2 ** 18)]
+    for dtype in (np.uint32, np.uint64):
+        keys = np.array(values, dtype=dtype)
+        tracemalloc.start()
+        try:
+            keys.sort()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.tolist() == sorted(values)
+        assert peak < keys.nbytes // 8

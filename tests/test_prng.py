@@ -262,10 +262,11 @@ class TestCoreMemory:
     # a core's words(count) array is 8 bytes per word; the limits leave room
     # for one temporary at a time, not for a second full-size copy.  A
     # "family:bits" case measures take_kbits per draw on the two-word path:
-    # 16 bytes of words and 8 of result, since numpy's temporary elision
-    # reuses the shift's buffer for the or (32 bytes without it)
+    # the draws are paired over the front of their 16 bytes per draw of
+    # words (17.9 measured with cmrg's lane buffers, where pairing them
+    # into a fresh array took 24)
     @pytest.mark.parametrize("family, limit", [("mt19937", 12), ("cmrg", 12),
-                                               ("splitcounter", 20), ("cmrg:40", 26)])
+                                               ("splitcounter", 20), ("cmrg:40", 19)])
     def test_words_peak_per_word(self, family, limit):
         count = 10 ** 6
         family, _, bits = family.partition(":")
@@ -292,6 +293,71 @@ class TestCoreMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * 2 ** 20
+
+
+def splitmix64_reference(seed, first, count):
+    """Words ``first`` .. ``first + count - 1`` of SplitMix64 at ``seed``,
+    one Python int at a time."""
+    out = []
+    for j in range(first, first + count):
+        z = (seed + j * GOLDEN) % 2 ** 64
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestBlocks:
+    """The mixer's 2^15-word blocks, the two-word draws' pairing blocks
+    and take_keys' 2^16-draw blocks change no draw."""
+
+    EDGES = [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5]
+
+    @pytest.mark.parametrize("seed, first, count", [
+        (42, 1, 2 ** 15 - 1), (42, 1, 2 ** 15 + 1), (2 ** 64 - 1, 2 ** 64 - 2 ** 15, 2 ** 16 + 3),
+        (7, 2 ** 40, 3)])
+    def test_mixer_blocks_match_reference(self, seed, first, count):
+        got = prng._splitmix64(seed, first, count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == splitmix64_reference(seed, first, count)
+
+    @pytest.mark.parametrize("family", ["mt19937", "cmrg"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 2 ** 15 + 1, 2 ** 16 + 3])
+    def test_two_word_blocks_pair_consecutive_words(self, family, count):
+        words = stream(family, seed=9, bits=32).take_kbits(2 * count + 2)
+        s = stream(family, seed=9, bits=64)
+        got = np.concatenate([s.take_kbits(count), s.take_kbits(1)])
+        assert np.array_equal(got, (words[0::2] << 32) | words[1::2])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("bits", [24, 32, 40, 64])
+    def test_keys_are_the_draws(self, family, bits):
+        s = stream(family, seed=13, bits=bits)
+        for count in self.EDGES:
+            want = stream(family, seed=13, bits=bits)
+            want.take_kbits(s.position)
+            keys = s.take_keys(count)
+            assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
+            assert keys.size == count
+            assert np.array_equal(keys, want.take_kbits(count))
+        assert s.position == sum(self.EDGES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_keys_interleave_with_draws(self, family):
+        s = stream(family, seed=17, bits=40)
+        parts = [s.take_keys(2 ** 16 + 1), s.take_kbits(5), s.take_keys(3),
+                 s.take_keys(2 ** 17 - 1), s.take_kbits(1)]
+        assert np.array_equal(np.concatenate(parts),
+                              stream(family, seed=17, bits=40).take_kbits(3 * 2 ** 16 + 9))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_keys_cap_refused_before_drawing(self, family, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", "1000")
+        s = stream(family, bits=24)
+        with pytest.raises(CapacityError):
+            s.take_keys(1001)
+        assert s.position == 0
+        assert np.array_equal(s.take_keys(1000), stream(family, bits=24).take_kbits(1000))
 
 
 class TestStreamContract:

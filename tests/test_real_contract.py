@@ -2,9 +2,10 @@
 
 A numpy float16, float32 or float64 gives what the equal Python float
 gives, so that no argument's type picks the precision a formula runs in.
-A bool, a string, a Decimal or a float wider than binary64 raises
-TypeError; NaN and a value outside the argument's range raise DomainError.
-Python ints and floats, Fractions and numpy ints pass unchanged.
+A numpy int gives what the equal Python int gives, so no comparison
+wraps in fixed width.  A bool, a string, a Decimal or a float wider than
+binary64 raises TypeError; NaN and a value outside the argument's range
+raise DomainError.  Python ints and floats and Fractions pass unchanged.
 """
 
 import math
@@ -45,7 +46,7 @@ ENTRY_POINTS = {
     "sample_size_for_expected-hi": (
         lambda x: sample_size_for_expected(K32, 0.125, 1, x), 60000.0,
         [math.nan, 0.5, math.inf, 10 ** 400]),
-    "decompose": (decompose, -0.375, []),
+    "decompose": (decompose, -0.375, [10 ** 400]),
     "spacing": (spacing, 1000.0, [math.nan, math.inf, -math.inf, 10 ** 400]),
     "expm1_ref": (expm1_ref, 0.25, [math.nan]),
     "log1p_stable": (log1p_stable, -0.25, [math.nan, -1.0, -2.0]),
@@ -105,9 +106,25 @@ def test_numpy_float_arguments_no_longer_pick_the_precision():
 def test_exact_values_pass_unchanged():
     # converting n to float first would give 2^53 - 1 at b = 1
     assert expected_collisions(2 ** 53 + 1, BucketSpace.exact(1)) == 2.0 ** 53
-    for value in (2 ** 53 + 1, Fraction(1, 3), np.int64(7), np.uint64(2 ** 64 - 1), 0.1):
+    for value in (2 ** 53 + 1, Fraction(1, 3), 0.1):
         assert real_number("x", value) is value
     assert type(real_number("x", np.float64(0.1))) is float
+
+
+@pytest.mark.parametrize("value", [np.int64(-7), np.uint64(2 ** 64 - 1), np.uint8(200)],
+                         ids=["int64", "uint64", "uint8"])
+def test_numpy_int_gives_the_python_int(value):
+    got = real_number("x", value)
+    assert type(got) is int and got == int(value)
+
+
+def test_numpy_int_bound_does_not_wrap():
+    # Fraction(1, 2) < np.uint64(2^63) multiplies in uint64 and reads False,
+    # which let this reversed bracket through to a root of 4.6e18
+    with pytest.raises(DomainError, match="bracket hi"):
+        sample_size_for_expected(K32, 1, np.uint64(2 ** 63), Fraction(1, 2))
+    assert sample_size_for_expected(K32, 1, Fraction(1, 2), np.uint64(2 ** 63)) == \
+        sample_size_for_expected(K32, 1, Fraction(1, 2), 2 ** 63)
 
 
 def test_bounds_are_inclusive():
