@@ -41,6 +41,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BracketingError, CapacityError, exact_index, real_number, shown
+# sum_log1p has no caller here; it stays bound as analytics.sum_log1p,
+# the name perfbench/tracing.py wraps
 from .stable_math import StableEvalReport, sum_log1p
 
 __all__ = [
@@ -320,8 +322,8 @@ def collision_probability(n: int, space: BucketSpace) -> float:
       term_j * r/(1-r); terms stop once that is below 2^-64 of the partial
       sum, after at most 59 of them (r = 1/2), and the exact rational
       partial sum is rounded to a double once;
-    * otherwise, which forces n < 161: the compensated sum_log1p of the
-      n-1 terms.
+    * otherwise, which forces b < 320 and n < 161: the exact
+      (b^n - b!/(b-n)!) / b^n in integers, rounded to a double once.
     """
     n = exact_index("n", n)
     if n <= 1:
@@ -332,7 +334,7 @@ def collision_probability(n: int, space: BucketSpace) -> float:
     m = n - 1
     if 2 * m <= b:
         return -math.expm1(-_log_falling_series(m, b)[0])
-    return -math.expm1(sum_log1p(-np.arange(1, n) / float(b)))
+    return (b ** n - math.perm(b, n)) / b ** n
 
 
 def _log_falling_series(m: int, b: int) -> tuple[float, int]:

@@ -22,12 +22,12 @@ the base seed's splitcounter stream) and ``seeds_from_base`` (that
 stream's first words), which gives the six MRG32k3a component seeds; it
 mixes its output 2^15 words at a time, so each pass stays in cache.
 
-``KBitStream.take_keys`` is the one path from a core to sort keys: it
-fills a preallocated key array (uint32 for k <= 32) with one
-``take_kbits`` call per block of 2^16 draws.  cmrg, which pays its lane
-setup per request, takes one request, and its keys are made over that
-request's own buffer.  Since every stream is call-size-invariant, the
-blocks change no draw.
+``KBitStream.take_keys`` is the one path from a core to sort keys, by one
+rule: a count within the core's ``key_block`` (2^16 draws; 2^20 for
+cmrg, where its lanes reach their cap) is one ``take_kbits`` request,
+narrowed to uint32 over its own buffer for k <= 32, and a larger one
+fills preallocated keys block by block.  Since every stream is
+call-size-invariant, the blocks change no draw.
 
 Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 9 us from
@@ -169,7 +169,7 @@ class GeneratorSpec:
         if len(parts) != 3:
             raise ValueError(f"generator spec must be family:seed:bits, got {text!r}")
         family, seed, bits = parts
-        return cls(family=family.lower(), seed=exact_int(seed), output_bits=exact_int(bits))
+        return cls(family=family, seed=exact_int(seed), output_bits=exact_int(bits))
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +180,8 @@ class _Mt19937Core:
     """numpy's legacy RandomState, whose MT19937 is seeded by init_genrand."""
 
     native_bits = 32
+    # draws per take_kbits request in take_keys, which stay in cache
+    key_block = 1 << 16
 
     def __init__(self, seed: int):
         # the 64-bit seed field is reduced to its low 32 bits
@@ -275,6 +277,8 @@ class _Mrg32k3aCore:
     """
 
     native_bits = 32
+    # the smallest request whose lanes are capped: no more steps per word
+    key_block = (_LANE_CAP // 8) ** 2
 
     def __init__(self, seed: int):
         # six component seeds in [1, m-1]: the seed's first six derived seeds
@@ -349,7 +353,10 @@ class _Mrg32k3aCore:
         # scale [0, m1) onto the 32-bit range: floor(z * 2^32 / m1)
         out <<= _U32
         out //= _UM1
-        return out.ravel()[:count]
+        # flattened in place to exactly `count` words, dropping the last
+        # lane's padding, so the array returned owns its buffer
+        out.resize(count, refcheck=False)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +367,7 @@ class _SplitCounterCore:
     """Counter through the SplitMix64 mixer; native 64-bit output."""
 
     native_bits = 64
+    key_block = 1 << 16
 
     def __init__(self, seed: int):
         self._seed = seed
@@ -373,16 +381,6 @@ class _SplitCounterCore:
 
 _CORES = {"mt19937": _Mt19937Core, "cmrg": _Mrg32k3aCore, "splitcounter": _SplitCounterCore}
 FAMILIES = tuple(_CORES)
-
-
-def _make_core(spec: GeneratorSpec):
-    return _CORES[spec.family](spec.seed)
-
-
-# draws per take_kbits call in take_keys: 2^16 keeps a call's words in
-# cache; None is one call for all, for cmrg, which pays its lane setup
-# per request
-_KEY_BLOCK = {"mt19937": 1 << 16, "cmrg": None, "splitcounter": 1 << 16}
 
 
 def _pairs(words: np.ndarray, nb: int) -> np.ndarray:
@@ -418,7 +416,7 @@ class KBitStream:
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        self._core = _make_core(spec)
+        self._core = _CORES[spec.family](spec.seed)
         self.position = 0
         self._unit_scale = 2.0 ** -spec.output_bits
 
@@ -456,15 +454,14 @@ class KBitStream:
         may sort in place: uint32 for k <= 32, otherwise uint64.
 
         A count past the distinct-value cap raises CapacityError before
-        anything is allocated or drawn.  The keys are filled by one
-        ``take_kbits`` call per block of draws, the block size set per
-        family in _KEY_BLOCK; a single call's own array becomes the keys,
-        narrowed in its own buffer for k <= 32, so no second full-size
-        array is made beside it.
+        anything is allocated or drawn.  A count within the core's
+        ``key_block`` is one ``take_kbits`` request, narrowed in its own
+        buffer for k <= 32, so no second array is made beside it; a
+        larger count fills preallocated keys block by block.
         """
         count = _capped_count(count)
         narrow = self.spec.output_bits <= 32
-        block = _KEY_BLOCK[self.spec.family] or count
+        block = self._core.key_block
         if count <= block:
             vals = self.take_kbits(count)
             return _narrowed(vals) if narrow else vals

@@ -233,18 +233,29 @@ class TestCollisionProbability:
     @given(st.integers(0, 200), st.integers(1, 2 ** 63))
     @settings(max_examples=150)
     def test_exact_rational_oracle(self, n, b):
-        # every regime is reached: saturated, series and the short loop
+        # every regime is reached: saturated, series and the small space
         exact = float(exact_collision_probability(n, b))
         assert ulps_apart(collision_probability(n, BucketSpace.exact(b)), exact) <= 2
 
+    def test_small_space_is_the_exact_value_rounded_once(self):
+        # every unsaturated input the series leaves, 2(n-1) > b (so b < 320
+        # and n < 161), comes from exact integers rounded once
+        cases = [(n, b) for b in range(2, 320) for n in range(2, b + 1)
+                 if 2 * (n - 1) > b and n * (n - 1) < 80 * b]
+        assert len(cases) == 7226
+        for n, b in cases:
+            assert collision_probability(n, BucketSpace.exact(b)) == float(
+                exact_collision_probability(n, b)), (n, b)
+
     @pytest.mark.parametrize("n, b", [
         # b at, below and above n(n-1)/80: saturated up to it, then the
-        # loop or the series
+        # small-space form or the series
         (81, 81), (81, 82), (96, 113), (96, 114), (96, 115),
         (161, 321), (161, 322), (161, 323),
         (10 ** 6, 12_499_987_499), (10 ** 6, 12_499_987_500),
         (10 ** 6, 12_499_987_501),
-        # b at, below and above 2(n-1): the loop below, the series from it
+        # b at, below and above 2(n-1): the small-space form below, the
+        # series from it
         (100, 197), (100, 198), (100, 199), (2, 2), (2, 3),
     ])
     def test_regime_boundaries(self, n, b):

@@ -670,6 +670,8 @@ class TestIntegerFlags:
         ["simulate", "--n", "1000", "--generator", "mt19937:-1:32"],
         # the seed is a field of family:seed:bits, which GeneratorSpec.parse reads
         ["simulate", "--n", "1000", "--generator", "mt19937:0x10:32"],
+        # a family has one spelling, as GeneratorSpec itself requires
+        ["simulate", "--n", "1000", "--generator", "MT19937:1:32"],
     ])
     def test_refused_with_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -324,6 +324,7 @@ class StubCore:
     """A native-64-bit generator core that returns fixed words."""
 
     native_bits = 64
+    key_block = 1 << 16
 
     def __init__(self, words):
         self._words = words
@@ -566,6 +567,15 @@ class TestHashSortKernel:
     ("splitcounter", 24, 6.5), ("splitcounter", 64, 9.5)])
 def test_summary_peak_per_draw(family, bits, limit):
     assert peak_per_draw(collision_summary, stream(family, 3, bits)) <= limit
+
+
+# past cmrg's 2^20-draw key block the keys are filled block by block, so
+# beside them (4 or 8 bytes per draw) sits one block's request (8 or 16
+# MB); measured 7.3 and 13.9 at 3 * 2^20 + 5 draws, where one request
+# for all took 9.0 and 17.0
+@pytest.mark.parametrize("bits, limit", [(32, 8.0), (40, 14.5)])
+def test_cmrg_summary_peak_past_its_block(bits, limit):
+    assert peak_per_draw(collision_summary, stream("cmrg", 3, bits), 3 * 2 ** 20 + 5) <= limit
 
 
 class TestRunSeeds:

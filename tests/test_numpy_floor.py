@@ -188,6 +188,19 @@ def test_pairs_shift_and_or_of_strided_uint64_words_over_their_own_buffer():
         (words[2 * i] << 32) | words[2 * i + 1] for i in range(len(words) // 2)]
 
 
+def test_mrg_words_resize_flattens_an_owned_2d_uint64_array_to_its_front():
+    # prng._Mrg32k3aCore.words shrinks its owned (lanes, steps) output with
+    # ndarray.resize(count, refcheck=False): the array stays owned, becomes
+    # 1-D and keeps the first `count` values in C order
+    rnd = random.Random(10)
+    values = [rnd.randrange(2 ** 64) for _ in range(7 * 9)]
+    out = np.empty((7, 9), dtype=np.uint64)
+    out[...] = np.array(values, dtype=np.uint64).reshape(7, 9)
+    out.resize(60, refcheck=False)
+    assert out.dtype == np.uint64 and out.flags.owndata
+    assert out.shape == (60,) and out.nbytes == 8 * 60
+    assert out.tolist() == values[:60]
+
 def test_splitmix64_block_add_and_shift_with_out_stay_uint64():
     # prng._splitmix64 starts each block as _RAMP plus a np.uint64 scalar
     # into an out= slice, and xors it with its shift into a scratch array

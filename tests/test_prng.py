@@ -14,7 +14,6 @@ from collision_lab.prng import (
     _MAT1,
     _MAT2,
     _Mrg32k3aCore,
-    _make_core,
     _mat_pow,
     derive_seed,
     sample_ints,
@@ -32,6 +31,11 @@ MT_SEED_5489_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
 
 def stream(family="mt19937", seed=5489, bits=32):
     return KBitStream(GeneratorSpec(family, seed, bits))
+
+
+def make_core(family, seed):
+    """A fresh generator core of ``family``, the one a stream of it draws from."""
+    return prng._CORES[family](seed)
 
 
 def draw(s):
@@ -273,7 +277,7 @@ class TestCoreMemory:
         if bits:
             draw = stream(family, 7, int(bits)).take_kbits
         else:
-            draw = _make_core(GeneratorSpec(family, 7, 32)).words
+            draw = make_core(family, 7).words
         tracemalloc.start()
         try:
             draw(count)
@@ -349,6 +353,25 @@ class TestBlocks:
                  s.take_keys(2 ** 17 - 1), s.take_kbits(1)]
         assert np.array_equal(np.concatenate(parts),
                               stream(family, seed=17, bits=40).take_kbits(3 * 2 ** 16 + 9))
+
+    # cmrg's key block is 2^20 draws, where its lanes reach their cap
+    CMRG_EDGES = [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 2 * 2 ** 20 + 5]
+
+    @pytest.mark.parametrize("bits", [24, 32, 40, 64])
+    def test_cmrg_keys_cross_its_block(self, bits):
+        assert prng._Mrg32k3aCore.key_block == 2 ** 20
+        for count in self.CMRG_EDGES:
+            keys = stream("cmrg", seed=19, bits=bits).take_keys(count)
+            assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
+            assert np.array_equal(keys, stream("cmrg", seed=19, bits=bits).take_kbits(count))
+        # interleaved on one stream, against one request for all
+        s = stream("cmrg", seed=19, bits=bits)
+        parts = []
+        for count in self.CMRG_EDGES:
+            parts += [s.take_keys(count), s.take_kbits(3)]
+        got = np.concatenate(parts)
+        assert s.position == got.size
+        assert np.array_equal(got, stream("cmrg", seed=19, bits=bits).take_kbits(got.size))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_keys_cap_refused_before_drawing(self, family, monkeypatch):
@@ -443,17 +466,19 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_core_returns_exactly_the_words_asked(self, family):
-        # odd and even counts; MRG32k3a sizes its lanes from each count
-        core = _make_core(GeneratorSpec(family, 5, 32))
+        # odd and even counts; MRG32k3a sizes its lanes from each count,
+        # and its last lane's padding is dropped, not kept behind a view
+        core = make_core(family, 5)
         for count in (0, 1, 8191, 8192, 10001):
             words = core.words(count)
             assert words.dtype == np.uint64 and words.size == count
+            assert words.flags.owndata and words.nbytes == 8 * count
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_core_keeps_no_reference_to_its_words(self, family):
         # take_kbits shifts the core's words in place
-        core = _make_core(GeneratorSpec(family, 5, 32))
-        ref = _make_core(GeneratorSpec(family, 5, 32))
+        core = make_core(family, 5)
+        ref = make_core(family, 5)
         for count in (3, 8191, 10001):
             words = core.words(count)
             assert np.array_equal(words, ref.words(count))
@@ -702,6 +727,15 @@ class TestSpecAndSeeds:
         with pytest.raises(ValueError):
             GeneratorSpec.parse(bad)
 
+    # a family is spelled one way only; parse refuses what the constructor does
+    @pytest.mark.parametrize("family", ["MT19937", "Cmrg", "splitCounter"])
+    def test_family_case_refused(self, family):
+        with pytest.raises(ValueError, match="expected one of") as parsed:
+            GeneratorSpec.parse(f"{family}:1:32")
+        with pytest.raises(ValueError) as built:
+            GeneratorSpec(family, 1, 32)
+        assert str(parsed.value) == str(built.value)
+
     def test_derive_seed_distinct(self):
         seeds = [derive_seed(271, i) for i in range(10 ** 4)]
         assert len(set(seeds)) == 10 ** 4
@@ -833,7 +867,7 @@ class TestSeedingPins:
     @pytest.mark.parametrize("family, seed", FIRST_WORDS)
     def test_first_words(self, family, seed):
         head, at620, kbit40 = self.FIRST_WORDS[family, seed]
-        core = _make_core(GeneratorSpec(family, seed, 32))
+        core = make_core(family, seed)
         words = np.concatenate([core.words(count) for count in (1, 2, 3, 700)])
         assert words[:6].tolist() == head
         assert words[620:630].tolist() == at620
