@@ -420,21 +420,23 @@ class CollisionPmf:
     representation: str  # "exact-rational" | "log-domain-float"
 
     def total(self):
-        """Sum of all probabilities (exactly 1 in rational mode)."""
+        """Sum of all probabilities: exactly 1 in rational mode, and in
+        float mode math.fsum of the entries, bit for bit."""
         if self.representation == "exact-rational":
             nums, lcm = self._over_lcm()
             return Fraction(sum(nums), lcm)
         _, p = self._nonzero()
-        return math.fsum(p.tolist())
+        return _fsum(p)
 
     def mean(self) -> float:
-        """Expected collision count sum c * P(C = c)."""
+        """Expected collision count sum c * P(C = c); in float mode
+        math.fsum of the products c * P(C = c), bit for bit."""
         if self.representation == "exact-rational":
             nums, lcm = self._over_lcm()
             # int / int rounds the exact quotient once, as float(Fraction) does
             return sum(c * num for c, num in enumerate(nums)) / lcm
         c, p = self._nonzero()
-        return math.fsum((c * p).tolist())
+        return _fsum(c * p)
 
     def _over_lcm(self) -> tuple:
         # the exact probabilities as integer numerators over the lcm of
@@ -443,11 +445,12 @@ class CollisionPmf:
         return [p.numerator * (lcm // p.denominator) for p in self.probs], lcm
 
     def prob_any_collision(self) -> float:
-        """P(C > 0); summed in float mode, as 1 - P(C = 0) would cancel."""
+        """P(C > 0); in float mode math.fsum of the entries for c > 0, bit
+        for bit, as 1 - P(C = 0) would cancel."""
         if self.representation == "exact-rational":
             return float(1 - self.probs[0])
         c, p = self._nonzero()
-        return math.fsum(p[c > 0].tolist())
+        return _fsum(p[c > 0])
 
     def _nonzero(self) -> tuple:
         # (c, P(C = c)) over the nonzero float entries: the zeros, most of
@@ -455,6 +458,36 @@ class CollisionPmf:
         probs = np.asarray(self.probs)
         c = np.flatnonzero(probs)
         return c, probs[c]
+
+
+# below this many terms one math.fsum of them all is as fast as the split
+_FSUM_SPLIT_MIN = 128
+# the terms below this fraction of the largest are bounded, not summed
+_FSUM_TAIL = 2.0 ** -80
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, mostly from the larger terms.
+
+    For nonnegative finite terms, the head is those >= cut = max * 2^-80
+    and s = fsum(head) is their exact sum H, rounded.  The tail adds T >= 0,
+    so H + T rounds to s or above, and T <= (tail count) * cut, rounded:
+    each tail term is at least ulp(cut) below cut, which covers the
+    product's rounding.  With r = fsum(head + [-s]), H - s is within
+    ulp(r)/2 of r.  So if r + ulp(r)/2 + (tail count) * cut < ulp(s)/2,
+    summed by fsum, whose rounding cannot carry a sum below the power of
+    two ulp(s)/2 up to it, H + T is below the midpoint over s and rounds
+    to s, as an fsum of every term does.  Otherwise, and for a negative,
+    NaN or infinite term, every term is summed.
+    """
+    if x.size >= _FSUM_SPLIT_MIN and x.min() >= 0.0 and x.max() < math.inf:
+        cut = float(x.max()) * _FSUM_TAIL
+        head = x[x >= cut].tolist()
+        s = math.fsum(head)
+        r = math.fsum(head + [-s])
+        if math.fsum((r, math.ulp(r) / 2, (x.size - len(head)) * cut)) < math.ulp(s) / 2:
+            return s
+    return math.fsum(x.tolist())
 
 
 def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
@@ -646,14 +679,15 @@ def _pmf_occupancy(n: int, space: BucketSpace) -> np.ndarray:
         band[m] *= hit
     # win[i, j] = q[i - m + j], the q that band[j, i] multiplies
     win = np.lib.stride_tricks.sliding_window_view(qpad, m + 1)
-    lo, dropped = 1, 0.0
+    lo, dropped, budget = 1, 0.0, _TINY * _SCALE
     for t in range(1 + rest + m, n + 1, m):
         top = min(t, b)
         q[lo:top + 1] = np.einsum("ji,ij->i", band[:, lo:top + 1], win[lo:top + 1])
         # drop from the head while the total dropped stays below 2^-1022
         while lo < top:
-            cum = dropped + np.cumsum(q[lo:min(lo + m, top)])
-            drop = int(np.searchsorted(cum, _TINY * _SCALE))
+            cum = q[lo:min(lo + m, top)].cumsum()
+            cum += dropped
+            drop = int(cum.searchsorted(budget))
             if drop:
                 dropped = cum[drop - 1]
                 q[lo:lo + drop] = 0.0

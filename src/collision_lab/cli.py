@@ -216,25 +216,22 @@ def cmd_pmf(args, out) -> None:
 
 
 def write_pmf_csv(pmf: analytics.CollisionPmf, out) -> None:
-    """Rows c,P(C = c), then sum and mean.  Only the nonzero entries go
-    through _fmt; a zero row is written as c,0, the bytes _fmt gives 0.0."""
+    """Rows c,P(C = c), then sum and mean.  Each run of nonzero entries
+    goes through _fmt and out in one write; each run of zero rows, c,0,
+    the bytes _fmt gives 0.0, through the trace writers' digit tables."""
     probs = np.asarray(pmf.probs, dtype=np.float64)
     out.write("c,probability\n")
-    start = 0
-    nonzero = np.flatnonzero(probs)
-    for c, prob in zip(nonzero.tolist(), probs[nonzero].tolist()):
-        _write_zero_rows(out, start, c)
-        out.write(f"{c},{_fmt(prob, 'csv')}\n")
-        start = c + 1
-    _write_zero_rows(out, start, probs.size)
+    # a zero run, then a nonzero run, and so on, ending with a zero run
+    cuts = [0, *np.flatnonzero(np.diff(probs != 0, prepend=False, append=False)).tolist(),
+            probs.size]
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        if i % 2:
+            out.write("".join([f"{c},{_fmt(p, 'csv')}\n"
+                               for c, p in zip(range(lo, hi), probs[lo:hi].tolist())]))
+        else:
+            empirics.write_indexed_csv(out, None, np.zeros(hi - lo, dtype=np.int64), lo)
     out.write(f"sum,{_fmt(pmf.total(), 'csv')}\n")
     out.write(f"mean,{_fmt(pmf.mean(), 'csv')}\n")
-
-
-def _write_zero_rows(out, lo: int, hi: int) -> None:
-    # in blocks, so the row strings held at once stay few
-    for block in range(lo, hi, 1024):
-        out.write(",0\n".join(map(str, range(block, min(hi, block + 1024)))) + ",0\n")
 
 
 def cmd_simulate(args, out) -> None:

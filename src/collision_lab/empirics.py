@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import real_number, require_binary64
+from .errors import exact_index, real_number, require_binary64
 from .prng import GeneratorSpec, KBitStream
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "run_seeds",
     "write_trajectory_csv",
     "write_positions_csv",
+    "write_indexed_csv",
 ]
 
 
@@ -259,27 +260,31 @@ def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
         v = q
 
 
-def _write_indexed_csv(out, header: str, values) -> None:
-    """CSV ``header`` row, then one ``i,value`` row per value, i from 1.
+def write_indexed_csv(out, header: Optional[str], values, first: int = 1) -> None:
+    """CSV ``header`` row (none if it is None), then one ``i,value`` row per
+    value, i from ``first`` (an integer >= 0).
 
     ``values`` must be nonnegative and nondecreasing, as every trace column
-    is.  Then both columns change digit width only at the rows where they
-    reach a power of ten, and between those rows (and at most ``_CSV_CHUNK``
-    apart) each block of rows is one fixed-width byte table, filled digit by
-    digit with numpy and written as one string.
+    and every run of zero pmf rows is.  Then both columns change digit
+    width only at the rows where they reach a power of ten, and between
+    those rows (and at most ``_CSV_CHUNK`` apart) each block of rows is one
+    fixed-width byte table, filled digit by digit with numpy and written as
+    one string.
     """
+    first = exact_index("first", first, 0)
     values = np.asarray(values, dtype=np.int64)
     n = values.size
     if n and (values[0] < 0 or np.any(values[1:] < values[:-1])):
         raise ValueError("CSV trace columns must be nonnegative and nondecreasing")
-    out.write(header + "\n")
-    cuts = sorted({*np.minimum(_POWERS_OF_TEN - 1, n).tolist(),  # row a holds index a + 1
+    if header is not None:
+        out.write(header + "\n")
+    cuts = sorted({*np.clip(_POWERS_OF_TEN - first, 0, n).tolist(),  # row a holds index first + a
                    *np.searchsorted(values, _POWERS_OF_TEN).tolist(),
                    *range(0, n, _CSV_CHUNK), n})
     for a, b in zip(cuts, cuts[1:]):
-        wi, wv = len(str(a + 1)), len(str(values[a]))
+        wi, wv = len(str(first + a)), len(str(values[a]))
         block = np.empty((wi + wv + 2, b - a), dtype=np.uint8)
-        _put_digits(block[:wi], np.arange(a + 1, b + 1, dtype=np.int64))
+        _put_digits(block[:wi], np.arange(first + a, first + b, dtype=np.int64))
         _put_digits(block[wi + 1:-1], values[a:b])
         block += ord("0")
         block[wi] = ord(",")
@@ -289,9 +294,9 @@ def _write_indexed_csv(out, header: str, values) -> None:
 
 def write_trajectory_csv(trace: CollisionTrace, out) -> None:
     """CSV `index,cumulative_collisions`: collisions as a function of sample size."""
-    _write_indexed_csv(out, "index,cumulative_collisions", trace.cumulative)
+    write_indexed_csv(out, "index,cumulative_collisions", trace.cumulative)
 
 
 def write_positions_csv(trace: CollisionTrace, out) -> None:
     """CSV `collision_rank,position`: the 1-based index of each duplicate draw."""
-    _write_indexed_csv(out, "collision_rank,position", trace.positions)
+    write_indexed_csv(out, "collision_rank,position", trace.positions)

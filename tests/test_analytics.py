@@ -1010,6 +1010,137 @@ class TestCollisionPmf:
             collision_pmf_exact(0, k(8))
 
 
+def assert_fsum_bits(x):
+    """analytics._fsum(x) is math.fsum(x.tolist()) bit for bit, and raises
+    what math.fsum raises."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        want = math.fsum(x.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            analytics._fsum(x)
+        return
+    assert _bits(analytics._fsum(x)) == _bits(want)
+
+
+def dyadic_terms(rng, size, total, unit_exp):
+    """``size`` positive multiples of 2^unit_exp, two of them near
+    total/2 and the rest at most 2^(unit_exp + 40), summing exactly to
+    total * 2^unit_exp."""
+    rest = rng.integers(1, 2 ** 40, size - 2).tolist()
+    left = total - sum(rest)
+    return np.array([math.ldexp(i, unit_exp) for i in [left // 2, left - left // 2, *rest]])
+
+
+def tail_terms(rng, top, size):
+    # every one below the head's cut, top * 2^-80
+    return top * 2.0 ** -81 * rng.random(size)
+
+
+class TestFsumRule:
+    """The float pmf sums: math.fsum's bits from an fsum of the head."""
+
+    @given(st.integers(70, 2500), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_log_uniform_terms(self, size, seed):
+        rng = np.random.default_rng(seed)
+        x = 10.0 ** rng.uniform(-308, 0, size)
+        assert_fsum_bits(x)
+        assert_fsum_bits(x * np.arange(size))  # the mean's products, a zero first
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bell_shaped_terms(self, seed):
+        # a pmf's shape: a peak near 1 and both flanks down to 1e-308
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(70, 2501))
+        x = np.exp(-np.linspace(-1.0, 1.0, size) ** 2 * rng.uniform(600, 709))
+        assert_fsum_bits(x)
+        assert_fsum_bits(np.sort(x))
+
+    # head sums at a midpoint between two doubles, or 2^-37 of a unit below
+    # it, where the tail carries the whole sum over; one binade at 1 and
+    # one low
+    @pytest.mark.parametrize("unit_exp", [-53, -1000])
+    @pytest.mark.parametrize("tail", ["none", "zeros", "tiny"])
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_head_sum_on_a_rounding_midpoint(self, unit_exp, tail, below, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(analytics._FSUM_SPLIT_MIN, 600))
+        # odd multiples of 2^unit_exp in [2^53, 2^54) units are midpoints
+        total = 2 ** 53 + 2 * int(rng.integers(0, 2 ** 50)) + 1
+        if below:
+            head = np.append(dyadic_terms(rng, size - 1, total - 1, unit_exp),
+                             math.ldexp(2 ** 37 - 1, unit_exp - 37))
+        else:
+            head = dyadic_terms(rng, size, total, unit_exp)
+        x = {"none": head,
+             "zeros": np.concatenate((head, np.zeros(50))),
+             "tiny": np.concatenate((head, tail_terms(rng, head.max(), 50)))}[tail]
+        rng.shuffle(x)
+        assert_fsum_bits(x)
+
+    # head sums at a power of two, on it and a unit or two either side,
+    # where the doubles below are twice as dense as above
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("tail", ["zeros", "tiny"])
+    def test_head_sum_at_a_power_of_two(self, offset, tail):
+        rng = np.random.default_rng(offset + 10)
+        head = dyadic_terms(rng, 300, 2 ** 54 + offset, -54)
+        extra = np.zeros(40) if tail == "zeros" else tail_terms(rng, head.max(), 40)
+        assert_fsum_bits(np.concatenate((head, extra)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terms_at_the_cut(self, seed):
+        rng = np.random.default_rng(seed)
+        top = float(rng.uniform(0.5, 1.0))
+        cut = top * 2.0 ** -80
+        x = np.concatenate(([top], np.full(30, cut), np.full(30, np.nextafter(cut, 0.0)),
+                            rng.uniform(cut, top, 100), tail_terms(rng, top, 30)))
+        rng.shuffle(x)
+        assert_fsum_bits(x)
+        # the same against a head sum on a midpoint
+        head = dyadic_terms(rng, 200, 2 ** 53 + 2 * int(rng.integers(0, 2 ** 50)) + 1, -53)
+        cut = head.max() * 2.0 ** -80
+        assert_fsum_bits(np.concatenate((head, np.full(40, cut))))
+        assert_fsum_bits(np.concatenate((head, np.full(40, np.nextafter(cut, 0.0)))))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 70, analytics._FSUM_SPLIT_MIN - 1])
+    def test_below_the_size_guard(self, size):
+        rng = np.random.default_rng(size)
+        assert_fsum_bits(10.0 ** rng.uniform(-308, 0, size))
+        if size >= 3:
+            head = dyadic_terms(rng, size, 2 ** 53 + 1, -53)
+            assert_fsum_bits(np.concatenate((head[:-1], tail_terms(rng, 1.0, 1))))
+
+    @pytest.mark.parametrize("special", [[-1e-300], [-0.5], [math.nan], [math.inf],
+                                         [-math.inf], [math.inf, -math.inf],
+                                         [math.inf, math.nan], [-0.0]])
+    def test_negative_nan_and_infinite_terms_fall_back(self, special):
+        rng = np.random.default_rng(3)
+        x = 10.0 ** rng.uniform(-308, 0, 300)
+        x[rng.choice(x.size, len(special), replace=False)] = special
+        assert_fsum_bits(x)
+        if special == [math.inf]:
+            assert analytics._fsum(x) == math.inf
+
+    def test_overflow_raises_as_fsum_does(self):
+        assert_fsum_bits(np.full(200, 1e308))
+
+    @pytest.mark.parametrize("n, b", [(8767, 7714), (7069, 5442), (7021, 2 ** 22),
+                                      (8997, 2 ** 16), (10 ** 4, 9999), (1000, 2 ** 20),
+                                      (10 ** 4, 1310), (10 ** 4, 2 ** 64)])
+    def test_pmf_sums_are_fsums(self, n, b):
+        pmf = collision_pmf_exact(n, space_of(b))
+        probs = np.asarray(pmf.probs)
+        c = np.flatnonzero(probs)
+        assert _bits(pmf.total()) == _bits(math.fsum(probs.tolist()))
+        assert _bits(pmf.mean()) == _bits(math.fsum((np.arange(n) * probs).tolist()))
+        assert _bits(pmf.prob_any_collision()) == _bits(math.fsum(probs[1:].tolist()))
+        # every pmf here but the one at 2^64 has enough terms for the split
+        assert c.size >= analytics._FSUM_SPLIT_MIN or b == 2 ** 64
+
+
 class TestInverseProblems:
     def test_min_bits_headline(self):
         assert min_bits_for_expected(N_HEADLINE, 1.0) == 39

@@ -261,6 +261,28 @@ class TestProb:
         assert float(rows[0][1]) > 1e-3
 
 
+def digit_width_pmf(b, nonzero_runs):
+    """A float pmf over c = 0..10009 with nonzero entries on
+    ``nonzero_runs`` ([lo, hi) pairs) and zeros elsewhere; ``b`` only
+    names it."""
+    probs = np.zeros(10010)
+    rng = np.random.default_rng(len(nonzero_runs))
+    for lo, hi in nonzero_runs:
+        probs[lo:hi] = rng.random(hi - lo) / 40
+    nonzero = np.flatnonzero(probs)
+    probs[nonzero[:4]] = [5e-324, 1e-300, 1.0, 0.1]
+    return CollisionPmf(n=probs.size, space=BucketSpace.exact(b), probs=probs,
+                        representation="log-domain-float")
+
+
+# the index column changes width at 9|10, 99|100, 999|1000 and 9999|10000:
+# inside nonzero runs in the first pmf, inside zero runs in the second
+WIDTH_CROSSINGS = [
+    digit_width_pmf(1, [(0, 1), (7, 12), (97, 103), (997, 1003), (9997, 10003)]),
+    digit_width_pmf(2, [(3, 4), (5, 9), (50, 51), (500, 502), (5000, 5001), (10009, 10010)]),
+]
+
+
 class TestPmf:
     def test_three_draws_two_buckets(self, capsys):
         code, out, _ = run(capsys, "pmf", "--n", "3", "--buckets", "2")
@@ -297,6 +319,12 @@ class TestPmf:
         CollisionPmf(n=6, space=BucketSpace.exact(6),
                      probs=np.array([0.0, 0.25, 0.0, 5e-324, 0.75 - 5e-324, 0.0]),
                      representation="log-domain-float"),
+        # tail inputs of the occupancy recurrence, 1,553-2,075 nonzero rows
+        collision_pmf_exact(8767, BucketSpace.exact(7714)),
+        collision_pmf_exact(7069, BucketSpace.exact(5442)),
+        collision_pmf_exact(7021, BucketSpace.power_of_two(22)),
+        collision_pmf_exact(8997, BucketSpace.power_of_two(16)),
+        *WIDTH_CROSSINGS,
     ], ids=lambda pmf: f"{pmf.n}-{pmf.space}")
     def test_writer_matches_per_row_writer(self, pmf):
         buf = io.StringIO()

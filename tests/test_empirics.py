@@ -16,13 +16,13 @@ from collision_lab.empirics import (
     TieSummary,
     _PHI,
     _tally,
-    _write_indexed_csv,
     collision_positions,
     collision_summary,
     count_duplicates,
     count_ties,
     run_seeds,
     trace_collisions,
+    write_indexed_csv,
     write_positions_csv,
     write_trajectory_csv,
 )
@@ -656,7 +656,7 @@ class TestCsvEmission:
     def assert_rows(values):
         """The writer's text for ``values`` equals one f-string per row."""
         buf = io.StringIO()
-        _write_indexed_csv(buf, "h", np.array(values, dtype=np.int64))
+        write_indexed_csv(buf, "h", np.array(values, dtype=np.int64))
         got = buf.getvalue()
         want = "h\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1))
         if got != want:  # name the first differing row, not a diff of megabytes
@@ -674,10 +674,27 @@ class TestCsvEmission:
         # cubes cross the powers of ten up to 10^14 within the one column
         self.assert_rows((np.arange(length, dtype=np.int64) ** 3).tolist())
 
+    # the first index at and around the widths' edges, with the pmf's
+    # zero columns and a column that crosses widths of its own
+    @pytest.mark.parametrize("first", [0, 1, 8, 9, 10, 98, 99, 100, 9990, 10 ** 17 - 3])
+    @pytest.mark.parametrize("values", [[0] * 40, [0, 0, 7, 9, 10, 99, 100, 100, 1000]])
+    def test_indexed_csv_from_any_first_index(self, first, values):
+        buf = io.StringIO()
+        write_indexed_csv(buf, None, values, first)
+        assert buf.getvalue() == "".join(f"{i},{v}\n" for i, v in enumerate(values, first))
+
+    @pytest.mark.parametrize("first, error", [(-1, ValueError), (1.0, TypeError),
+                                              (True, TypeError)])
+    def test_indexed_csv_refuses_bad_first_index(self, first, error):
+        buf = io.StringIO()
+        with pytest.raises(error):
+            write_indexed_csv(buf, "h", [0, 1], first)
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize("values", [[1, 0], [5, 7, 6], [-1], [-3, 2]])
     def test_indexed_csv_refuses_unsorted_or_negative_columns(self, values):
         buf = io.StringIO()
         with pytest.raises(ValueError):
-            _write_indexed_csv(buf, "h", values)
+            write_indexed_csv(buf, "h", values)
         assert buf.getvalue() == ""
 

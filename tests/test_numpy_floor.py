@@ -262,3 +262,12 @@ def test_collision_summary_sorts_in_place_without_a_full_copy():
             tracemalloc.stop()
         assert keys.tolist() == sorted(values)
         assert peak < keys.nbytes // 8
+
+
+def test_bool_diff_marks_run_edges():
+    # cli.write_pmf_csv splits the rows into runs of zero and nonzero
+    # entries where np.diff of the padded nonzero mask is True
+    nonzero = np.array([False, True, True, False, False, True])
+    edges = np.diff(nonzero, prepend=False, append=False)
+    assert edges.dtype == bool
+    assert np.flatnonzero(edges).tolist() == [1, 3, 5, 6]
