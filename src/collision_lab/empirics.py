@@ -13,6 +13,7 @@ never changed.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -52,7 +53,14 @@ def _key(value):
 
 
 def _keys(values) -> np.ndarray:
-    """One integer key per element, equal exactly where the ``_key``s are."""
+    """One integer key per element, equal exactly where the ``_key``s are.
+
+    A list whose elements are all exactly ``float`` (or all exactly
+    ``int``), checked by type identity in one C-level pass, is converted in
+    one ``np.fromiter``: floats to their float64 bit patterns, ints to
+    int64 unless one is beyond it.  Anything else (bools, numpy scalars,
+    subclasses, mixed or wide values) goes through the dense-code hash map.
+    """
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise TypeError(f"can only count a 1-D array, got shape {values.shape}")
@@ -67,13 +75,13 @@ def _keys(values) -> np.ndarray:
             return values.view(np.int64)
     if not isinstance(values, list):
         values = list(values)
-    types = set(map(type, values))
-    if types == {float}:
-        return np.array(values, dtype=np.float64).view(np.uint64)
-    if types == {int}:
+    n = len(values)
+    kind = type(values[0]) if n else None
+    if (kind is float or kind is int) and operator.countOf(map(type, values), kind) == n:
         try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
+            keys = np.fromiter(values, np.float64 if kind is float else np.int64, count=n)
+            return keys.view(np.uint64) if kind is float else keys
+        except OverflowError:  # an int beyond int64
             pass
     # mixed, wide or non-numeric values: dense codes of the distinct _keys
     codes = {}
@@ -264,18 +272,39 @@ def write_indexed_csv(out, header: Optional[str], values, first: int = 1) -> Non
     """CSV ``header`` row (none if it is None), then one ``i,value`` row per
     value, i from ``first`` (an integer >= 0).
 
-    ``values`` must be nonnegative and nondecreasing, as every trace column
-    and every run of zero pmf rows is.  Then both columns change digit
-    width only at the rows where they reach a power of ten, and between
-    those rows (and at most ``_CSV_CHUNK`` apart) each block of rows is one
-    fixed-width byte table, filled digit by digit with numpy and written as
-    one string.
+    ``values`` (a 1-D integer array, or Python ints) must be nondecreasing
+    and in 0..2^63-1, as every trace column and every run of zero pmf rows
+    is; nothing is cast.  Any other column (bools, floats, strings, one not
+    1-D) raises TypeError, an unsorted one ValueError and one whose first
+    or last value is out of range DomainError, before anything is written.
+    Then both columns change digit width only at the rows where they reach
+    a power of ten, and between those rows (and at most ``_CSV_CHUNK``
+    apart) each block of rows is one fixed-width byte table, filled digit
+    by digit with numpy and written as one string.
     """
     first = exact_index("first", first, 0)
-    values = np.asarray(values, dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise TypeError(f"can only write a 1-D column, got shape {values.shape}")
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"CSV column values must be integers, got {values.dtype}")
+        column = values
+    else:  # Python ints only, by exact type; those past int64 are refused below
+        values = list(values)
+        if operator.countOf(map(type, values), int) != len(values):
+            odd = next(v for v in values if type(v) is not int)
+            raise TypeError(f"CSV column values must be an integer array or Python ints, "
+                            f"got {odd!r} ({type(odd).__name__})")
+        try:
+            column = np.fromiter(values, np.int64, count=len(values))
+        except OverflowError:
+            column = np.array(values, dtype=object)
+    if np.any(column[1:] < column[:-1]):
+        raise ValueError("CSV trace columns must be nondecreasing")
+    for end in column[:1].tolist() + column[-1:].tolist():  # the least and the greatest
+        exact_index("CSV column values", end, 0, 2 ** 63 - 1)
+    values = column.astype(np.int64, copy=False)
     n = values.size
-    if n and (values[0] < 0 or np.any(values[1:] < values[:-1])):
-        raise ValueError("CSV trace columns must be nonnegative and nondecreasing")
     if header is not None:
         out.write(header + "\n")
     cuts = sorted({*np.clip(_POWERS_OF_TEN - first, 0, n).tolist(),  # row a holds index first + a

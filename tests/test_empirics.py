@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from collections import Counter
 from itertools import zip_longest
 
@@ -15,6 +16,8 @@ from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.empirics import (
     TieSummary,
     _PHI,
+    _key,
+    _keys,
     _tally,
     collision_positions,
     collision_summary,
@@ -26,7 +29,7 @@ from collision_lab.empirics import (
     write_positions_csv,
     write_trajectory_csv,
 )
-from collision_lab.errors import CapacityError
+from collision_lab.errors import CapacityError, DomainError
 from collision_lab.prng import GeneratorSpec, KBitStream, seeds_from_base
 
 
@@ -128,6 +131,30 @@ def assert_matches_oracle(make):
     assert positions == oracle_positions(make())
 
 
+def set_rule_keys(values):
+    """The list rule the type-identity branch of ``_keys`` replaced: one set
+    of the element types, then ``np.array``, then the dense-code hash map."""
+    types = set(map(type, values))
+    if types == {float}:
+        return np.array(values, dtype=np.float64).view(np.uint64)
+    if types == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    codes = {}
+    return np.fromiter((codes.setdefault(_key(v), len(codes)) for v in values),
+                       dtype=np.int64, count=len(values))
+
+
+def assert_list_keys(values):
+    """Counts as the oracle's, and keys of the set rule's dtype and bytes."""
+    assert_matches_oracle(lambda: list(values))
+    got, want = _keys(list(values)), set_rule_keys(list(values))
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestTieConventions:
     # the three worked examples: (values, duplicates, ties)
     CASES = [
@@ -204,7 +231,7 @@ class TestCountingKernelMatchesOracle:
     @given(st.one_of(mixed_lists, float_lists, int_lists))
     @settings(max_examples=300)
     def test_lists(self, values):
-        assert_matches_oracle(lambda: list(values))
+        assert_list_keys(values)
 
     @given(st.one_of(mixed_lists, float_lists, int_lists))
     @settings(max_examples=100)
@@ -305,6 +332,58 @@ class TestCountingKernelMatchesOracle:
         assert count_ties(values) == 5
         assert collision_positions(values) == [3, 5, 6]
         assert np.array_equal(values, before)
+
+
+class TestPlainListKeys:
+    """Edges of the branch that keys all-float and all-int lists at once."""
+
+    # a float first, then one element of another type
+    @pytest.mark.parametrize("later", [1, 0, True, np.float64(0.5), np.float64(-0.0), "0.5",
+                                       None])
+    @pytest.mark.parametrize("at", [1, 2, -1])
+    def test_float_first_with_another_type_later(self, later, at):
+        values = [0.5, -0.0, 1.0, 0.0, 0.5, 1.0]
+        values.insert(at if at >= 0 else len(values), later)
+        assert_list_keys(values)
+
+    # an int first, then one element of another type
+    @pytest.mark.parametrize("later", [1.0, 0.0, True, False, np.int64(1)])
+    @pytest.mark.parametrize("at", [1, 2, -1])
+    def test_int_first_with_another_type_later(self, later, at):
+        values = [1, 0, 2, 1, 0]
+        values.insert(at if at >= 0 else len(values), later)
+        assert_list_keys(values)
+
+    @pytest.mark.parametrize("wide", [2 ** 63, -2 ** 63 - 1])
+    def test_int_list_ending_beyond_int64(self, wide):
+        # the int64 conversion overflows at the last element, and the whole
+        # list is keyed through the hash map instead
+        values = [3, -2 ** 63, 2 ** 63 - 1, 3, *range(100), wide]
+        assert _keys(values).dtype == np.int64
+        assert_list_keys(values)
+        assert_list_keys([wide, wide, 0])
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [math.inf], [f64_from_bits(0x7FF0000000000001)], [0], [-1],
+        [2 ** 63 - 1], [2 ** 63], [True], [np.float64(1.0)], [np.int64(1)], ["a"], [None]])
+    def test_empty_and_single_element_lists(self, values):
+        assert_list_keys(values)
+
+    def test_long_float_list_with_every_nan_payload_and_both_zeros(self):
+        # 2^17 plain floats: coarse repeats, every NaN payload of NAN_BITS_64
+        # (the signalling 0x7FF0000000000001 among them) and both zeros,
+        # each many times and at both ends
+        rnd = np.random.default_rng(17)
+        special = [*NAN_BITS_64, 0, 0x8000000000000000]  # 0x7FF0000000000001 among the NaNs
+        bits = (rnd.integers(0, 1 << 12, 2 ** 17) << 40).astype(np.uint64)
+        spots = rnd.choice(bits.size, size=bits.size // 8, replace=False)
+        bits[spots] = rnd.choice(np.array(special, dtype=np.uint64), size=spots.size)
+        bits[:len(special)] = special
+        bits[-len(special):] = special
+        values = bits.view(np.float64).tolist()
+        assert set(map(type, values)) == {float}
+        assert _keys(values).tobytes() == bits.tobytes()
+        assert_list_keys(values)
 
 
 class TestTieSummary:
@@ -697,4 +776,46 @@ class TestCsvEmission:
         with pytest.raises(ValueError):
             write_indexed_csv(buf, "h", values)
         assert buf.getvalue() == ""
+
+    # nothing is cast: what np.asarray(values, dtype=np.int64) once made of
+    # these would have been written as rows, or refused for the wrong reason
+    @pytest.mark.parametrize("values, error, message", [
+        ([0.5, 1.7], TypeError, "got 0.5 (float)"),
+        (["1", "2"], TypeError, "got '1' (str)"),
+        ([True, True], TypeError, "got True (bool)"),
+        ([0, True], TypeError, "got True (bool)"),
+        ([0, np.int64(1)], TypeError, "(int64)"),
+        (np.array([0.5, 1.7]), TypeError, "got float64"),
+        (np.array([1.0, np.nan]), TypeError, "got float64"),
+        (np.array([], dtype=np.float64), TypeError, "got float64"),
+        (np.array([True, True]), TypeError, "got bool"),
+        (np.array(["1", "2"]), TypeError, "got <U1"),
+        ([[1, 2], [3, 4]], TypeError, "got [1, 2] (list)"),
+        (np.zeros((2, 2), dtype=np.int64), TypeError, "1-D column, got shape (2, 2)"),
+        (np.array(7), TypeError, "1-D column, got shape ()"),
+        (np.array([0, 2 ** 63], dtype=np.uint64), DomainError, "got 9223372036854775808"),
+        (np.array([2 ** 64 - 1], dtype=np.uint64), DomainError, "got 18446744073709551615"),
+        ([0, 2 ** 63], DomainError, "got 9223372036854775808"),
+        ([-2 ** 63 - 1, 0], DomainError, "got -9223372036854775809"),
+        ([-1, 0], DomainError, "got -1"),
+        (np.array([-5, 3], dtype=np.int8), DomainError, "got -5"),
+    ])
+    def test_indexed_csv_refuses_what_is_not_a_column_of_indices(self, values, error, message):
+        buf = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN is refused, not cast with a warning
+            with pytest.raises(error, match=re.escape(message)) as raised:
+                write_indexed_csv(buf, "h", values)
+        if error is DomainError:
+            assert "must be in 0..9223372036854775807" in str(raised.value)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("values", [[0, 1, 2 ** 63 - 1],
+                                        np.array([0, 1, 2 ** 63 - 1], dtype=np.uint64),
+                                        np.array([3, 9], dtype=np.uint8), range(3), []])
+    def test_indexed_csv_takes_every_integer_column_in_range(self, values):
+        buf = io.StringIO()
+        write_indexed_csv(buf, "h", values)
+        assert buf.getvalue() == "h\n" + "".join(
+            f"{i},{v}\n" for i, v in enumerate(list(values), 1))
 

@@ -15,6 +15,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from collision_lab.analytics import _SCALE
 from collision_lab.empirics import _PHI
@@ -271,3 +272,28 @@ def test_bool_diff_marks_run_edges():
     edges = np.diff(nonzero, prepend=False, append=False)
     assert edges.dtype == bool
     assert np.flatnonzero(edges).tolist() == [1, 3, 5, 6]
+
+
+def test_keys_fromiter_float64_keeps_every_double_bit_pattern():
+    # empirics._keys converts a list of plain floats with one np.fromiter
+    # into float64 and reads the bits back through a uint64 view: every
+    # double must arrive unchanged, signalling NaNs and -0.0 included
+    rnd = random.Random(13)
+    bits = [0, 1 << 63, 0x7FF0000000000000, 0x7FF0000000000001, 0x7FF4000000000000,
+            0xFFF0000000000001, 0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002,
+            0x0000000000000001, *(rnd.getrandbits(64) for _ in range(2 ** 12))]
+    values = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+    got = np.fromiter(values, np.float64, count=len(values))
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == bits
+
+
+def test_keys_fromiter_int64_refuses_ints_beyond_int64():
+    # empirics._keys converts a list of plain ints with one np.fromiter into
+    # int64 and sends it to the hash map on OverflowError (write_indexed_csv
+    # then range-checks it); an int beyond int64 must raise it, never wrap
+    edge = [-2 ** 63, -1, 0, 2 ** 63 - 1]
+    assert np.fromiter(edge, np.int64, count=4).tolist() == edge
+    for wide in (2 ** 63, -2 ** 63 - 1, 2 ** 64, 2 ** 200):
+        with pytest.raises(OverflowError):
+            np.fromiter([0, wide, 1], np.int64, count=3)
