@@ -8,7 +8,7 @@ never forms the doomed difference.  The same treatment applies to the
 birthday-problem collision probability 1 - prod(1 - i/b), rewritten as
 -expm1(sum log1p(-i/b)), whose sum is taken at constant cost from exact
 power sums.  Both literal forms are kept alongside the stable ones so the
-error curves can be measured; they cost O(n) and stop at LITERAL_CAP.
+error curves can be measured; they cost n factors, refused past LITERAL_CAP.
 For b = 2^k each factor is one subtraction of two exact doubles,
 (1 - q/b) - r/b with i = q + r, rounded once as the literal 1 - i/b is.
 Where the product is fixed without multiplying they return in O(1): when
@@ -28,6 +28,11 @@ occupancy recurrence over a window of occupancies, advanced 16 draws per
 numpy call by one band of the 16-draw transition (at most O(n^2) work,
 8-30 ms at n = 10^4); within 1e-12 relative, subnormal entries flushed
 to 0.
+
+Each capped function states its cost in its arguments and refuses, through
+errors.within_budget, before any work: the literal products at n factors,
+stirling2 at n rows of the exact table, and the float pmf at the values its
+kernel holds and, for the recurrence, its cell updates.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BracketingError, CapacityError, exact_index, real_number, shown
+from .errors import BracketingError, exact_index, real_number, within_budget
 # sum_log1p has no caller here; it stays bound as analytics.sum_log1p,
 # the name perfbench/tracing.py wraps
 from .stable_math import StableEvalReport, sum_log1p
@@ -67,7 +72,8 @@ _CHUNK = 1 << 20
 _PIECE = 1 << 14
 _ALIGN = 1 << 11
 
-# the literal forms multiply O(n) factors; above this n they refuse
+# factors the literal forms may multiply; _collision_certain's rounding
+# bound and b < 2^53 in collision_probability_naive rely on it
 LITERAL_CAP = 10 ** 8
 
 # C's FLT_EPSILON, the fuzz R's colon operator adds before truncating a length
@@ -146,13 +152,6 @@ def expected_collisions(n, space: BucketSpace) -> float:
     return max(0.0, value)
 
 
-def _check_literal_cap(n: int):
-    if n > LITERAL_CAP:
-        raise CapacityError(
-            f"literal products are capped at n = {LITERAL_CAP}, got {shown(n)}; "
-            f"collision_probability has no cap")
-
-
 def _collision_certain(n: int, b: int) -> bool:
     """Whether the birthday probability is exactly 1.0 in each form reading it:
 
@@ -190,10 +189,10 @@ def collision_probability_naive(n: int, space: BucketSpace) -> float:
       are multiplied, to keep the NaN that an overflowing one gives
       (0 * inf).
 
-    Raises CapacityError for n > LITERAL_CAP.
+    Costs n factors: raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
-    _check_literal_cap(n)
+    within_budget("literal products", n, "factors", LITERAL_CAP, "n")
     b, bf = space.count, float(space.count)
     start, prod = 1, 1.0
     if n - 1 >= b:
@@ -297,10 +296,10 @@ def collision_probability_pbirthday(n: int, space: BucketSpace) -> float:
     rounding-level difference.  For b = 2^k the factor fl(c - i)/c is
     fl(1 - i·2^-k), built by one subtraction as in that function.  Where
     _collision_certain holds the result is 1.0, unmultiplied.
-    Raises CapacityError for n > LITERAL_CAP.
+    Costs n factors: raises CapacityError for n > LITERAL_CAP.
     """
     n = exact_index("n", n)
-    _check_literal_cap(n)
+    within_budget("literal products", n, "factors", LITERAL_CAP, "n")
     b, c = space.count, float(space.count)
     if _collision_certain(n, b):
         return 1.0
@@ -391,10 +390,10 @@ def stirling_log_row(n: int) -> np.ndarray:
 
 
 def stirling2(n: int, l: int) -> int:
-    """Exact S(n, l) for 0 <= l <= n <= 64; CapacityError for n > 64."""
+    """Exact S(n, l) for 0 <= l <= n <= 64, from n rows of the exact table;
+    CapacityError for n > 64."""
     n = exact_index("n", n)
-    if n > _TABLE_LIMIT:
-        raise CapacityError(f"stirling2 is capped at n = {_TABLE_LIMIT}, got {shown(n)}")
+    within_budget("stirling2", n, "rows of the exact table", _TABLE_LIMIT, "n")
     return _stirling_row(n)[exact_index("l", l, 0, n)]
 
 
@@ -402,7 +401,11 @@ def stirling2(n: int, l: int) -> int:
 # Exact collision distribution
 
 EXACT_PMF_CAP = _TABLE_LIMIT
-LOG_PMF_CAP = 10 ** 4
+# the float pmf's budgets: values its kernel holds at once (240 MB of
+# doubles), and the recurrence's cell updates, n times _window_bound (about
+# 2.5-4.5 s at the 0.25-0.45 ns a cell measured on 2-core x86-64)
+PMF_VALUES_BUDGET = 3 * 10 ** 7
+PMF_WORK_BUDGET = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -496,10 +499,9 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     P(C = c) = (b)_(n-c) / b^n * S(n, n-c).  The representation follows n
     alone: exact rationals from exact Stirling numbers for
     n <= EXACT_PMF_CAP (64), whose total() and mean() sum integer
-    numerators over the lcm of the denominators; floats for
-    n <= LOG_PMF_CAP (10^4), entries from 1e-290 up within 1e-12 relative
-    and those below 2^-1022 flushed to 0, from one of two kernels chosen
-    by (n, b):
+    numerators over the lcm of the denominators; floats above it, entries
+    from 1e-290 up within 1e-12 relative and those below 2^-1022 flushed
+    to 0, from one of two kernels chosen by (n, b):
 
     * b >> n: a Chernoff bound gives the c_max past which every entry is
       flushed.  If 2(n-1) <= b, c_max <= 256 and 2(c_max + 1) < n, P(C = c)
@@ -516,13 +518,17 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
       (T the one-draw transition), carried times 2^512 so that no operand
       is subnormal: O(n * window), at most O(n^2), 8-30 ms at n = 10^4.
 
-    n above LOG_PMF_CAP raises CapacityError.
+    A float pmf costs the values its kernel holds at once: the n entries,
+    plus the Eulerian grid's (c_max + 1) c_max or the recurrence's
+    (_BLOCK + 6)(min(n, b) + 1) (the band, q, l, hit, miss and one
+    window), at most PMF_VALUES_BUDGET.  The recurrence also costs n times
+    _window_bound cell updates, at most PMF_WORK_BUDGET; the grid's work is
+    at most 256^2 cells.  Past either budget it raises CapacityError before
+    anything is allocated.
     """
     n = exact_index("n", n, 1)
     if n <= EXACT_PMF_CAP:
         return _pmf_exact_rational(n, space)
-    if n > LOG_PMF_CAP:
-        raise CapacityError(f"float-mode pmf capped at n = {LOG_PMF_CAP}, got {shown(n)}")
     return _pmf_log_domain(n, space)
 
 
@@ -549,10 +555,18 @@ _SCALE = 2.0 ** 512
 
 
 def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
-    c_max = _eulerian_window(n, space.count)
+    b = space.count
+    c_max = _eulerian_window(n, b)
     if c_max is None:
+        # values first: they bound n, so the work bound's floats stay finite
+        within_budget("the pmf recurrence", (_BLOCK + 6) * (min(n, b) + 1) + n,
+                      "values held at once", PMF_VALUES_BUDGET, "n and min(n, b)")
+        within_budget("the pmf recurrence", math.ceil(n * _window_bound(n, b)),
+                      "cell updates", PMF_WORK_BUDGET, "n and n^2/b")
         probs = _pmf_occupancy(n, space)
     else:
+        within_budget("the Eulerian pmf kernel", (c_max + 1) * c_max + n,
+                      "values held at once", PMF_VALUES_BUDGET, "n")
         probs = _pmf_eulerian(n, space, c_max)
     return CollisionPmf(n=n, space=space, probs=probs,
                         representation="log-domain-float")
@@ -581,6 +595,23 @@ def _eulerian_window(n: int, b: int) -> Optional[int]:
         if c > _EULERIAN_C_CAP:
             return None
     return c if 2 * (c + 1) < n else None
+
+
+def _window_bound(n: int, b: int) -> float:
+    """An upper bound, in O(1), on the occupancies one block of _pmf_occupancy
+    updates: its window [lo, min(t, b)] after t <= n draws.
+
+    As in _eulerian_window, C is dominated by a sum of independent Bernoulli
+    variables of mean lam = n(n-1)/2b, so Bernstein's inequality gives
+    P(C >= lam + x) <= exp(-x^2 / 2(lam + x/3)), which is 2^-1022 e^-40 at
+    x = T/3 + sqrt(T^2/9 + 2 lam T), T = 1022 ln 2 + 40.  The head below
+    lo holds at most 2^-1022 of the mass, so lo >= t - _BLOCK - (lam + x):
+    the window is at most lam + x + _BLOCK + 1 wide, and at most
+    min(n, b) + 1.
+    """
+    lam, tail = n * (n - 1) / (2 * b), -_LOG_FLUSH_TAIL
+    reach = lam + tail / 3 + math.sqrt(tail * tail / 9 + 2 * lam * tail)
+    return min(reach + _BLOCK + 1, min(n, b) + 1)
 
 
 def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
@@ -630,8 +661,9 @@ def _pmf_eulerian(n: int, space: BucketSpace, c_max: int) -> np.ndarray:
         log_p[c] = (log_falling[c] + c * log_half_n2_b - math.lgamma(c + 1)
                     + top + math.log(np.add.reduce(grid[c, :max(c, 1)])))
     probs = np.zeros(n)
-    probs[:c_max + 1] = np.exp(log_p)
-    probs[probs < _TINY] = 0.0
+    head = probs[:c_max + 1]
+    np.exp(log_p, out=head)
+    head[head < _TINY] = 0.0
     return probs
 
 

@@ -22,15 +22,19 @@ import numpy as np
 
 from . import analytics, empirics, ieee754
 from .analytics import BucketSpace
-from .errors import CapacityError, exact_index, exact_int
+from .errors import CapacityError, exact_index, exact_int, within_budget
 from .prng import FAMILIES, GeneratorSpec, KBitStream, seeds_from_base
 from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
-# simulate builds every stream before it prints; at --n 1 a seed takes about 0.25 ms
-# for mt19937 (cmrg 0.12 ms, splitcounter 0.08 ms, 2-core x86-64): the cap costs about 2.5 s
-MAX_SEEDS = 10 ** 4
+# simulate costs --seeds x (--n + SEED_SETUP_DRAWS) draws: building an mt19937
+# stream and counting its one draw, the dearest setup of the three families,
+# takes 0.16-0.20 ms, as long as about 20,000 draws at 7-9 ns a draw (2-core
+# x86-64)
+SEED_SETUP_DRAWS = 20_000
+# about 18 s of mt19937:32 draws, and 70 s of cmrg:40's, the slowest width
+SIMULATE_BUDGET = 2 * 10 ** 9
 
 
 def _fmt(x: float, fmt: str) -> str:
@@ -115,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="count collisions in generated streams")
     _add_common(s, out=False)
     s.add_argument("--seeds", type=_exact_int, default=1,
-                   help=f"number of seeds (default 1, at most {MAX_SEEDS}: one mt19937 "
-                        "seed takes about 0.25 ms, so the cap costs about 2.5 s at --n 1)")
+                   help="number of seeds (default 1); a run costs seeds x (n + "
+                        f"{SEED_SETUP_DRAWS}) draws, at most {SIMULATE_BUDGET:,}, as each "
+                        f"stream's setup takes as long as {SEED_SETUP_DRAWS} draws")
     s.add_argument("--generator", default=None,
                    help="family:seed:bits, families " + "/".join(FAMILIES) +
                         "; the seed is the base of --seeds (default mt19937:1:<bits>)")
@@ -246,9 +251,10 @@ def cmd_simulate(args, out) -> None:
         if (args.bits is not None or args.buckets is not None) and spec.output_bits != bits:
             raise ValueError("--generator bits disagree with --bits or --buckets")
         space = BucketSpace.power_of_two(spec.output_bits)
-    exact_index("--seeds", args.seeds, 1)
-    if args.seeds > MAX_SEEDS:
-        raise CapacityError(f"--seeds is capped at {MAX_SEEDS}, got {args.seeds}")
+    n = exact_index("--n", n)
+    within_budget("simulate", exact_index("--seeds", args.seeds, 1) * (n + SEED_SETUP_DRAWS),
+                  f"draws ({SEED_SETUP_DRAWS} for each stream's setup)", SIMULATE_BUDGET,
+                  "--seeds and --n")
     seeds = [spec.seed] if args.seeds == 1 else seeds_from_base(spec.seed, args.seeds)
     if args.trace_prefix is None:
         summaries = empirics.run_seeds(spec.family, spec.output_bits, n, seeds)

@@ -270,19 +270,20 @@ def _put_digits(rows: np.ndarray, values: np.ndarray) -> None:
 
 def write_indexed_csv(out, header: Optional[str], values, first: int = 1) -> None:
     """CSV ``header`` row (none if it is None), then one ``i,value`` row per
-    value, i from ``first`` (an integer >= 0).
+    value, i from ``first``, an integer >= 0 whose last row's index fits
+    int64 (first + len(values) - 1 <= 2^63 - 1).
 
     ``values`` (a 1-D integer array, or Python ints) must be nondecreasing
     and in 0..2^63-1, as every trace column and every run of zero pmf rows
     is; nothing is cast.  Any other column (bools, floats, strings, one not
-    1-D) raises TypeError, an unsorted one ValueError and one whose first
-    or last value is out of range DomainError, before anything is written.
+    1-D) raises TypeError, an unsorted one ValueError, and one whose first
+    or last value is out of range DomainError, as does a ``first`` out of
+    range, before anything is written.
     Then both columns change digit width only at the rows where they reach
     a power of ten, and between those rows (and at most ``_CSV_CHUNK``
     apart) each block of rows is one fixed-width byte table, filled digit
     by digit with numpy and written as one string.
     """
-    first = exact_index("first", first, 0)
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise TypeError(f"can only write a 1-D column, got shape {values.shape}")
@@ -305,6 +306,7 @@ def write_indexed_csv(out, header: Optional[str], values, first: int = 1) -> Non
         exact_index("CSV column values", end, 0, 2 ** 63 - 1)
     values = column.astype(np.int64, copy=False)
     n = values.size
+    first = exact_index("first", first, 0, 2 ** 63 - max(n, 1))
     if header is not None:
         out.write(header + "\n")
     cuts = sorted({*np.clip(_POWERS_OF_TEN - first, 0, n).tolist(),  # row a holds index first + a

@@ -1,5 +1,6 @@
 """Exception types, and the argument rules and parser every entry point shares:
-one rule each for integer arguments, real arguments and binary64 values."""
+one rule each for integer arguments, real arguments and binary64 values, and
+one for capacity (``within_budget``), the only code that raises CapacityError."""
 
 import numbers
 import operator
@@ -8,7 +9,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 __all__ = ["BracketingError", "CapacityError", "DomainError", "exact_index", "exact_int",
-           "real_number", "require_binary64", "shown"]
+           "real_number", "require_binary64", "shown", "within_budget"]
 
 
 class DomainError(ValueError):
@@ -16,7 +17,8 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A configured size cap would be exceeded; raised instead of degrading."""
+    """A call's stated cost exceeds its budget; raised before any work, instead
+    of degrading."""
 
 
 class BracketingError(ValueError):
@@ -37,6 +39,19 @@ def exact_index(name: str, value, lo: int = 0, hi=None) -> int:
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise DomainError(f"{name} must be {bounds}, got {shown(value)}")
     return value
+
+
+def within_budget(task: str, cost: int, unit: str, budget: int, grows_with: str) -> None:
+    """Refuse ``task`` with CapacityError when its ``cost`` exceeds ``budget``.
+
+    Each capped entry point states its cost as a formula in its arguments,
+    in ``unit`` (draws, factors, cell updates, values held at once), and
+    calls this before it does any work or allocates anything; ``grows_with``
+    names the arguments the cost grows with.  The message names the cost,
+    the budget and what drives the cost, in one form for every entry point."""
+    if cost > budget:
+        raise CapacityError(f"{task} would take {shown(cost)} {unit}, over its budget "
+                            f"of {shown(budget)}; the cost grows with {grows_with}")
 
 
 def shown(value) -> str:

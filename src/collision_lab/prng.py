@@ -18,9 +18,10 @@ Each core returns exactly the words asked for, as a fresh uint64 array that
 it keeps no reference to, and keeps its own position, so ``KBitStream``
 holds no words between calls and may shift them in place.  One SplitMix64
 routine makes the splitcounter words, ``derive_seed`` (word ``index`` of
-the base seed's splitcounter stream) and ``seeds_from_base`` (that
-stream's first words), which gives the six MRG32k3a component seeds; it
-mixes its output 2^15 words at a time, so each pass stays in cache.
+the base seed's splitcounter stream), ``seeds_from_base`` (that stream's
+words, less repeats of a low 32-bit half) and the six MRG32k3a component
+seeds; it mixes its output 2^15 words at a time, so each pass stays in
+cache.
 
 ``KBitStream.take_keys`` is the one path from a core to sort keys, by one
 rule: a count within the core's ``key_block`` (2^16 draws; 2^20 for
@@ -42,13 +43,15 @@ ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
 most one pattern per value still wanted, so it takes exactly the draws its
 accepted values need and calls of any size interleave.
 
-``take_kbits``, ``take_keys``, ``sample_ints`` and ``seeds_from_base`` refuse
-a count past the distinct-value cap with CapacityError before they draw or
+``take_kbits``, ``take_keys``, ``sample_ints`` and ``seeds_from_base`` state
+their cost as the count of values they hold at once, and refuse one past
+the distinct-value budget (``errors.within_budget``) before they draw or
 allocate.
 
 Streams are single-owner mutable state: move them between threads, never
 share one.  Multi-seed runs take one seed per stream from
-``seeds_from_base``.
+``seeds_from_base``, whose seeds differ in their low 32 bits, the part
+``mt19937`` reads, so no two streams of a run are one stream.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, exact_index, exact_int, shown
+from .errors import exact_index, exact_int, within_budget
 
 __all__ = [
     "DEFAULT_MAX_DISTINCT",
@@ -84,8 +87,8 @@ _CACHE_WORDS = 1 << 15
 
 
 def _capped_count(count) -> int:
-    """``count`` as an int >= 0 (``exact_index``), refusing to hold more
-    values in memory at once than the distinct-value cap."""
+    """``count`` as an int >= 0 (``exact_index``), refused when holding that
+    many values at once exceeds the distinct-value budget."""
     count = exact_index("count", count)
     env = os.environ.get(MAX_DISTINCT_ENV)
     try:
@@ -93,11 +96,8 @@ def _capped_count(count) -> int:
     except ValueError:
         raise ValueError(
             f"{MAX_DISTINCT_ENV} must be a positive exact integer, got {env!r}") from None
-    if count > cap:
-        raise CapacityError(
-            f"{shown(count)} draws held at once exceed the distinct-value cap of {cap}; "
-            f"raise it via the {MAX_DISTINCT_ENV} environment variable "
-            f"if you really want to hold that many values in memory")
+    within_budget("holding the draws", count, "values at once", cap,
+                  f"count ({MAX_DISTINCT_ENV} sets the budget)")
     return count
 
 
@@ -138,11 +138,27 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 
 def seeds_from_base(base_seed: int, count: int) -> list:
-    """The first ``count`` >= 0 words of ``splitcounter:base_seed:64`` as ints,
-    ``base_seed`` in 0..2^64-1: seed i is ``derive_seed(base_seed, i)``.
-    A count past the distinct-value cap raises CapacityError."""
+    """``count`` >= 0 stream seeds as ints, ``base_seed`` in 0..2^64-1: the
+    words of ``splitcounter:base_seed:64`` (``derive_seed(base_seed, i)`` for
+    i = 0, 1, ...) in order, skipping each word whose low 32 bits repeat an
+    earlier word's.  ``mt19937`` reads only those bits, so two seeds that
+    share them would give one stream twice.  About one base in 86 has such
+    a repeat among 10^4 seeds; a run without one takes exactly the first
+    ``count`` words.
+    A count past the distinct-value budget raises CapacityError, and one
+    past 2^32, which no set of distinct low halves reaches, DomainError."""
     base_seed = exact_index("base_seed", base_seed, 0, _MASK64)
-    return _splitmix64(base_seed, 1, _capped_count(count)).tolist()
+    count = exact_index("count", _capped_count(count), 0, 1 << 32)
+    seeds, drawn = _splitmix64(base_seed, 1, count), count
+    while True:
+        # the first word with each low half, in draw order
+        first = np.unique(seeds & np.uint64(_MASK32), return_index=True)[1]
+        if first.size == count:
+            return seeds.tolist()
+        first.sort()
+        more = count - first.size
+        seeds = np.concatenate([seeds[first], _splitmix64(base_seed, drawn + 1, more)])
+        drawn += more
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from collision_lab.analytics import (
     _pmf_exact_rational,
     _pmf_log_domain,
     _pmf_occupancy,
+    _window_bound,
     collision_pmf_exact,
     collision_probability,
     collision_probability_naive,
@@ -1004,10 +1005,97 @@ class TestCollisionPmf:
     def test_caps(self):
         assert collision_pmf_exact(64, k(8)).representation == "exact-rational"
         assert collision_pmf_exact(65, k(8)).representation == "log-domain-float"
-        with pytest.raises(CapacityError):
-            collision_pmf_exact(10 ** 4 + 1, k(32))
+        # past the values budget (22 (2^24 + 1) + 10^7 held), and past the
+        # work budget alone (10^6 draws over a window of 2^17 + 1)
+        for n, bits, unit in ((10 ** 7, 24, "values held at once"), (10 ** 6, 17, "cell updates")):
+            with pytest.raises(CapacityError, match=f"^the pmf recurrence would take .* {unit}"):
+                collision_pmf_exact(n, k(bits))
         with pytest.raises(ValueError):
             collision_pmf_exact(0, k(8))
+
+    @staticmethod
+    def stated_costs(n, b):
+        """(values held, cell updates) that collision_pmf_exact states for (n, b)."""
+        c_max = _eulerian_window(n, b)
+        if c_max is not None:
+            return (c_max + 1) * c_max + n, 0
+        return ((analytics._BLOCK + 6) * (min(n, b) + 1) + n,
+                math.ceil(n * _window_bound(n, b)))
+
+    # Knuth's setup on the recurrence, and an Eulerian input, which states
+    # no work: its grid is at most 257 x 256 cells
+    @pytest.mark.parametrize("n, b", [(2 ** 14, 2 ** 20), (3000, 2 ** 40)])
+    def test_budget_boundary(self, monkeypatch, n, b):
+        # budgets of exactly the stated costs admit the call; one less on
+        # either refuses it before anything is allocated
+        values, work = self.stated_costs(n, b)
+        monkeypatch.setattr(analytics, "PMF_VALUES_BUDGET", values)
+        monkeypatch.setattr(analytics, "PMF_WORK_BUDGET", work)
+        assert collision_pmf_exact(n, BucketSpace.exact(b)).n == n
+        over = [("PMF_VALUES_BUDGET", values - 1)] + [("PMF_WORK_BUDGET", work - 1)] * (work > 0)
+        for name, budget in over:
+            monkeypatch.setattr(analytics, name, budget)
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match=f"over its budget of {budget};"):
+                    collision_pmf_exact(n, BucketSpace.exact(b))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 16
+            monkeypatch.setattr(analytics, name, budget + 1)
+
+    @pytest.mark.parametrize("n, b", [(2 ** 14, 2 ** 20), (10 ** 4, 2 ** 16), (20000, 3),
+                                      (20000, 1000), (5000, 4999), (3000, 2 ** 40),
+                                      (9000, 2 ** 36), (10 ** 5, 2 ** 32)])
+    def test_stated_values_bound_the_peak(self, n, b):
+        # within a fixed 128 KB of scalars and O(c_max) arrays
+        values, _ = self.stated_costs(n, b)
+        tracemalloc.start()
+        try:
+            collision_pmf_exact(n, BucketSpace.exact(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * values + 2 ** 17
+
+    # the widest windows of the benchmark's pmf pool (n, b near its top
+    # ratios, both below and at the min(n, b) + 1 cap), and measured points
+    @pytest.mark.parametrize("n, b", [(8948, 2 ** 17), (8910, 2 ** 17), (8997, 2 ** 16),
+                                      (8764, 2 ** 19), (302, 150), (338, 106), (8856, 2870),
+                                      (10 ** 4, 2 ** 16), (2 ** 14, 2 ** 20),
+                                      (3 * 10 ** 4, 2 ** 16), (10 ** 4, 9999), (20000, 3)])
+    def test_window_bound_holds(self, monkeypatch, n, b):
+        widest, einsum = [0], np.einsum
+
+        def spy(spec, band, window):
+            widest[0] = max(widest[0], band.shape[1])
+            return einsum(spec, band, window)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        _pmf_occupancy(n, BucketSpace.exact(b))
+        assert 0 < widest[0] <= _window_bound(n, b)
+
+    def test_headline_within_budgets(self, monkeypatch):
+        # pmf --n 1e6 --bits 32 passes both checks and reaches the recurrence
+        # (1.2-1.5 s and a 176 MB peak, too slow to run here)
+        ran = []
+        monkeypatch.setattr(analytics, "_pmf_occupancy",
+                            lambda n, space: ran.append(n) or np.zeros(n))
+        assert collision_pmf_exact(10 ** 6, k(32)).n == 10 ** 6 and ran == [10 ** 6]
+
+    def test_knuth_collision_test_table(self):
+        """Knuth's collision test (TAOCP vol. 2, 3.3.2) throws n = 2^14 balls
+        into m = 2^20 urns.  His table of P(C <= c), as recalled here, not
+        read from the book, is .009 .043 .244 .476 .742 .946 at c = 101, 108,
+        119, 126, 134, 145; the pmf's CDF (.0086 .0432 .2439 .4761 .7424
+        .9458) matches it to three decimals."""
+        pmf = collision_pmf_exact(2 ** 14, k(20))
+        cdf = np.cumsum(pmf.probs)
+        recalled = {101: .009, 108: .043, 119: .244, 126: .476, 134: .742, 145: .946}
+        assert {c: round(float(cdf[c]), 3) for c in recalled} == recalled
+        assert abs(pmf.total() - 1) < 1e-13
+        assert pmf.mean() == pytest.approx(expected_collisions(2 ** 14, k(20)), rel=1e-13)
 
 
 def assert_fsum_bits(x):

@@ -4,15 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from collision_lab import cli
+from collision_lab import cli, empirics
 from collision_lab.analytics import (BucketSpace, CollisionPmf, collision_pmf_exact,
                                      expected_collisions)
-from collision_lab.cli import MAX_SEEDS, main, write_pmf_csv
+from collision_lab.cli import SEED_SETUP_DRAWS, SIMULATE_BUDGET, main, write_pmf_csv
 from collision_lab.prng import GeneratorSpec, KBitStream
 
 
@@ -331,10 +332,11 @@ class TestPmf:
         write_pmf_csv(pmf, buf)
         assert buf.getvalue() == per_row_pmf_csv(pmf)
 
-    def test_cap_error(self, capsys):
-        code, _, err = run(capsys, "pmf", "--n", "100000", "--bits", "32")
-        assert code == 1
-        assert err.startswith("error:")
+    def test_knuth_collision_test_setup(self, capsys):
+        # Knuth's collision test, n = 2^14 draws into 2^20 urns (TAOCP vol. 2,
+        # 3.3.2): a header, 16,384 rows, sum and mean
+        code, out, _ = run(capsys, "pmf", "--n", "16384", "--bits", "20")
+        assert code == 0 and out.count("\n") == 16387
 
 
 class TestSimulate:
@@ -472,16 +474,28 @@ class TestSimulate:
         if code:
             assert out == "" and err.startswith("error: COLLISION_LAB_MAX_DISTINCT")
 
-    @pytest.mark.parametrize("seeds", [str(MAX_SEEDS + 1), "1e6", "1e9"])
-    def test_seeds_capped_before_any_seed_is_derived(self, capsys, monkeypatch, seeds):
+    def test_seeds_capped_before_any_seed_is_derived(self, capsys, monkeypatch):
         def derive(*args):
             raise AssertionError("a seed was derived")
 
         monkeypatch.setattr(cli, "seeds_from_base", derive)
+        # the fewest seeds over the budget at --n 1
+        seeds = str(SIMULATE_BUDGET // (1 + SEED_SETUP_DRAWS) + 1)
         code, out, err = run(capsys, "simulate", "--n", "1", "--seeds", seeds)
         assert code == 1 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert str(MAX_SEEDS) in err
+        assert err.startswith("error: simulate would take") and err.count("\n") == 1
+        assert f"over its budget of {SIMULATE_BUDGET}" in err
+
+    def test_largest_admitted_run(self, capsys, monkeypatch):
+        # a budget of exactly three streams of 1000 draws admits --seeds 3
+        # and refuses --seeds 4 before deriving a seed
+        monkeypatch.setattr(cli, "SIMULATE_BUDGET", 3 * (1000 + SEED_SETUP_DRAWS))
+        args = ("simulate", "--n", "1000", "--bits", "16", "--format", "csv")
+        code, out, _ = run(capsys, *args, "--seeds", "3")
+        assert code == 0 and out.count("\n") == 7
+        monkeypatch.setattr(cli, "seeds_from_base", None)
+        code, out, err = run(capsys, *args, "--seeds", "4")
+        assert code == 1 and out == "" and "would take 84000 draws" in err
 
     def test_power_of_two_buckets_is_bits(self, capsys):
         # --buckets 1024 is the 10-bit space, as analytics treats it
@@ -655,7 +669,7 @@ class TestRefusedCallsWriteNothing:
     @pytest.mark.parametrize("case, says", [
         ("expect-n-overflow", "error: n must be"), ("scan-n-overflow", "error: n must be"),
         ("solve-n-overflow", "error: n must be"),
-        ("prob-n-overflow", "error: literal products are capped"),
+        ("prob-n-overflow", "error: literal products would take"),
     ])
     def test_n_overflow_names_n(self, capsys, case, says):
         code, _, err = run(capsys, *self.REFUSED[case])
@@ -734,3 +748,43 @@ class TestRepeatedCalls:
         assert in_process == [self.alone(argv) for argv in self.ARGVS]
         # the package entry that README documents, python -m collision_lab
         assert in_process[-2] == self.alone(self.ARGVS[-2], "collision_lab")
+
+
+class TestCostBudgets:
+    # each refused through errors.within_budget before any work: no seed
+    # derived, no stream built, and a tracemalloc peak under 1 MB
+    REFUSED = {
+        "simulate-draws": ["simulate", "--seeds", "10000", "--n", "1e8",
+                           "--generator", "cmrg:1:40"],
+        "simulate-seeds-1e6": ["simulate", "--n", "1", "--seeds", "1e6"],
+        "simulate-seeds-1e9": ["simulate", "--n", "1", "--seeds", "1e9"],
+        "prob-literal": ["prob", "--n", "1e10", "--bits", "64"],
+        "pmf-recurrence": ["pmf", "--n", "1e7", "--bits", "24"],
+    }
+
+    @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv):
+        def start(*args):
+            raise AssertionError("work started")
+
+        for owner, name in ((cli, "seeds_from_base"), (cli, "KBitStream"),
+                            (empirics, "run_seeds"), (empirics, "trace_collisions")):
+            monkeypatch.setattr(owner, name, start)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert " would take " in err and ", over its budget of " in err
+        assert peak < 2 ** 20
+
+    # inputs the old caps refused that the budgets admit, each run to the end
+    @pytest.mark.parametrize("argv, lines", [
+        (["pmf", "--n", "100000", "--bits", "32"], 100003),
+        (["pmf", "--n", "20000", "--buckets", "3"], 20003),
+    ])
+    def test_newly_admitted(self, capsys, argv, lines):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") == lines

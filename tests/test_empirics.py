@@ -675,6 +675,29 @@ class TestRunSeeds:
     def test_seed_derivation_distinct(self):
         assert len(set(seeds_from_base(1, 100))) == 100
 
+    def test_seeds_distinct_in_what_mt19937_reads(self):
+        # base 61 at 10^4 seeds: words 1041 and 8323 of its splitcounter
+        # stream share their low 32 bits, 2330712827, so word 8323 is skipped
+        seeds = seeds_from_base(61, 10 ** 4)
+        words = KBitStream(GeneratorSpec("splitcounter", 61, 64)).take_kbits(10 ** 4 + 1).tolist()
+        assert words[1041] & 0xFFFFFFFF == words[8323] & 0xFFFFFFFF == 2330712827
+        assert seeds == words[:8323] + words[8324:]
+        assert len({s & 0xFFFFFFFF for s in seeds}) == 10 ** 4
+        # two of the streams would otherwise have been one
+        first = [KBitStream(GeneratorSpec("mt19937", s, 32)).take_kbits(4).tolist()
+                 for s in (words[1041], words[8323])]
+        assert first[0] == first[1]
+
+    def test_headline_seeds_unchanged(self):
+        # a run without a repeated low half takes the first words as before
+        words = KBitStream(GeneratorSpec("splitcounter", 20260808, 64)).take_kbits(50)
+        assert seeds_from_base(20260808, 50) == words.tolist()
+
+    def test_more_seeds_than_low_halves_refused(self, monkeypatch):
+        monkeypatch.setenv("COLLISION_LAB_MAX_DISTINCT", str(2 ** 33))
+        with pytest.raises(DomainError, match=r"^count must be in 0\.\.4294967296"):
+            seeds_from_base(1, 2 ** 32 + 1)
+
     # recorded before seeds_from_base drew its seeds as splitcounter words
     SEEDS = {(271, 4): [7738825323609040495, 8325891990607108871,
                         14446157519787916250, 3458682794589304879],
@@ -755,19 +778,22 @@ class TestCsvEmission:
 
     # the first index at and around the widths' edges, with the pmf's
     # zero columns and a column that crosses widths of its own
-    @pytest.mark.parametrize("first", [0, 1, 8, 9, 10, 98, 99, 100, 9990, 10 ** 17 - 3])
+    @pytest.mark.parametrize("first", [0, 1, 8, 9, 10, 98, 99, 100, 9990, 10 ** 17 - 3,
+                                       2 ** 63 - 40])
     @pytest.mark.parametrize("values", [[0] * 40, [0, 0, 7, 9, 10, 99, 100, 100, 1000]])
     def test_indexed_csv_from_any_first_index(self, first, values):
         buf = io.StringIO()
         write_indexed_csv(buf, None, values, first)
         assert buf.getvalue() == "".join(f"{i},{v}\n" for i, v in enumerate(values, first))
 
+    # the last row's index must fit int64: from 2^63 - 2 on, three rows pass it
     @pytest.mark.parametrize("first, error", [(-1, ValueError), (1.0, TypeError),
-                                              (True, TypeError)])
+                                              (True, TypeError), (2 ** 63, DomainError),
+                                              (2 ** 63 - 2, DomainError)])
     def test_indexed_csv_refuses_bad_first_index(self, first, error):
         buf = io.StringIO()
         with pytest.raises(error):
-            write_indexed_csv(buf, "h", [0, 1], first)
+            write_indexed_csv(buf, "h", [0, 1, 2], first)
         assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("values", [[1, 0], [5, 7, 6], [-1], [-3, 2]])

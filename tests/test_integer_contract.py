@@ -1,6 +1,6 @@
 """The integer contract at every entry point: a bool or a non-integer where
 an integer belongs raises TypeError, a value out of range raises a
-ValueError subclass (CapacityError past a size cap), and Python and numpy
+ValueError subclass (CapacityError past a cost budget), and Python and numpy
 integers pass unchanged.  A bool where a real number belongs raises
 TypeError too."""
 
@@ -22,7 +22,7 @@ from collision_lab.analytics import (
     stirling2,
 )
 from collision_lab.empirics import collision_summary, trace_collisions
-from collision_lab.errors import CapacityError, DomainError, exact_index
+from collision_lab.errors import CapacityError, DomainError, exact_index, within_budget
 from collision_lab.ieee754 import FloatAnatomy, compose
 from collision_lab.prng import (GeneratorSpec, KBitStream, _Mrg32k3aCore, derive_seed,
                                 sample_ints, seeds_from_base)
@@ -132,6 +132,18 @@ def test_long_integers_in_messages():
     with pytest.raises(DomainError) as info:
         exact_index("x", -7 * 10 ** 5000, 0, 1)
     assert str(info.value) == "x must be in 0..1, got -7.000000e+5000"
+
+
+def test_within_budget():
+    # a cost at the budget passes; one over it is refused in one form,
+    # naming the cost, the budget and what drives it
+    assert within_budget("a task", 10, "cells", 10, "n") is None
+    with pytest.raises(CapacityError) as info:
+        within_budget("a task", 11, "cells", 10, "n and b")
+    assert str(info.value) == ("a task would take 11 cells, over its budget of 10; "
+                               "the cost grows with n and b")
+    with pytest.raises(CapacityError, match=r"would take 1\.000000e\+5000 draws"):
+        within_budget("a task", 10 ** 5000, "draws", 10, "n")
 
 
 def test_exact_index_bounds():

@@ -1,10 +1,12 @@
-"""No module of the package uses a private name of a sibling module, and
-each public name has one home.
+"""No module of the package uses a private name of a sibling module, each
+public name has one home, and only ``errors`` builds a CapacityError.
 
 A rule that two modules need lives in one of them under a public name;
 the other imports that name.  The check parses every module with ``ast``.
 A module's ``__all__`` lists only what it defines, and the package imports
-each name it re-exports from the module whose ``__all__`` lists it.
+each name it re-exports from the module whose ``__all__`` lists it.  Every
+refusal for capacity goes through ``errors.within_budget``, so no other
+module calls ``CapacityError(...)``.
 """
 
 import ast
@@ -80,3 +82,24 @@ def test_package_imports_each_name_from_its_home():
         module = importlib.import_module(f"collision_lab.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def capacity_errors_built(source: str) -> list:
+    """Lines that call ``CapacityError(...)``, by name or as an attribute."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return sorted(call.lineno for call in calls
+                  if getattr(call.func, "id", getattr(call.func, "attr", None)) == "CapacityError")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_capacity_errors_built_only_in_errors(path):
+    assert capacity_errors_built(path.read_text()) == []
+
+
+def test_capacity_guard_trips():
+    assert capacity_errors_built("raise CapacityError('x')\n") == [1]
+    assert capacity_errors_built("from . import errors\n\nraise errors.CapacityError()\n") == [3]
+    assert capacity_errors_built("try:\n    f()\nexcept (CapacityError, ValueError):\n"
+                                 "    pass\n") == []
+    assert capacity_errors_built((PACKAGE / "errors.py").read_text()) != []
