@@ -402,8 +402,9 @@ def stirling2(n: int, l: int) -> int:
 
 EXACT_PMF_CAP = _TABLE_LIMIT
 # the float pmf's budgets: values its kernel holds at once (240 MB of
-# doubles), and the recurrence's cell updates, n times _window_bound (about
-# 2.5-4.5 s at the 0.25-0.45 ns a cell measured on 2-core x86-64)
+# doubles), and the recurrence's cell updates, n times _window_bound plus
+# _BLOCK_CELLS a block (about 2.5-4.5 s at the 0.25-0.45 ns a cell measured
+# on 2-core x86-64)
 PMF_VALUES_BUDGET = 3 * 10 ** 7
 PMF_WORK_BUDGET = 10 ** 10
 
@@ -522,8 +523,9 @@ def collision_pmf_exact(n: int, space: BucketSpace) -> CollisionPmf:
     plus the Eulerian grid's (c_max + 1) c_max or the recurrence's
     (_BLOCK + 6)(min(n, b) + 1) (the band, q, l, hit, miss and one
     window), at most PMF_VALUES_BUDGET.  The recurrence also costs n times
-    _window_bound cell updates, at most PMF_WORK_BUDGET; the grid's work is
-    at most 256^2 cells.  Past either budget it raises CapacityError before
+    _window_bound cell updates, plus _BLOCK_CELLS for the fixed cost of each
+    of its ceil(n / _BLOCK) blocks, at most PMF_WORK_BUDGET; the grid's work
+    is at most 256^2 cells.  Past either budget it raises CapacityError before
     anything is allocated.
     """
     n = exact_index("n", n, 1)
@@ -550,6 +552,10 @@ _LOG_FLUSH_TAIL = -1022 * math.log(2.0) - 40.0
 _EULERIAN_C_CAP = 256
 # draws the occupancy recurrence takes per step, as one band of T^_BLOCK
 _BLOCK = 16
+# one block's fixed cost in cell updates: 2.9-3.3 us a block against
+# 0.33-0.47 ns a cell, measured on 2-core x86-64 at b = 3 (a 4-cell window)
+# and on windows of 10^4 to 10^5 cells
+_BLOCK_CELLS = 8000
 # power of two the occupancy recurrence carries q times (see _pmf_occupancy)
 _SCALE = 2.0 ** 512
 
@@ -561,7 +567,8 @@ def _pmf_log_domain(n: int, space: BucketSpace) -> CollisionPmf:
         # values first: they bound n, so the work bound's floats stay finite
         within_budget("the pmf recurrence", (_BLOCK + 6) * (min(n, b) + 1) + n,
                       "values held at once", PMF_VALUES_BUDGET, "n and min(n, b)")
-        within_budget("the pmf recurrence", math.ceil(n * _window_bound(n, b)),
+        within_budget("the pmf recurrence",
+                      math.ceil(n * _window_bound(n, b)) + -(-n // _BLOCK) * _BLOCK_CELLS,
                       "cell updates", PMF_WORK_BUDGET, "n and n^2/b")
         probs = _pmf_occupancy(n, space)
     else:

@@ -14,9 +14,11 @@ Three families:
 Requesting fewer than the native bits truncates to the top bits; requesting
 more (from a 32-bit family) concatenates two successive native outputs.
 Identical GeneratorSpec values always yield bitwise-identical streams.
-Each core returns exactly the words asked for, as a fresh uint64 array that
-it keeps no reference to, and keeps its own position, so ``KBitStream``
-holds no words between calls and may shift them in place.  One SplitMix64
+Each core returns exactly the words asked for, as a fresh array of its
+native width (uint32 for mt19937 and cmrg, uint64 for splitcounter) that it
+keeps no reference to, and keeps its own position, so ``KBitStream`` holds
+no words between calls: it widens 32-bit words to uint64, or pairs two a
+draw into a new uint64 array, and shifts the draws in place.  One SplitMix64
 routine makes the splitcounter words, ``derive_seed`` (word ``index`` of
 the base seed's splitcounter stream), ``seeds_from_base`` (that stream's
 words, less repeats of a low 32-bit half) and the six MRG32k3a component
@@ -24,19 +26,17 @@ seeds; it mixes its output 2^15 words at a time, so each pass stays in
 cache.
 
 ``KBitStream.take_keys`` is the one path from a core to sort keys, by one
-rule: a count within the core's ``key_block`` (2^16 draws; 2^20 for
-cmrg, where its lanes reach their cap) is one ``take_kbits`` request,
-narrowed to uint32 over its own buffer for k <= 32, and a larger one
-fills preallocated keys block by block.  Since every stream is
-call-size-invariant, the blocks change no draw.
+rule for every family: preallocated keys (uint32 for k <= 32) filled 2^16
+draws at a time, each block one ``take_kbits`` request.  Since every stream
+is call-size-invariant, the blocks change no draw.
 
-Building a core costs about 0.15 ms for mt19937 (init_genrand), 0.02 ms for
-cmrg and 1 us for splitcounter.  A single word costs about 9 us from
-mt19937, most of it ``randint``'s argument handling, and 0.05 ms from cmrg,
-which splits every request into up to 8192 lanes by matrix jump-ahead,
-built by doubling; 10^3 cmrg words take about 0.5 ms and 10^6 about 16 ms,
-and from 2 to about 100 words a request costs 0.2-0.4 ms, nearly all of it
-lane setup (2-core x86-64).
+Building a core costs about 0.17 ms for mt19937 (init_genrand), 0.01 ms for
+cmrg and 1 us for splitcounter.  A single word costs about 5 us from
+mt19937, most of it ``randint``'s argument handling.  cmrg serves its
+words from a buffer of at most 2^17 words (512 KB), filled by up to 4096
+lanes that a matrix jump-ahead sets apart: a first request of 1 or 2 words
+costs about 0.05 ms, one of 10^3 about 0.35 ms, a word already in the
+buffer under 1 us, and 10^6 words about 10 ms (2-core x86-64).
 
 ``sample_ints`` is the one uniform-integer sampler: rejection on
 ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
@@ -56,7 +56,6 @@ share one.  Multi-seed runs take one seed per stream from
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -196,16 +195,14 @@ class _Mt19937Core:
     """numpy's legacy RandomState, whose MT19937 is seeded by init_genrand."""
 
     native_bits = 32
-    # draws per take_kbits request in take_keys, which stay in cache
-    key_block = 1 << 16
 
     def __init__(self, seed: int):
         # the 64-bit seed field is reduced to its low 32 bits
         self._rs = np.random.RandomState(seed & _MASK32)
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as uint64, one raw 32-bit word each."""
-        return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint64)
+        """The next ``count`` raw 32-bit words as uint32."""
+        return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint32)
 
 
 # --------------------------------------------------------------------------
@@ -246,10 +243,29 @@ _UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
 _UA12, _UA13N, _UA21, _UA23N = (np.uint64(v) for v in (_A12, _A13N, _A21, _A23N))
 _UC1, _UC2 = np.uint64(_M1 * _A13N), np.uint64(_M2 * _A23N)
 
-# lanes = min(_LANE_CAP, 8*isqrt(count), count); each step's words go to a
-# step-major block of _BLOCK_STEPS rows, copied into the output when full
-_LANE_CAP = 8192
-_BLOCK_STEPS = 16
+# a fill of f words (a power of two) runs f / T lanes of T = min(_LANE_STEPS,
+# f) steps, in blocks of _BLOCK_STEPS; fills stop growing at _FILL_CAP words
+# (512 KB), 4096 lanes
+_LANE_STEPS = 32
+_BLOCK_STEPS = 8
+_FILL_CAP = 1 << 17
+
+
+def _doublings():
+    """A^(T 2^i) for T = _LANE_STEPS and i = 0, 1, ...: round i of building
+    a fill's lane starts, 12 rounds for a full fill."""
+    out = [(_mat_pow(_MAT1, _LANE_STEPS, _M1), _mat_pow(_MAT2, _LANE_STEPS, _M2))]
+    while _LANE_STEPS << len(out) < _FILL_CAP:
+        a, b = out[-1]
+        out.append((_mat_mul(a, a, _M1), _mat_mul(b, b, _M2)))
+    return out
+
+
+_DOUBLINGS = _doublings()
+# A^(_FILL_CAP - T) carries a lane of one full fill, stepped T, to its start
+# in the next
+_NEXT_FILL = (_mat_pow(_MAT1, _FILL_CAP - _LANE_STEPS, _M1),
+              _mat_pow(_MAT2, _FILL_CAP - _LANE_STEPS, _M2))
 
 
 def _mod(x, m):
@@ -266,35 +282,90 @@ def _jump(j, x, m):
     uint64 array x of values below m.  Split into 16-bit halves, j's rows
     make sums below 2^50, exact in uint64."""
     j = np.array(j, dtype=np.uint64)
-    y = _mod((j >> _U16) @ x, m)
+    y = _mod(np.einsum("ij,jk->ik", j >> _U16, x), m)
     y <<= _U16
-    y += (j & _LOW16) @ x
+    y += np.einsum("ij,jk->ik", j & _LOW16, x)
     return _mod(y, m)
 
 
-class _Mrg32k3aCore:
-    """MRG32k3a emitting the canonical output sequence.
+def _step_lanes(h1, h2, grid):
+    """Step every lane ``grid.shape[1]`` times, writing lane r's words, scaled
+    to 32 bits, into ``grid[r]``.
 
-    The state is always the scalar pair of component states.  Every
-    request of ``count`` words splits its stretch of the sequence into
-    ``lanes = min(8192, 8*isqrt(count), count)`` lanes of
-    ``T = ceil(count / lanes)`` steps (then ``lanes = ceil(count / T)``, so
-    the last lane is not empty): lane r starts at offset r*T, at state
-    A^(rT) x0 (the substream jump-ahead of L'Ecuyer et al. 2002).  The lane
-    starts are built by doubling: with ``have`` starts built, the matrix
-    A^(have*T) carries all of them to the next ``have``, so 8192 lanes take
-    13 rounds of whole-array work.  All lanes then step the one-step
-    recurrence together, reducing by floor division, and the lanes laid end
-    to end are the canonical sequence, bit for bit.  Word ``count`` falls
-    in the last lane, so the state after the call is read from that lane at
-    that step: A^count x0, the position just past the words returned.  The
-    unscaled outputs go through a 16-step block into the output, which is
-    scaled to 32 bits once, in place, after the last step.
+    ``h1`` and ``h2`` are (B + 3, lanes) uint64 windows whose rows 0..2 hold
+    each lane's last three component states, and which end holding them
+    again; a block of B steps fills rows 3..B+2.  The first component,
+    s[n] = a12 s[n-2] - a13 s[n-3], reads no s[n-1], so it takes two steps a
+    pass; the second, s[n] = a21 s[n-1] - a23 s[n-3], one, with the a23 terms
+    of three steps made in one pass.  a12 s + m1 a13 - a13 s' < 2^54 and
+    a21 s + m2 a23 - a23 s' < 2^53 stay exact in uint64 when the addition
+    comes first, and each reduces by floor division.
+    """
+    steps = grid.shape[1]
+    room = h1.shape[0] - 3
+    t = np.empty((3, h1.shape[1]), dtype=np.uint64)
+    for a in range(0, steps, room):
+        k = min(room, steps - a)
+        for n in range(3, 3 + k, 2):
+            e = min(n + 2, 3 + k)
+            h, u = h1[n:e], t[:e - n]
+            np.multiply(h1[n - 3:e - 3], _UA13N, out=u)
+            np.multiply(h1[n - 2:e - 2], _UA12, out=h)
+            h += _UC1
+            h -= u
+            np.floor_divide(h, _UM1, out=u)
+            u *= _UM1
+            h -= u
+        for n in range(3, 3 + k, 3):
+            e = min(n + 3, 3 + k)
+            c = t[:e - n]
+            np.multiply(h2[n - 3:e - 3], _UA23N, out=c)
+            np.subtract(_UC2, c, out=c)
+            for i, q in zip(range(n, e), c):
+                h = h2[i]
+                np.multiply(h2[i - 1], _UA21, out=h)
+                h += q
+                np.floor_divide(h, _UM2, out=q)
+                q *= _UM2
+                h -= q
+        # keep the last three states, then make the block's words in place
+        h1[:3], h2[:3] = h1[k:k + 3], h2[k:k + 3]
+        y1, y2 = h1[3:3 + k], h2[3:3 + k]
+        # (p1 - p2) mod m1: the difference wraps below 0 exactly when m1 is due
+        np.subtract(y1, y2, out=y2)
+        np.add(y2, _UM1, out=y1)
+        np.minimum(y2, y1, out=y2)
+        # scale [0, m1) onto the 32-bit range: floor(z * 2^32 / m1)
+        y2 <<= _U32
+        y2 //= _UM1
+        grid[:, a:a + k] = y2.T
+
+
+class _Mrg32k3aCore:
+    """MRG32k3a emitting the canonical output sequence, served from a
+    buffer of its canonical uint32 words.
+
+    ``_s1`` and ``_s2`` are the component states just past the buffer's
+    last word.  A request takes the buffer's unread words and refills it as
+    often as it needs.  The fill sizes follow from the first request alone:
+    twice it, rounded up to a power of two, then twice the last fill, up to
+    _FILL_CAP words (512 KB).  Later requests do not change them, and no
+    fill size changes a word.
+
+    A fill of f words runs ``lanes = f / T`` lanes of ``T = min(32, f)``
+    steps: lane r starts at offset r*T, at state A^(rT) x0 (the substream
+    jump-ahead of L'Ecuyer et al. 2002), so the lanes laid end to end are
+    the canonical sequence, bit for bit.  The lane starts are built by
+    doubling: with ``have`` starts built, A^(have*T) carries all of them to
+    the next ``have`` (_DOUBLINGS), so a full fill's 4096 lanes take 12
+    rounds.  A full fill after a full fill keeps the lanes instead: after T
+    steps lane r sits where lane r + 1 started, and one jump by
+    A^(_FILL_CAP - T) carries it to its start in the new fill.  The lanes
+    step _BLOCK_STEPS steps at a time (_step_lanes), and the last lane's
+    state after the fill is the state past the buffer.
     """
 
     native_bits = 32
-    # the smallest request whose lanes are capped: no more steps per word
-    key_block = (_LANE_CAP // 8) ** 2
 
     def __init__(self, seed: int):
         # six component seeds in [1, m-1]: the seed's first six derived seeds
@@ -316,63 +387,52 @@ class _Mrg32k3aCore:
         self._s2 = [exact_index("second component state", v, 0, _M2 - 1) for v in s2]
         if not any(self._s1) or not any(self._s2):
             raise ValueError("neither component state may be all zero")
+        self._buf = np.empty(0, dtype=np.uint32)
+        self._read = 0
+        self._fill_size = 0      # set by the first request
+        self._lanes = None       # a full fill's lane windows, kept for the next
 
     def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as uint64."""
-        if count == 0:
-            return np.empty(0, dtype=np.uint64)
-        lanes = min(_LANE_CAP, 8 * math.isqrt(count), count)
-        steps = -(-count // lanes)
-        lanes = -(-count // steps)
-        # word `count` is step `last` of the last lane, in [1, steps]
-        last = count - (lanes - 1) * steps
-        # row i holds state entry i of every lane
-        x1 = np.empty((3, lanes), dtype=np.uint64)
-        x2 = np.empty((3, lanes), dtype=np.uint64)
-        x1[:, 0], x2[:, 0] = self._s1, self._s2
-        have = 1
-        if lanes > 1:
-            jump1 = _mat_pow(_MAT1, steps, _M1)
-            jump2 = _mat_pow(_MAT2, steps, _M2)
-        while have < lanes:
-            # lane have + i starts have*T steps after lane i
-            n = min(have, lanes - have)
-            x1[:, have:have + n] = _jump(jump1, x1[:, :n], _UM1)
-            x2[:, have:have + n] = _jump(jump2, x2[:, :n], _UM2)
-            have += n
-            if have < lanes:
-                jump1 = _mat_mul(jump1, jump1, _M1)
-                jump2 = _mat_mul(jump2, jump2, _M2)
-        x1, x2 = list(x1), list(x2)
-        out = np.empty((lanes, steps), dtype=np.uint64)
-        block = np.empty((_BLOCK_STEPS, lanes), dtype=np.uint64)
-        for t in range(steps):
-            # a12*s1 + m1*a13 - a13*s0 < 2^54 and a21*s2 + m2*a23 - a23*s0
-            # < 2^53 stay exact in uint64 when the addition comes first
-            p1 = x1[1] * _UA12
-            p1 += _UC1
-            p1 -= x1[0] * _UA13N
-            p2 = x2[2] * _UA21
-            p2 += _UC2
-            p2 -= x2[0] * _UA23N
-            x1 = [x1[1], x1[2], _mod(p1, _UM1)]
-            x2 = [x2[1], x2[2], _mod(p2, _UM2)]
-            row = t % _BLOCK_STEPS
-            z = np.add(p1, _UM1, out=block[row])
-            z -= p2
-            _mod(z, _UM1)
-            if row == _BLOCK_STEPS - 1 or t == steps - 1:
-                out[:, t - row:t + 1] = block[:row + 1].T
-            if t + 1 == last:
-                self._s1 = [int(v[-1]) for v in x1]
-                self._s2 = [int(v[-1]) for v in x2]
-        # scale [0, m1) onto the 32-bit range: floor(z * 2^32 / m1)
-        out <<= _U32
-        out //= _UM1
-        # flattened in place to exactly `count` words, dropping the last
-        # lane's padding, so the array returned owns its buffer
-        out.resize(count, refcheck=False)
+        """The next ``count`` words as uint32."""
+        out = np.empty(count, dtype=np.uint32)
+        if count and not self._fill_size:
+            self._fill_size = min(2 << (count - 1).bit_length(), _FILL_CAP)
+        done = 0
+        while done < count:
+            if self._read == self._buf.size:
+                self._fill()
+            n = min(count - done, self._buf.size - self._read)
+            out[done:done + n] = self._buf[self._read:self._read + n]
+            self._read += n
+            done += n
         return out
+
+    def _fill(self):
+        f = self._fill_size
+        steps = min(_LANE_STEPS, f)
+        lanes = f // steps
+        if self._lanes is None:
+            # row i of window c holds state entry i of component c in every lane
+            h1, h2 = (np.empty((min(_BLOCK_STEPS, steps) + 3, lanes), dtype=np.uint64)
+                      for _ in range(2))
+            h1[:3, 0], h2[:3, 0] = self._s1, self._s2
+            have = 1
+            for j1, j2 in _DOUBLINGS[:lanes.bit_length() - 1]:
+                h1[:3, have:2 * have] = _jump(j1, h1[:3, :have], _UM1)
+                h2[:3, have:2 * have] = _jump(j2, h2[:3, :have], _UM2)
+                have *= 2
+        else:
+            h1, h2 = self._lanes
+            h1[:3] = _jump(_NEXT_FILL[0], h1[:3], _UM1)
+            h2[:3] = _jump(_NEXT_FILL[1], h2[:3], _UM2)
+        if self._buf.size != f:
+            self._buf = np.empty(f, dtype=np.uint32)
+        _step_lanes(h1, h2, self._buf.reshape(lanes, steps))
+        self._s1, self._s2 = h1[:3, -1].tolist(), h2[:3, -1].tolist()
+        if f == _FILL_CAP:
+            self._lanes = h1, h2
+        self._read = 0
+        self._fill_size = min(2 * f, _FILL_CAP)
 
 
 # --------------------------------------------------------------------------
@@ -383,7 +443,6 @@ class _SplitCounterCore:
     """Counter through the SplitMix64 mixer; native 64-bit output."""
 
     native_bits = 64
-    key_block = 1 << 16
 
     def __init__(self, seed: int):
         self._seed = seed
@@ -400,25 +459,21 @@ FAMILIES = tuple(_CORES)
 
 
 def _pairs(words: np.ndarray, nb: int) -> np.ndarray:
-    """``words`` paired into draws ``words[2i] << nb | words[2i+1]``, written
-    over the front half of ``words`` and returned as a view of it, which
-    keeps the whole buffer.  A block's pairs are made before they are
-    stored, and they land where the words of earlier blocks were."""
+    """``words`` paired into draws ``words[2i] << nb | words[2i+1]``, as a new
+    uint64 array filled _CACHE_WORDS draws at a time."""
     count = words.size // 2
+    out = np.empty(count, dtype=np.uint64)
     for a in range(0, count, _CACHE_WORDS):
         b = min(a + _CACHE_WORDS, count)
-        words[a:b] = (words[2 * a:2 * b:2] << np.uint64(nb)) | words[2 * a + 1:2 * b:2]
-    return words[:count]
+        v = out[a:b]
+        v[...] = words[2 * a:2 * b:2]
+        v <<= np.uint64(nb)
+        v |= words[2 * a + 1:2 * b:2]
+    return out
 
 
-def _narrowed(vals: np.ndarray) -> np.ndarray:
-    """uint64 values below 2^32 as uint32, written over the front of their
-    own buffer: a block is narrowed before it is stored, and it lands where
-    earlier blocks were read."""
-    keys = vals.view(np.uint32)[:vals.size]
-    for a in range(0, vals.size, _CACHE_WORDS):
-        keys[a:a + _CACHE_WORDS] = vals[a:a + _CACHE_WORDS].astype(np.uint32)
-    return keys
+# draws per take_kbits request in take_keys, which stay in cache
+_KEY_BLOCK = 1 << 16
 
 
 class KBitStream:
@@ -452,12 +507,12 @@ class KBitStream:
         k = self.spec.output_bits
         nb = self._core.native_bits
         if k <= nb:
-            # the core's array is fresh and ours alone: shift it in place
-            vals = self._core.words(count)
+            # the core's array is fresh and ours alone: widened to uint64 if
+            # narrower, and shifted in place
+            vals = self._core.words(count).astype(np.uint64, copy=False)
             shift = nb - k
         else:
-            # two native words per draw, the first supplying the high bits,
-            # paired over the front of their own buffer
+            # two native words per draw, the first supplying the high bits
             vals = _pairs(self._core.words(2 * count), nb)
             shift = 2 * nb - k
         if shift:
@@ -470,20 +525,13 @@ class KBitStream:
         may sort in place: uint32 for k <= 32, otherwise uint64.
 
         A count past the distinct-value cap raises CapacityError before
-        anything is allocated or drawn.  A count within the core's
-        ``key_block`` is one ``take_kbits`` request, narrowed in its own
-        buffer for k <= 32, so no second array is made beside it; a
-        larger count fills preallocated keys block by block.
+        anything is allocated or drawn.  The keys are filled _KEY_BLOCK
+        draws at a time, each block one ``take_kbits`` request.
         """
         count = _capped_count(count)
-        narrow = self.spec.output_bits <= 32
-        block = self._core.key_block
-        if count <= block:
-            vals = self.take_kbits(count)
-            return _narrowed(vals) if narrow else vals
-        keys = np.empty(count, dtype=np.uint32 if narrow else np.uint64)
-        for a in range(0, count, block):
-            keys[a:a + block] = self.take_kbits(min(block, count - a))
+        keys = np.empty(count, dtype=np.uint32 if self.spec.output_bits <= 32 else np.uint64)
+        for a in range(0, count, _KEY_BLOCK):
+            keys[a:a + _KEY_BLOCK] = self.take_kbits(min(_KEY_BLOCK, count - a))
         return keys
 
     def take_units(self, count: int) -> np.ndarray:

@@ -1020,7 +1020,8 @@ class TestCollisionPmf:
         if c_max is not None:
             return (c_max + 1) * c_max + n, 0
         return ((analytics._BLOCK + 6) * (min(n, b) + 1) + n,
-                math.ceil(n * _window_bound(n, b)))
+                math.ceil(n * _window_bound(n, b))
+                + -(-n // analytics._BLOCK) * analytics._BLOCK_CELLS)
 
     # Knuth's setup on the recurrence, and an Eulerian input, which states
     # no work: its grid is at most 257 x 256 cells
@@ -1044,6 +1045,31 @@ class TestCollisionPmf:
                 tracemalloc.stop()
             assert peak < 2 ** 16
             monkeypatch.setattr(analytics, name, budget + 1)
+
+    def test_block_cost_bounds_tiny_spaces(self, monkeypatch):
+        # at b = 3 the window is 4 cells and each 16-draw block's fixed cost
+        # (about 3 us, 8000 cells) is the work: 4 n + 8000 ceil(n / 16) cell
+        # updates admit n = 19841264 under the real budget and refuse the
+        # next block, before anything is allocated
+        class Reached(Exception):
+            pass
+
+        def reached(n, space):
+            raise Reached
+
+        monkeypatch.setattr(analytics, "_pmf_occupancy", reached)
+        last = 19841264
+        assert self.stated_costs(last, 3)[1] <= analytics.PMF_WORK_BUDGET
+        with pytest.raises(Reached):
+            collision_pmf_exact(last, BucketSpace.exact(3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="cell updates, over its budget of"):
+                collision_pmf_exact(last + 1, BucketSpace.exact(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     @pytest.mark.parametrize("n, b", [(2 ** 14, 2 ** 20), (10 ** 4, 2 ** 16), (20000, 3),
                                       (20000, 1000), (5000, 4999), (3000, 2 ** 40),

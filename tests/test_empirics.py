@@ -188,6 +188,20 @@ class TestTieConventions:
         assert count_duplicates([1.0, np.float64(1.0)]) == 1
         assert count_duplicates([2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 2]) == 1
 
+    def test_exact_types_key_like_their_lookalikes(self):
+        # a mixed list's plain ints and floats are keyed by type identity;
+        # bools, numpy scalars and subclasses keep their own branches and
+        # key alike: four 1s, three 1.0s, two -0.0s and two 2^70s
+        class Float(float):
+            pass
+
+        class Int(int):
+            pass
+
+        values = [1, 1.0, True, np.int64(1), Int(1), np.float64(1.0), Float(1.0), -0.0,
+                  Float(-0.0), 0, 2 ** 70, Int(2 ** 70)]
+        assert count_duplicates(values) == 7
+
     @pytest.mark.parametrize("dtype", ["m8[s]", "m8[ns]", ">m8[ms]", "M8[D]", "M8[ns]"])
     @pytest.mark.parametrize("form", [lambda a: a, list], ids=["array", "list"])
     def test_datetimes_count_by_payload(self, dtype, form):
@@ -403,7 +417,6 @@ class StubCore:
     """A native-64-bit generator core that returns fixed words."""
 
     native_bits = 64
-    key_block = 1 << 16
 
     def __init__(self, words):
         self._words = words
@@ -629,30 +642,34 @@ class TestHashSortKernel:
     # tracemalloc peak of one 10^6-draw trace, in bytes per draw: the keys
     # (4 or 8), the sorted hash-and-index words (8), the equal-hash mask (1)
     # and block-sized scratch; measured 13.3 and 17.3, where whole-array
-    # temporaries took 21 and 25
+    # temporaries took 21 and 25.  cmrg:40 adds its core's 512 KB buffer and
+    # lane windows: 18.5, where its keys as a view of 16 bytes a draw of
+    # words took 25.3
     @pytest.mark.parametrize("family, bits, limit", [("mt19937", 32, 14),
-                                                     ("splitcounter", 64, 18)])
+                                                     ("splitcounter", 64, 18),
+                                                     ("cmrg", 40, 19.5)])
     def test_trace_peak_per_draw(self, family, bits, limit):
         assert peak_per_draw(trace_collisions, stream(family, 3, bits)) <= limit
 
 
 # tracemalloc peak of one 10^6-draw collision_summary, in bytes per draw:
-# the keys sorted in place (4 for k <= 32, 8 above; cmrg's sit in its
-# request's own buffer, 8 or 16) and the equal-neighbour mask (1); measured
-# 5.0, 9.9, 17.9, 5.9 and 9.0, where a full-size draw array beside the
-# keys and a sorted copy took 12.0, 12.0, 24.0, 16.0 and 17.0
+# the keys sorted in place (4 for k <= 32, 8 above) and the equal-neighbour
+# mask (1), plus for cmrg the 512 KB buffer and 0.7 MB of lane windows its
+# core keeps; measured 5.0, 6.25, 10.4, 5.9 and 9.0, where cmrg's keys in
+# its one request's buffer took 9.9 and 17.9, and a full-size draw array
+# beside the keys and a sorted copy took 12.0, 12.0, 24.0, 16.0 and 17.0
 @pytest.mark.parametrize("family, bits, limit", [
-    ("mt19937", 32, 5.5), ("cmrg", 32, 10.5), ("cmrg", 40, 18.5),
+    ("mt19937", 32, 5.5), ("cmrg", 32, 6.5), ("cmrg", 40, 11.5),
     ("splitcounter", 24, 6.5), ("splitcounter", 64, 9.5)])
 def test_summary_peak_per_draw(family, bits, limit):
     assert peak_per_draw(collision_summary, stream(family, 3, bits)) <= limit
 
 
-# past cmrg's 2^20-draw key block the keys are filled block by block, so
-# beside them (4 or 8 bytes per draw) sits one block's request (8 or 16
-# MB); measured 7.3 and 13.9 at 3 * 2^20 + 5 draws, where one request
-# for all took 9.0 and 17.0
-@pytest.mark.parametrize("bits, limit", [(32, 8.0), (40, 14.5)])
+# at 3 * 2^20 + 5 draws, beside the keys (4 or 8 bytes per draw) sit one
+# 2^16-draw block and cmrg's buffer and lane windows; measured 5.4 and 9.4,
+# where a 2^20-draw key block held 8 or 16 MB (7.3 and 13.9) and one
+# request for all took 9.0 and 17.0
+@pytest.mark.parametrize("bits, limit", [(32, 6.0), (40, 10.0)])
 def test_cmrg_summary_peak_past_its_block(bits, limit):
     assert peak_per_draw(collision_summary, stream("cmrg", 3, bits), 3 * 2 ** 20 + 5) <= limit
 

@@ -20,7 +20,7 @@ import pytest
 from collision_lab.analytics import _SCALE
 from collision_lab.empirics import _PHI
 from collision_lab.prng import (_GOLDEN, _M1, _MIX1, _RAMP, _U16, _U30, _U32, _UA12, _UC1,
-                                _UM1, _LOW16, _narrowed, _pairs)
+                                _UM1, _LOW16, _pairs)
 
 MASK64 = (1 << 64) - 1
 WIDE = [0, 1, 2 ** 32 - 1, 2 ** 63 + 12345, MASK64]
@@ -167,40 +167,64 @@ def test_take_keys_uint64_below_2_to_32_assigned_into_uint32_slice_arrive_unchan
     assert keys.tolist() == [0, 0, 0, 1, 2 ** 31, 2 ** 32 - 1, 0, 0]
 
 
-def test_narrowed_uint32_view_of_a_uint64_buffer_holds_the_values():
-    # prng._narrowed writes uint32 keys over the front of their own uint64
-    # buffer through a uint32 view, block by block
-    rnd = random.Random(8)
-    values = [rnd.randrange(2 ** 32) for _ in range(3 * 2 ** 15 + 7)]
-    vals = np.array(values, dtype=np.uint64)
-    keys = _narrowed(vals)
-    assert keys.dtype == np.uint32 and keys.size == len(values)
-    assert keys.tolist() == values
+def test_mt19937_words_randint_uint32_matches_the_uint64_call():
+    # prng._Mt19937Core.words asks RandomState.randint(0, 2^32) for uint32;
+    # each word must be the raw 32-bit output the uint64 call gives
+    for seed in (0, 5489, 2 ** 32 - 1):
+        narrow = np.random.RandomState(seed).randint(0, 2 ** 32, size=3 * 2 ** 12 + 5,
+                                                     dtype=np.uint32)
+        wide = np.random.RandomState(seed).randint(0, 2 ** 32, size=3 * 2 ** 12 + 5,
+                                                   dtype=np.uint64)
+        assert narrow.dtype == np.uint32
+        assert narrow.tolist() == wide.tolist()
 
 
-def test_pairs_shift_and_or_of_strided_uint64_words_over_their_own_buffer():
-    # prng._pairs makes two-word draws from strided uint64 slices shifted
-    # by a np.uint64 scalar, and stores them over the front of the words
+def test_pairs_widen_shift_and_or_strided_uint32_words_into_uint64():
+    # prng._pairs copies strided uint32 words into a uint64 slice, shifts it
+    # by a np.uint64 scalar and ors the other uint32 words in, in place
     rnd = random.Random(9)
     words = [rnd.randrange(2 ** 32) for _ in range(2 * (2 ** 15 + 3))]
-    got = _pairs(np.array(words, dtype=np.uint64), 32)
+    got = _pairs(np.array(words, dtype=np.uint32), 32)
     assert got.dtype == np.uint64
     assert got.tolist() == [
         (words[2 * i] << 32) | words[2 * i + 1] for i in range(len(words) // 2)]
 
 
-def test_mrg_words_resize_flattens_an_owned_2d_uint64_array_to_its_front():
-    # prng._Mrg32k3aCore.words shrinks its owned (lanes, steps) output with
-    # ndarray.resize(count, refcheck=False): the array stays owned, becomes
-    # 1-D and keeps the first `count` values in C order
-    rnd = random.Random(10)
-    values = [rnd.randrange(2 ** 64) for _ in range(7 * 9)]
-    out = np.empty((7, 9), dtype=np.uint64)
-    out[...] = np.array(values, dtype=np.uint64).reshape(7, 9)
-    out.resize(60, refcheck=False)
-    assert out.dtype == np.uint64 and out.flags.owndata
-    assert out.shape == (60,) and out.nbytes == 8 * 60
-    assert out.tolist() == values[:60]
+def test_mrg_jump_einsum_of_uint64_stays_exact_uint64():
+    # prng._jump multiplies 16-bit matrix halves into (3, n) uint64 states
+    # with np.einsum; sums up to 2^50 must stay exact, with no float detour
+    j = np.array([[2 ** 16 - 1] * 3, [0, 1, 2 ** 16 - 1], [3, 2 ** 15, 7]], dtype=np.uint64)
+    x = np.array([[_M1 - 1, 0, 2 ** 32 - 1], [_M1 - 2, 1, 2 ** 31], [_M1 - 3, 2, 5]],
+                 dtype=np.uint64)
+    got = np.einsum("ij,jk->ik", j, x)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [[sum(int(j[i, k]) * int(x[k, c]) for k in range(3))
+                             for c in range(3)] for i in range(3)]
+
+
+def test_mrg_step_lanes_wrapped_minimum_and_uint32_grid_store():
+    # prng._step_lanes takes (p1 - p2) mod m1 as the minimum of the wrapped
+    # uint64 difference and that plus m1, subtracts arrays from a np.uint64
+    # scalar into an out= row, and stores each scaled block transposed into
+    # a uint32 slice of the buffer, casting on assignment
+    p1 = np.array([0, 5, _M1 - 1, 7], dtype=np.uint64)
+    p2 = np.array([0, 9, 3, 7], dtype=np.uint64)
+    d = np.empty(4, dtype=np.uint64)
+    e = np.empty(4, dtype=np.uint64)
+    np.subtract(p1, p2, out=d)
+    np.add(d, _UM1, out=e)
+    np.minimum(d, e, out=d)
+    assert d.tolist() == [(a - b) % _M1 for a, b in zip(p1.tolist(), p2.tolist())]
+    np.subtract(_UC1, p1, out=e)
+    assert e.dtype == np.uint64 and e.tolist() == [int(_UC1) - v for v in p1.tolist()]
+    block = np.array([[_M1 - 1, 1], [2, 3]], dtype=np.uint64)
+    block <<= _U32
+    block //= _UM1
+    grid = np.zeros((2, 4), dtype=np.uint32)
+    grid[:, 1:3] = block.T
+    want = [[(v << 32) // _M1 for v in row] for row in ([_M1 - 1, 2], [1, 3])]
+    assert grid.tolist() == [[0, *want[0], 0], [0, *want[1], 0]]
+
 
 def test_splitmix64_block_add_and_shift_with_out_stay_uint64():
     # prng._splitmix64 starts each block as _RAMP plus a np.uint64 scalar

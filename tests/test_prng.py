@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 
@@ -131,6 +132,18 @@ class TestMrg32k3a:
         return [sum(r * v for r, v in zip(row, cls.X0)) % m
                 for row in _mat_pow(mat, steps, m)]
 
+    @staticmethod
+    def continues_from(core, s1, s2):
+        # a copy of the core draws what a fresh core at states (s1, s2)
+        # draws: eight words, 256 bits, pin the 192-bit state
+        twin = copy.deepcopy(core)
+        return np.array_equal(twin.words(8), _Mrg32k3aCore.from_state(s1, s2).words(8))
+
+    def continues_at(self, core, at):
+        # the core continues from A^at x0
+        return self.continues_from(core, self.jumped(_MAT1, self.M1, at),
+                                   self.jumped(_MAT2, self.M2, at))
+
     def test_known_vector_from_canonical_state(self):
         core = _Mrg32k3aCore.from_state([12345] * 3, [12345] * 3)
         want_z = [545508589, 1368065410, 1327943761, 3546985096, 951893194]
@@ -139,8 +152,9 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs, 858 lanes of 14 steps;
-        # test_lane_path_across_calls chains requests of many sizes
+        # one request of 12000 outputs, a fill of 2^14 words in 512 lanes
+        # of 32 steps; test_lane_path_across_calls chains requests of many
+        # sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
@@ -155,15 +169,14 @@ class TestMrg32k3a:
         b_ = np.array([draw(s) for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    # 1, 2, 3, 5 and 7 are one-step lanes, one word each; every other
-    # count leaves its last lane part-filled (10000 is 770 lanes of 13
-    # steps, the last holding 3 words)
+    # the first call sets one-word fills, each later fill twice the last up
+    # to 2^17 words; the odd counts end inside fills, part-way along a lane,
+    # and the larger ones span several fills
     ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
-        # odd counts leave the last lane part-filled (T*lanes > count), and
-        # each call sizes its own lanes; every call must return exactly its
-        # count and continue the canonical sequence
+        # every call must return exactly its count and continue the
+        # canonical sequence, whatever fill it starts or ends in
         m1 = 4294967087
         total = sum(self.ODD_TAKES)
         ref = [(z << 32) // m1
@@ -175,9 +188,8 @@ class TestMrg32k3a:
             assert got.size == count
             assert list(got) == ref[at:at + count]
             at += count
-            # the state after each call is A^at x0
-            assert core._s1 == self.jumped(_MAT1, self.M1, at)
-            assert core._s2 == self.jumped(_MAT2, self.M2, at)
+            # the core continues from A^at x0
+            assert self.continues_at(core, at)
 
     @pytest.fixture(scope="class")
     def long_reference(self):
@@ -185,13 +197,11 @@ class TestMrg32k3a:
         return [(z << 32) // self.M1
                 for z in self.scalar_reference(self.X0, self.X0, 2 ** 20 + 1)]
 
-    # lanes = min(8192, 8*isqrt(count), count): 8191..8193 and 2*8192+1 take
-    # 683 and 964 lanes; 8*isqrt(count) reaches the 8192 cap at 2^20, so
-    # 2^20-1 takes 8129 lanes of 129 steps, 2^20 fills 8192 lanes of 128
-    # steps (eight whole 16-step blocks) and 2^20+1 takes 8129 lanes of 129.
-    # 14400, 16384 and 18496 fill 960, 1024 and 1088 lanes of 15, 16 and 17
-    # steps, one step short of, at and past one 16-step block; 14399, 16383
-    # and 18495 are the same step counts with a part-filled last lane.
+    # one request each, the boundaries of the lane rule this kernel replaced
+    # (lanes = min(8192, 8*isqrt(count), count), 2^20 words where it reached
+    # its cap); here 2^20 is eight whole 2^17-word fills, 2^20 - 1 ends one
+    # word short of the eighth and 2^20 + 1 starts a ninth, and each count
+    # up to 2^17 is one fill of the next power of two, part-read
     BOUNDARY_COUNTS = (8191, 8192, 8193, 2 * 8192 + 1, 2 ** 20 - 1, 2 ** 20,
                        2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496)
 
@@ -199,8 +209,19 @@ class TestMrg32k3a:
     def test_lane_and_block_boundaries(self, long_reference, count):
         core = _Mrg32k3aCore.from_state(self.X0, self.X0)
         assert list(core.words(count)) == long_reference[:count]
-        assert core._s1 == self.jumped(_MAT1, self.M1, count)
-        assert core._s2 == self.jumped(_MAT2, self.M2, count)
+        assert self.continues_at(core, count)
+
+    def test_fills_straddled_and_started_by_one_word(self, long_reference):
+        # the first request sets 2^17-word fills; the second straddles the
+        # first fill into the next, the third ends exactly on that fill's
+        # last word, the fourth (one word) starts a fill from the kept
+        # lanes, and the fifth spans three more
+        core = _Mrg32k3aCore.from_state(self.X0, self.X0)
+        at = 0
+        for count in (2 ** 17 - 5, 10, 2 ** 17 - 5, 1, 3 * 2 ** 17 + 7):
+            assert core.words(count).tolist() == long_reference[at:at + count]
+            at += count
+        assert self.continues_at(core, at)
 
     # per seed: SHA-256 of the little-endian uint64 words of words(2_000_003),
     # the state after it, and SHA-256 of 10^6 draws of cmrg:seed:40, recorded
@@ -224,7 +245,7 @@ class TestMrg32k3a:
         words_sha, s1, s2, draws_sha = self.DIGESTS[seed]
         core = _Mrg32k3aCore(seed)
         assert self.digest(core.words(2_000_003)) == words_sha
-        assert (core._s1, core._s2) == (s1, s2)
+        assert self.continues_from(core, s1, s2)
         draws = KBitStream(GeneratorSpec("cmrg", seed, 40)).take_kbits(10 ** 6)
         assert self.digest(draws) == draws_sha
 
@@ -246,6 +267,17 @@ class TestMrg32k3a:
                     for i in range(3)]
             assert prng._jump(j, x, np.uint64(m)).tolist() == want
 
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_keys_and_draws_interleaved_across_fills(self, seed):
+        # cmrg:seed:32 draws are the core's words: keys and draws taken in
+        # turn cross fills of every size and end on the pinned digest
+        s = KBitStream(GeneratorSpec("cmrg", seed, 32))
+        parts = []
+        for count in (3, 2 ** 16 + 1, 2 ** 17 - 4, 1, 2 ** 18 + 5):
+            parts += [s.take_keys(count), s.take_kbits(count % 7 + 1)]
+        parts.append(s.take_kbits(2_000_003 - s.position))
+        assert self.digest(np.concatenate(parts)) == self.DIGESTS[seed][0]
+
     @pytest.mark.parametrize("bits", [32, 40])
     def test_stream_takes_match_one_bulk_take(self, bits):
         s = stream("cmrg", seed=7, bits=bits)
@@ -263,14 +295,15 @@ class TestMrg32k3a:
 
 
 class TestCoreMemory:
-    # a core's words(count) array is 8 bytes per word; the limits leave room
-    # for one temporary at a time, not for a second full-size copy.  A
-    # "family:bits" case measures take_kbits per draw on the two-word path:
-    # the draws are paired over the front of their 16 bytes per draw of
-    # words (17.9 measured with cmrg's lane buffers, where pairing them
-    # into a fresh array took 24)
-    @pytest.mark.parametrize("family, limit", [("mt19937", 12), ("cmrg", 12),
-                                               ("splitcounter", 20), ("cmrg:40", 19)])
+    # a core's words(count) array is 4 bytes per word from the 32-bit cores
+    # and 8 from splitcounter; the limits leave room for one temporary at a
+    # time, not for a second full-size copy (cmrg: 5.4 measured with its
+    # 512 KB buffer and lane windows).  A "family:bits" case measures
+    # take_kbits per draw on the two-word path: 8 bytes per draw of words
+    # paired into 8 of draws (17.3 measured with cmrg's buffer, where
+    # uint64 words took 17.9)
+    @pytest.mark.parametrize("family, limit", [("mt19937", 5), ("cmrg", 6.5),
+                                               ("splitcounter", 20), ("cmrg:40", 18)])
     def test_words_peak_per_word(self, family, limit):
         count = 10 ** 6
         family, _, bits = family.partition(":")
@@ -354,12 +387,11 @@ class TestBlocks:
         assert np.array_equal(np.concatenate(parts),
                               stream(family, seed=17, bits=40).take_kbits(3 * 2 ** 16 + 9))
 
-    # cmrg's key block is 2^20 draws, where its lanes reach their cap
+    # whole and part cmrg fills of 2^17 words, in one and two words a draw
     CMRG_EDGES = [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 2 * 2 ** 20 + 5]
 
     @pytest.mark.parametrize("bits", [24, 32, 40, 64])
-    def test_cmrg_keys_cross_its_block(self, bits):
-        assert prng._Mrg32k3aCore.key_block == 2 ** 20
+    def test_cmrg_keys_cross_its_fills(self, bits):
         for count in self.CMRG_EDGES:
             keys = stream("cmrg", seed=19, bits=bits).take_keys(count)
             assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
@@ -466,13 +498,14 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_core_returns_exactly_the_words_asked(self, family):
-        # odd and even counts; MRG32k3a sizes its lanes from each count,
-        # and its last lane's padding is dropped, not kept behind a view
+        # odd and even counts, at the core's native width; MRG32k3a serves
+        # them from its fills, each into an array of its own
         core = make_core(family, 5)
+        width = np.uint32 if core.native_bits == 32 else np.uint64
         for count in (0, 1, 8191, 8192, 10001):
             words = core.words(count)
-            assert words.dtype == np.uint64 and words.size == count
-            assert words.flags.owndata and words.nbytes == 8 * count
+            assert words.dtype == width and words.size == count
+            assert words.flags.owndata and words.nbytes == core.native_bits // 8 * count
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_core_keeps_no_reference_to_its_words(self, family):
