@@ -152,9 +152,9 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs, a fill of 2^14 words in 512 lanes
-        # of 32 steps; test_lane_path_across_calls chains requests of many
-        # sizes
+        # one request of 12000 outputs, part of a 2^15-word fill in 1024
+        # lanes of 32 steps; test_lane_path_across_calls chains requests of
+        # many sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
@@ -169,9 +169,9 @@ class TestMrg32k3a:
         b_ = np.array([draw(s) for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    # the first call sets one-word fills, each later fill twice the last up
-    # to 2^17 words; the odd counts end inside fills, part-way along a lane,
-    # and the larger ones span several fills
+    # the first call (one word) sets a two-word fill, each later fill twice
+    # the last up to 2^17 words; the odd counts end inside fills, part-way
+    # along a lane, and the larger ones span several fills
     ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
@@ -201,7 +201,7 @@ class TestMrg32k3a:
     # (lanes = min(8192, 8*isqrt(count), count), 2^20 words where it reached
     # its cap); here 2^20 is eight whole 2^17-word fills, 2^20 - 1 ends one
     # word short of the eighth and 2^20 + 1 starts a ninth, and each count
-    # up to 2^17 is one fill of the next power of two, part-read
+    # below 2^16 is one fill of twice its next power of two, part-read
     BOUNDARY_COUNTS = (8191, 8192, 8193, 2 * 8192 + 1, 2 ** 20 - 1, 2 ** 20,
                        2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496)
 
