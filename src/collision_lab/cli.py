@@ -30,10 +30,10 @@ DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
 # simulate costs --seeds x (--n + SEED_SETUP_DRAWS) draws: building an mt19937
 # stream and counting its one draw, the dearest setup of the three families,
-# takes 0.16-0.20 ms, as long as about 20,000 draws at 7-9 ns a draw (2-core
-# x86-64)
+# takes 0.17-0.26 ms, as long as about 20,000-30,000 draws at 7.5-8.5 ns a
+# draw (2-core x86-64)
 SEED_SETUP_DRAWS = 20_000
-# about 18 s of mt19937:32 draws, and 70 s of cmrg:40's, the slowest width
+# about 15 s of mt19937:32 draws, and 60 s of cmrg:40's, the slowest width
 SIMULATE_BUDGET = 2 * 10 ** 9
 
 

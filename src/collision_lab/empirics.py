@@ -6,8 +6,8 @@ Ties follow the Kendall convention: every member of a group of equal
 values is a tie, so the same group counts m ties.  Equality is always on
 the exact 64-bit representation (bit patterns and a datetime's unit), never on a tolerance.
 
-A stream's draws are counted as the keys ``KBitStream.take_keys`` fills
-in blocks, which are sorted in place; values a caller passes in are
+A stream's draws are counted as the keys ``KBitStream.take_keys`` makes
+in one request, which are sorted in place; values a caller passes in are
 never changed.
 """
 
@@ -228,8 +228,8 @@ class CollisionTrace:
 def collision_summary(stream: KBitStream, n: int) -> TieSummary:
     """TieSummary of the next ``n`` draws (no positional trace).
 
-    The draws arrive in blocks as the stream's keys (``take_keys``), which
-    are ours, so they are sorted in place.
+    The draws arrive as the stream's keys (``take_keys``), which are ours,
+    so they are sorted in place.
     """
     keys = stream.take_keys(n)
     keys.sort()

@@ -12,31 +12,29 @@ Three families:
   experiments where concatenating 32-bit words is awkward.
 
 Requesting fewer than the native bits truncates to the top bits; requesting
-more (from a 32-bit family) concatenates two successive native outputs.
-Identical GeneratorSpec values always yield bitwise-identical streams.
-Each core returns exactly the words asked for, as a fresh array of its
-native width (uint32 for mt19937 and cmrg, uint64 for splitcounter) that it
-keeps no reference to, and keeps its own position, so ``KBitStream`` holds
-no words between calls: it widens 32-bit words to uint64, or pairs two a
-draw into a new uint64 array, and shifts the draws in place.  One SplitMix64
-routine makes the splitcounter words, ``derive_seed`` (word ``index`` of
-the base seed's splitcounter stream), ``seeds_from_base`` (that stream's
-words, less repeats of a low 32-bit half) and the six MRG32k3a component
-seeds; it mixes its output 2^15 words at a time, so each pass stays in
-cache.
+more (from a 32-bit family) concatenates two successive native outputs, the
+first high.  Identical GeneratorSpec values always yield bitwise-identical
+streams.  Each core makes the k-bit draws of a request itself, in
+cache-sized blocks, into a fresh array of the dtype asked for (uint32 or
+uint64) that it keeps no reference to: mt19937 shifts ``randint``'s uint32
+words in place, and above 32 bits pairs them 2^15 draws at a time; the
+SplitMix64 mixer stores each block shifted and narrowed; cmrg scales each
+block of its lanes and shifts or pairs it straight into the output.  One
+SplitMix64 routine makes the splitcounter draws, ``derive_seed`` (word
+``index`` of the base seed's splitcounter stream), ``seeds_from_base`` (that
+stream's words, less repeats of a low 32-bit half) and the six MRG32k3a
+component seeds.
 
 ``KBitStream.take_keys`` is the one path from a core to sort keys, by one
-rule for every family: preallocated keys (uint32 for k <= 32) filled 2^16
-draws at a time, each block one ``take_kbits`` request.  Since every stream
-is call-size-invariant, the blocks change no draw.
+rule for every family: one ``take_kbits`` request of the key dtype, uint32
+for k <= 32 and otherwise uint64, so no draw is widened to be narrowed.
 
 Building a core costs about 0.17 ms for mt19937 (init_genrand), 0.01 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 5 us from
-mt19937, most of it ``randint``'s argument handling.  cmrg serves its
-words from a buffer of at most 2^17 words (512 KB), filled by up to 4096
-lanes that a matrix jump-ahead sets apart: a first request of 1 or 2 words
-costs about 0.05 ms, one of 10^3 about 0.35 ms, a word already in the
-buffer under 1 us, and 10^6 words about 10 ms (2-core x86-64).
+mt19937, most of it ``randint``'s argument handling.  A first cmrg request
+of 1 to 130 words costs about 0.05 ms and one of 10^3 about 0.1 ms, a word
+that the words kept from the last request cover about 1 us, and 10^6 words
+about 9 ms (2-core x86-64).
 
 ``sample_ints`` is the one uniform-integer sampler: rejection on
 ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
@@ -107,23 +105,33 @@ _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _U27, _U30, _U31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
-def _splitmix64(seed: int, first: int, count: int) -> np.ndarray:
-    """SplitMix64 words ``first`` .. ``first + count - 1`` of ``seed``: word j
-    is seed + j * golden-ratio increment mod 2^64 through the bijective mixer
+def _splitmix64(seed: int, first: int, count: int, shift: int = 0,
+                dtype=np.uint64) -> np.ndarray:
+    """SplitMix64 words ``first`` .. ``first + count - 1`` of ``seed``, each
+    shifted right by ``shift``, as a new ``dtype`` array: word j is
+    seed + j * golden-ratio increment mod 2^64 through the bijective mixer
     of Steele, Lea & Flood (OOPSLA 2014).  Each block of _CACHE_WORDS words
-    goes through the whole mixer before the next is started."""
-    out = np.empty(count, dtype=np.uint64)
+    goes through the whole mixer, and is stored shifted and narrowed,
+    before the next is started."""
+    out = np.empty(count, dtype=dtype)
     t = np.empty(min(count, _CACHE_WORDS), dtype=np.uint64)
+    # a uint64 output is mixed in place, a narrower one in scratch
+    narrow = None if out.dtype == np.uint64 else np.empty_like(t)
     for a in range(0, count, _CACHE_WORDS):
-        z = out[a:a + _CACHE_WORDS]
-        s = t[:z.size]
-        # the mixer in place, wrapping mod 2^64
+        o = out[a:a + _CACHE_WORDS]
+        z = o if narrow is None else narrow[:o.size]
+        s = t[:o.size]
+        # the mixer, wrapping mod 2^64
         np.add(_RAMP[:z.size], np.uint64((seed + (first + a) * _GOLDEN) & _MASK64), out=z)
         z ^= np.right_shift(z, _U30, out=s)
         z *= _MIX1
         z ^= np.right_shift(z, _U27, out=s)
         z *= _MIX2
         z ^= np.right_shift(z, _U31, out=s)
+        if shift:
+            z >>= np.uint64(shift)
+        if z is not o:
+            o[...] = z
     return out
 
 
@@ -188,6 +196,31 @@ class GeneratorSpec:
 
 
 # --------------------------------------------------------------------------
+# k-bit draws from 32-bit words
+
+
+def _draws(words, per, shift, dtype):
+    """Draws of ``per`` (1 or 2) uint32 words each, the first high, shifted
+    right by ``shift``, as a new ``dtype`` array."""
+    if per == 1:
+        out = words.astype(dtype)
+        if shift:
+            out >>= out.dtype.type(shift)
+        return out
+    return _pair(words[0::2].astype(np.uint64), words[1::2], shift)
+
+
+def _pair(hi, lo, shift):
+    """Two-word draws ``(hi << 32 | lo) >> shift`` in place in the uint64
+    array ``hi``, whose values are the first words, below 2^32."""
+    hi <<= _U32
+    hi |= lo
+    if shift:
+        hi >>= np.uint64(shift)
+    return hi
+
+
+# --------------------------------------------------------------------------
 # MT19937
 
 
@@ -203,6 +236,23 @@ class _Mt19937Core:
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` raw 32-bit words as uint32."""
         return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint32)
+
+    def kbits(self, count: int, k: int, dtype) -> np.ndarray:
+        """The next ``count`` k-bit draws as a new ``dtype`` array: the top k
+        bits of one word, or above 32 bits of two, paired _CACHE_WORDS draws
+        at a time."""
+        if k <= 32:
+            out = self.words(count)
+            if k < 32:
+                out >>= np.uint32(32 - k)
+            return out.astype(dtype, copy=False)
+        out = np.empty(count, dtype=np.uint64)
+        for a in range(0, count, _CACHE_WORDS):
+            v = out[a:a + _CACHE_WORDS]
+            w = self.words(2 * v.size)
+            v[...] = w[0::2]
+            _pair(v, w[1::2], 64 - k)
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -224,17 +274,6 @@ def _mat_mul(a, b, m):
                  for r0, r1, r2 in a)
 
 
-def _mat_pow(a, e, m):
-    r = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while e:
-        if e & 1:
-            r = _mat_mul(r, a, m)
-        e >>= 1
-        if e:
-            a = _mat_mul(a, a, m)
-    return r
-
-
 # every constant the lane kernel mixes with its uint64 arrays is a uint64
 # scalar, so each intermediate stays uint64 under numpy 1.x value-based
 # casting and numpy 2 promotion alike
@@ -243,29 +282,30 @@ _UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
 _UA12, _UA13N, _UA21, _UA23N = (np.uint64(v) for v in (_A12, _A13N, _A21, _A23N))
 _UC1, _UC2 = np.uint64(_M1 * _A13N), np.uint64(_M2 * _A23N)
 
-# a fill of f words (a power of two) runs f / T lanes of T = min(_LANE_STEPS,
-# f) steps, in blocks of _BLOCK_STEPS; fills stop growing at _FILL_CAP words
-# (512 KB), 4096 lanes
+# a request's w fresh words are laid over lanes end to end: up to _JUMP_WORDS
+# words over lanes of _JUMP_STEPS steps, each made by one jump (_ROWS); more
+# over ceil(w / T) <= _MAX_LANES lanes of T steps, T the least power of two
+# >= _LANE_STEPS that allows it, stepped in blocks of _BLOCK_STEPS.  A jump
+# costs a small request the same few dozen array operations as one stepped
+# block, and its 256-word lanes keep enough words for a run of one-word
+# requests to jump once every 256; past 2^14 words stepping is cheaper
+_JUMP_STEPS = 256
+_JUMP_WORDS = 1 << 14
 _LANE_STEPS = 32
-_BLOCK_STEPS = 8
-_FILL_CAP = 1 << 17
+_MAX_LANES = 1 << 12
+_BLOCK_STEPS = 16
 
 
-def _doublings():
-    """A^(T 2^i) for T = _LANE_STEPS and i = 0, 1, ...: round i of building
-    a fill's lane starts, 12 rounds for a full fill."""
-    out = [(_mat_pow(_MAT1, _LANE_STEPS, _M1), _mat_pow(_MAT2, _LANE_STEPS, _M2))]
-    while _LANE_STEPS << len(out) < _FILL_CAP:
-        a, b = out[-1]
-        out.append((_mat_mul(a, a, _M1), _mat_mul(b, b, _M2)))
-    return out
+def _powers(mat, m):
+    """A^(2^i) for i = 0 .. 63 as a (64, 3, 3) uint64 array: A^(T have)
+    carries the first ``have`` lane starts of T steps to the next ``have``."""
+    out = [mat]
+    while len(out) < 64:
+        out.append(_mat_mul(out[-1], out[-1], m))
+    return np.array(out, dtype=np.uint64)
 
 
-_DOUBLINGS = _doublings()
-# A^(_FILL_CAP - T) carries a lane of one full fill, stepped T, to its start
-# in the next
-_NEXT_FILL = (_mat_pow(_MAT1, _FILL_CAP - _LANE_STEPS, _M1),
-              _mat_pow(_MAT2, _FILL_CAP - _LANE_STEPS, _M2))
+_POWERS = _powers(_MAT1, _M1), _powers(_MAT2, _M2)
 
 
 def _mod(x, m):
@@ -277,31 +317,69 @@ def _mod(x, m):
     return x
 
 
-def _jump(j, x, m):
-    """j @ x mod m for a 3x3 matrix j of ints below m < 2^32 and a (3, n)
-    uint64 array x of values below m.  Split into 16-bit halves, j's rows
-    make sums below 2^50, exact in uint64."""
-    j = np.array(j, dtype=np.uint64)
-    y = _mod(np.einsum("ij,jk->ik", j >> _U16, x), m)
-    y <<= _U16
-    y += np.einsum("ij,jk->ik", j & _LOW16, x)
-    return _mod(y, m)
+def _halves(j):
+    """(3, r) matrices of ints below 2^32 as (3, 2r) uint64 arrays, each
+    matrix's high 16-bit halves beside its low ones."""
+    j = np.asarray(j, dtype=np.uint64)
+    return np.concatenate([j >> _U16, j & _LOW16], axis=-1)
 
 
-def _step_lanes(h1, h2, grid):
-    """Step every lane ``grid.shape[1]`` times, writing lane r's words, scaled
-    to 32 bits, into ``grid[r]``.
+def _jump(x, j, m):
+    """x @ j mod m for an (n, 3) uint64 array x of values below m < 2^32
+    and a (3, r) matrix j given in halves (_halves), as an (n, r) view: each
+    half makes sums below 2^50, exact in uint64."""
+    r = j.shape[1] // 2
+    y = np.einsum("ij,jk->ik", x, j)
+    hi = _mod(y[:, :r], m)
+    hi <<= _U16
+    hi += y[:, r:]
+    return _mod(hi, m)
+
+
+def _rows(powers, m):
+    """The last rows of A^1 .. A^_JUMP_STEPS as the columns of a (3,
+    _JUMP_STEPS) matrix, for A's ``powers`` (_POWERS), in halves: column i
+    maps a state to the component value i + 1 steps on.  Rows n .. 2n - 1
+    are rows 0 .. n - 1 times A^n."""
+    rows = powers[0, 2:]
+    while len(rows) < _JUMP_STEPS:
+        a_n = _halves(powers[len(rows).bit_length() - 1])
+        rows = np.concatenate([rows, _jump(rows, a_n, m)])
+    return _halves(rows.T)
+
+
+# lane starts are rows, and s @ (A^(2^i))^T is the start A^(2^i) s
+_STARTS = tuple(_halves(powers.transpose(0, 2, 1)) for powers in _POWERS)
+_ROWS = _rows(_POWERS[0], _UM1), _rows(_POWERS[1], _UM2)
+
+
+def _scaled(p1, p2):
+    """The output of component values p1 < m1 and p2 < m2, arrays of one
+    shape: (p1 - p2) mod m1 scaled to 32 bits, floor(z * 2^32 / m1), made in
+    p2; p1 is overwritten."""
+    # the difference wraps below 0 exactly when m1 is due
+    np.subtract(p1, p2, out=p2)
+    np.add(p2, _UM1, out=p1)
+    np.minimum(p2, p1, out=p2)
+    p2 <<= _U32
+    p2 //= _UM1
+    return p2
+
+
+def _step_lanes(h1, h2, steps):
+    """Step every lane ``steps`` times, yielding (a, w) per block of B
+    steps: w[i, r] is lane r's word a + i, scaled to 32 bits (_scaled), in a
+    (B, lanes) uint64 view that the next block overwrites.
 
     ``h1`` and ``h2`` are (B + 3, lanes) uint64 windows whose rows 0..2 hold
     each lane's last three component states, and which end holding them
-    again; a block of B steps fills rows 3..B+2.  The first component,
+    again; a block fills rows 3..B+2.  The first component,
     s[n] = a12 s[n-2] - a13 s[n-3], reads no s[n-1], so it takes two steps a
     pass; the second, s[n] = a21 s[n-1] - a23 s[n-3], one, with the a23 terms
     of three steps made in one pass.  a12 s + m1 a13 - a13 s' < 2^54 and
     a21 s + m2 a23 - a23 s' < 2^53 stay exact in uint64 when the addition
     comes first, and each reduces by floor division.
     """
-    steps = grid.shape[1]
     room = h1.shape[0] - 3
     t = np.empty((3, h1.shape[1]), dtype=np.uint64)
     for a in range(0, steps, room):
@@ -330,39 +408,35 @@ def _step_lanes(h1, h2, grid):
                 h -= q
         # keep the last three states, then make the block's words in place
         h1[:3], h2[:3] = h1[k:k + 3], h2[k:k + 3]
-        y1, y2 = h1[3:3 + k], h2[3:3 + k]
-        # (p1 - p2) mod m1: the difference wraps below 0 exactly when m1 is due
-        np.subtract(y1, y2, out=y2)
-        np.add(y2, _UM1, out=y1)
-        np.minimum(y2, y1, out=y2)
-        # scale [0, m1) onto the 32-bit range: floor(z * 2^32 / m1)
-        y2 <<= _U32
-        y2 //= _UM1
-        grid[:, a:a + k] = y2.T
+        yield a, _scaled(h1[3:3 + k], h2[3:3 + k])
 
 
 class _Mrg32k3aCore:
-    """MRG32k3a emitting the canonical output sequence, served from a
-    buffer of its canonical uint32 words.
+    """MRG32k3a emitting the canonical output sequence.
 
-    ``_s1`` and ``_s2`` are the component states just past the buffer's
-    last word.  A request takes the buffer's unread words and refills it as
-    often as it needs.  The fill sizes follow from the first request alone:
-    twice it, rounded up to a power of two, then twice the last fill, up to
-    _FILL_CAP words (512 KB).  Later requests do not change them, and no
-    fill size changes a word.
+    A request's draws are made straight into its output array.  It first
+    takes the words kept from the last request; its w fresh words are laid
+    over ``lanes = ceil(w / T)`` lanes of T steps end to end.  Lane r starts
+    at offset r*T, at state A^(rT) x0 (the substream jump-ahead of
+    L'Ecuyer, Simard, Chen & Kelton, Oper. Res. 50(6), 2002), so the lanes
+    together are the canonical sequence, bit for bit.  The lane starts are
+    built by doubling: with ``have`` starts built, A^(T have), a power of
+    two from the precomputed _POWERS, carries them to the next ``have``, so
+    4096 lanes take 12 rounds.
 
-    A fill of f words runs ``lanes = f / T`` lanes of ``T = min(32, f)``
-    steps: lane r starts at offset r*T, at state A^(rT) x0 (the substream
-    jump-ahead of L'Ecuyer et al. 2002), so the lanes laid end to end are
-    the canonical sequence, bit for bit.  The lane starts are built by
-    doubling: with ``have`` starts built, A^(have*T) carries all of them to
-    the next ``have`` (_DOUBLINGS), so a full fill's 4096 lanes take 12
-    rounds.  A full fill after a full fill keeps the lanes instead: after T
-    steps lane r sits where lane r + 1 started, and one jump by
-    A^(_FILL_CAP - T) carries it to its start in the new fill.  The lanes
-    step _BLOCK_STEPS steps at a time (_step_lanes), and the last lane's
-    state after the fill is the state past the buffer.
+    Up to 2^14 fresh words run lanes of T = 256 steps, each made by one
+    jump from its start by the rows of A^1 .. A^256 (_ROWS), so a small
+    request costs a few dozen array operations, however few its words.
+    More run at most 4096 lanes of ``T = 2^j >= 32`` steps, T the least
+    that allows it, stepped _BLOCK_STEPS steps at a time (_step_lanes).
+    Each block of scaled words is shifted, or above 32 bits paired,
+    straight into the output.
+
+    Only the last lane's words past the request, fewer than T, are kept
+    (``_tail``) to start the next one, and ``_s1`` and ``_s2`` are the
+    component states past them.  So no word is stepped twice, at most
+    T - 1 are stepped past a stream's end, and a request the kept words
+    cover is served by a slice.
     """
 
     native_bits = 32
@@ -387,52 +461,77 @@ class _Mrg32k3aCore:
         self._s2 = [exact_index("second component state", v, 0, _M2 - 1) for v in s2]
         if not any(self._s1) or not any(self._s2):
             raise ValueError("neither component state may be all zero")
-        self._buf = np.empty(0, dtype=np.uint32)
-        self._read = 0
-        self._fill_size = 0      # set by the first request
-        self._lanes = None       # a full fill's lane windows, kept for the next
+        self._tail = np.empty(0, dtype=np.uint32)
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as uint32."""
-        out = np.empty(count, dtype=np.uint32)
-        if count and not self._fill_size:
-            self._fill_size = min(2 << (count - 1).bit_length(), _FILL_CAP)
-        done = 0
-        while done < count:
-            if self._read == self._buf.size:
-                self._fill()
-            n = min(count - done, self._buf.size - self._read)
-            out[done:done + n] = self._buf[self._read:self._read + n]
-            self._read += n
-            done += n
+        return self.kbits(count, 32, np.uint32)
+
+    def kbits(self, count: int, k: int, dtype) -> np.ndarray:
+        """The next ``count`` k-bit draws as a new ``dtype`` array: the top k
+        bits of one word, or above 32 bits of two, the first high."""
+        per = 1 if k <= 32 else 2
+        shift = 32 * per - k
+        if per == 2 and self._tail.size % 2:
+            # an odd words() call left half a draw kept: pair the words
+            return _draws(self.words(2 * count), 2, shift, dtype)
+        done = min(count, self._tail.size // per)     # draws the kept words hold
+        if done == count:
+            head, self._tail = self._tail[:per * done], self._tail[per * done:]
+            return _draws(head, per, shift, dtype)
+        out = np.empty(count, dtype=dtype)
+        if done:
+            out[:done] = _draws(self._tail[:per * done], per, shift, dtype)
+        words = per * (count - done)
+        if words <= _JUMP_WORDS:
+            steps = _JUMP_STEPS
+        else:
+            steps = max(_LANE_STEPS, 1 << (-(-words // _MAX_LANES) - 1).bit_length())
+        lanes = -(-words // steps)
+        full = words // steps      # lanes that end inside the request
+        at = done + full * steps // per
+        grid = out[done:at].reshape(full, steps // per)
+        tail = np.empty(steps if full < lanes else 0, dtype=np.uint32)
+        for a, w in self._lanes(steps, lanes, words <= _JUMP_WORDS):
+            b = a + w.shape[0]
+            if tail.size:
+                tail[a:b] = w[:, -1]
+            if per == 1:
+                if shift:
+                    w >>= np.uint64(shift)
+                grid[:, a:b] = w[:, :full].T
+            else:
+                hi = _pair(w[0::2], w[1::2], shift)
+                grid[:, a // 2:b // 2] = hi[:, :full].T
+        rest = per * (count - at)
+        out[at:] = _draws(tail[:rest], per, shift, dtype)
+        self._tail = tail[rest:]
         return out
 
-    def _fill(self):
-        f = self._fill_size
-        steps = min(_LANE_STEPS, f)
-        lanes = f // steps
-        if self._lanes is None:
-            # row i of window c holds state entry i of component c in every lane
-            h1, h2 = (np.empty((min(_BLOCK_STEPS, steps) + 3, lanes), dtype=np.uint64)
-                      for _ in range(2))
-            h1[:3, 0], h2[:3, 0] = self._s1, self._s2
-            have = 1
-            for j1, j2 in _DOUBLINGS[:lanes.bit_length() - 1]:
-                h1[:3, have:2 * have] = _jump(j1, h1[:3, :have], _UM1)
-                h2[:3, have:2 * have] = _jump(j2, h2[:3, :have], _UM2)
-                have *= 2
+    def _lanes(self, steps, lanes, jump):
+        """Lay ``lanes`` lanes of ``steps`` steps end to end from the core's
+        state and yield their words block by block, as _step_lanes does:
+        made by one jump from each lane's start if ``jump``, else stepped.
+        The core's state ends past the last lane."""
+        # row i of window c holds state entry i of component c in every lane
+        h1, h2 = (np.empty((3 if jump else 3 + _BLOCK_STEPS, lanes), dtype=np.uint64)
+                  for _ in range(2))
+        h1[:3, 0], h2[:3, 0] = self._s1, self._s2
+        have, i = 1, steps.bit_length() - 1
+        while have < lanes:
+            n = min(have, lanes - have)
+            h1[:3, have:have + n] = _jump(h1[:3, :n].T, _STARTS[0][i], _UM1).T
+            h2[:3, have:have + n] = _jump(h2[:3, :n].T, _STARTS[1][i], _UM2).T
+            have += n
+            i += 1
+        if jump:
+            # lane-major products, viewed (steps, lanes) as blocks are
+            p1, p2 = _jump(h1.T, _ROWS[0], _UM1).T, _jump(h2.T, _ROWS[1], _UM2).T
+            h1[:], h2[:] = p1[-3:], p2[-3:]
+            yield 0, _scaled(p1, p2)
         else:
-            h1, h2 = self._lanes
-            h1[:3] = _jump(_NEXT_FILL[0], h1[:3], _UM1)
-            h2[:3] = _jump(_NEXT_FILL[1], h2[:3], _UM2)
-        if self._buf.size != f:
-            self._buf = np.empty(f, dtype=np.uint32)
-        _step_lanes(h1, h2, self._buf.reshape(lanes, steps))
+            yield from _step_lanes(h1, h2, steps)
         self._s1, self._s2 = h1[:3, -1].tolist(), h2[:3, -1].tolist()
-        if f == _FILL_CAP:
-            self._lanes = h1, h2
-        self._read = 0
-        self._fill_size = min(2 * f, _FILL_CAP)
 
 
 # --------------------------------------------------------------------------
@@ -450,30 +549,17 @@ class _SplitCounterCore:
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as uint64."""
+        return self.kbits(count, 64, np.uint64)
+
+    def kbits(self, count: int, k: int, dtype) -> np.ndarray:
+        """The next ``count`` k-bit draws, each a word's top k bits, as a new
+        ``dtype`` array."""
         self._drawn += count
-        return _splitmix64(self._seed, self._drawn - count + 1, count)
+        return _splitmix64(self._seed, self._drawn - count + 1, count, 64 - k, dtype)
 
 
 _CORES = {"mt19937": _Mt19937Core, "cmrg": _Mrg32k3aCore, "splitcounter": _SplitCounterCore}
 FAMILIES = tuple(_CORES)
-
-
-def _pairs(words: np.ndarray, nb: int) -> np.ndarray:
-    """``words`` paired into draws ``words[2i] << nb | words[2i+1]``, as a new
-    uint64 array filled _CACHE_WORDS draws at a time."""
-    count = words.size // 2
-    out = np.empty(count, dtype=np.uint64)
-    for a in range(0, count, _CACHE_WORDS):
-        b = min(a + _CACHE_WORDS, count)
-        v = out[a:b]
-        v[...] = words[2 * a:2 * b:2]
-        v <<= np.uint64(nb)
-        v |= words[2 * a + 1:2 * b:2]
-    return out
-
-
-# draws per take_kbits request in take_keys, which stay in cache
-_KEY_BLOCK = 1 << 16
 
 
 class KBitStream:
@@ -481,8 +567,8 @@ class KBitStream:
 
     ``position`` counts emitted k-bit draws.  ``take_kbits`` and
     ``take_units`` produce one sequence whatever the call sizes: the core
-    returns exactly the native words each call needs, so ``take_kbits(a)``
-    then ``take_kbits(b)`` equals ``take_kbits(a + b)``.
+    makes exactly the draws each call asks for, so ``take_kbits(a)`` then
+    ``take_kbits(b)`` equals ``take_kbits(a + b)``.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -500,39 +586,27 @@ class KBitStream:
         """
         return self.spec.output_bits <= 52
 
-    def take_kbits(self, count: int) -> np.ndarray:
-        """Next ``count`` k-bit integers as a uint64 array; a count past the
-        distinct-value cap raises CapacityError and leaves the stream as it was."""
+    def take_kbits(self, count: int, dtype=np.uint64) -> np.ndarray:
+        """Next ``count`` k-bit integers as a new array of ``dtype``, uint64 or
+        (for k <= 32) uint32, that the caller owns.  A count past the
+        distinct-value cap raises CapacityError and leaves the stream as it
+        was."""
         count = _capped_count(count)
         k = self.spec.output_bits
-        nb = self._core.native_bits
-        if k <= nb:
-            # the core's array is fresh and ours alone: widened to uint64 if
-            # narrower, and shifted in place
-            vals = self._core.words(count).astype(np.uint64, copy=False)
-            shift = nb - k
-        else:
-            # two native words per draw, the first supplying the high bits
-            vals = _pairs(self._core.words(2 * count), nb)
-            shift = 2 * nb - k
-        if shift:
-            vals >>= np.uint64(shift)
+        dtype = np.dtype(dtype)
+        if dtype != np.uint64 and (dtype != np.uint32 or k > 32):
+            raise ValueError(f"{k}-bit draws come as uint64 or, up to 32 bits, "
+                             f"uint32, not {dtype}")
+        vals = self._core.kbits(count, k, dtype)
         self.position += count
         return vals
 
     def take_keys(self, count: int) -> np.ndarray:
         """Next ``count`` k-bit integers as sort keys that the caller owns and
-        may sort in place: uint32 for k <= 32, otherwise uint64.
-
-        A count past the distinct-value cap raises CapacityError before
-        anything is allocated or drawn.  The keys are filled _KEY_BLOCK
-        draws at a time, each block one ``take_kbits`` request.
-        """
-        count = _capped_count(count)
-        keys = np.empty(count, dtype=np.uint32 if self.spec.output_bits <= 32 else np.uint64)
-        for a in range(0, count, _KEY_BLOCK):
-            keys[a:a + _KEY_BLOCK] = self.take_kbits(min(_KEY_BLOCK, count - a))
-        return keys
+        may sort in place: uint32 for k <= 32, otherwise uint64, made by one
+        ``take_kbits`` request.  A count past the distinct-value cap raises
+        CapacityError before anything is allocated or drawn."""
+        return self.take_kbits(count, np.uint32 if self.spec.output_bits <= 32 else np.uint64)
 
     def take_units(self, count: int) -> np.ndarray:
         """Next ``count`` doubles in [0, 1], each k-bit draw / 2^k.

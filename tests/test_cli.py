@@ -448,9 +448,9 @@ class TestSimulate:
         drawn = []
         take = KBitStream.take_kbits
 
-        def counting_take(stream, count):
+        def counting_take(stream, count, *dtype):
             drawn.append(count)
-            return take(stream, count)
+            return take(stream, count, *dtype)
 
         monkeypatch.setattr(KBitStream, "take_kbits", counting_take)
         args = ("simulate", "--n", "5000", "--bits", "16", "--seeds", "3")

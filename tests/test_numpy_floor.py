@@ -20,7 +20,7 @@ import pytest
 from collision_lab.analytics import _SCALE
 from collision_lab.empirics import _PHI
 from collision_lab.prng import (_GOLDEN, _M1, _MIX1, _RAMP, _U16, _U30, _U32, _UA12, _UC1,
-                                _UM1, _LOW16, _pairs)
+                                _UM1, _LOW16, _pair)
 
 MASK64 = (1 << 64) - 1
 WIDE = [0, 1, 2 ** 32 - 1, 2 ** 63 + 12345, MASK64]
@@ -158,13 +158,25 @@ def test_pmf_occupancy_scaling_by_2_to_512_is_exact():
     assert np.array_equal(scaled, q)
 
 
-def test_take_keys_uint64_below_2_to_32_assigned_into_uint32_slice_arrive_unchanged():
-    # KBitStream.take_keys stores each block's uint64 draws into a slice of
-    # uint32 keys; the assignment casts unsafely, with no same-kind refusal
+def test_splitmix64_narrowed_block_store_of_uint64_into_uint32_slice_is_unchanged():
+    # prng._splitmix64 stores each shifted uint64 block into a slice of a
+    # uint32 output; the assignment casts unsafely, with no same-kind refusal
     keys = np.zeros(8, dtype=np.uint32)
     draws = np.array([0, 1, 2 ** 31, 2 ** 32 - 1], dtype=np.uint64)
     keys[2:6] = draws
     assert keys.tolist() == [0, 0, 0, 1, 2 ** 31, 2 ** 32 - 1, 0, 0]
+
+
+def test_mt19937_kbits_shifts_uint32_words_in_place_by_a_uint32_scalar():
+    # prng._Mt19937Core.kbits (and prng._draws) shift uint32 words right in
+    # place by a scalar of the array's own type; the array must stay uint32
+    rnd = random.Random(12)
+    values = [rnd.randrange(2 ** 32) for _ in range(1000)] + [0, 2 ** 32 - 1]
+    for shift in (1, 8, 31):
+        words = np.array(values, dtype=np.uint32)
+        words >>= words.dtype.type(shift)
+        assert words.dtype == np.uint32
+        assert words.tolist() == [v >> shift for v in values]
 
 
 def test_mt19937_words_randint_uint32_matches_the_uint64_call():
@@ -179,34 +191,58 @@ def test_mt19937_words_randint_uint32_matches_the_uint64_call():
         assert narrow.tolist() == wide.tolist()
 
 
-def test_pairs_widen_shift_and_or_strided_uint32_words_into_uint64():
-    # prng._pairs copies strided uint32 words into a uint64 slice, shifts it
-    # by a np.uint64 scalar and ors the other uint32 words in, in place
+def test_mt19937_kbits_pairs_strided_uint32_words_into_a_uint64_slice():
+    # prng._Mt19937Core.kbits copies strided uint32 words into a uint64
+    # slice and prng._pair shifts it by a np.uint64 scalar, ors the other
+    # uint32 words in and shifts the draws down, all in place
     rnd = random.Random(9)
     words = [rnd.randrange(2 ** 32) for _ in range(2 * (2 ** 15 + 3))]
-    got = _pairs(np.array(words, dtype=np.uint32), 32)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [
-        (words[2 * i] << 32) | words[2 * i + 1] for i in range(len(words) // 2)]
+    w = np.array(words, dtype=np.uint32)
+    out = np.zeros(2 ** 15 + 5, dtype=np.uint64)
+    v = out[1:-1]
+    v[...] = w[0::2]
+    _pair(v, w[1::2], 24)
+    assert out.dtype == np.uint64 and out[0] == out[-1] == 0
+    assert v.tolist() == [
+        ((words[2 * i] << 32) | words[2 * i + 1]) >> 24 for i in range(len(words) // 2)]
+
+
+def test_mrg_output_stage_pairs_strided_uint64_rows_in_place():
+    # prng._Mrg32k3aCore.kbits pairs each block of scaled words in place:
+    # prng._pair on its even rows, a strided uint64 view, with the odd rows
+    # as the low words; the odd rows must stay as they were
+    rnd = random.Random(13)
+    block = [[rnd.randrange(2 ** 32) for _ in range(5)] for _ in range(8)]
+    w = np.array(block, dtype=np.uint64)
+    hi = _pair(w[0::2], w[1::2], 64 - 40)
+    assert hi.dtype == np.uint64 and not hi.flags.c_contiguous
+    assert w[0::2].tolist() == [[((a << 32) | b) >> 24 for a, b in zip(block[i], block[i + 1])]
+                                for i in range(0, 8, 2)]
+    assert w[1::2].tolist() == block[1::2]
 
 
 def test_mrg_jump_einsum_of_uint64_stays_exact_uint64():
     # prng._jump multiplies 16-bit matrix halves into (3, n) uint64 states
-    # with np.einsum; sums up to 2^50 must stay exact, with no float detour
+    # with np.einsum, and lane-major the 16-bit halves of a transposed view
+    # of the states into the rows table; sums up to 2^50 must stay exact,
+    # with no float detour
     j = np.array([[2 ** 16 - 1] * 3, [0, 1, 2 ** 16 - 1], [3, 2 ** 15, 7]], dtype=np.uint64)
     x = np.array([[_M1 - 1, 0, 2 ** 32 - 1], [_M1 - 2, 1, 2 ** 31], [_M1 - 3, 2, 5]],
                  dtype=np.uint64)
-    got = np.einsum("ij,jk->ik", j, x)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [[sum(int(j[i, k]) * int(x[k, c]) for k in range(3))
-                             for c in range(3)] for i in range(3)]
+    want = [[sum(int(j[i, k]) * int(x[k, c]) for k in range(3)) for c in range(3)]
+            for i in range(3)]
+    for view in (j, np.ascontiguousarray(j.T).T):
+        got = np.einsum("ij,jk->ik", view, x)
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
 
 
 def test_mrg_step_lanes_wrapped_minimum_and_uint32_grid_store():
-    # prng._step_lanes takes (p1 - p2) mod m1 as the minimum of the wrapped
-    # uint64 difference and that plus m1, subtracts arrays from a np.uint64
-    # scalar into an out= row, and stores each scaled block transposed into
-    # a uint32 slice of the buffer, casting on assignment
+    # prng._scaled takes (p1 - p2) mod m1 as the minimum of the wrapped
+    # uint64 difference and that plus m1, prng._step_lanes subtracts arrays
+    # from a np.uint64 scalar into an out= row, and the cmrg output stage
+    # stores each scaled block transposed into a uint32 slice of the output,
+    # casting on assignment
     p1 = np.array([0, 5, _M1 - 1, 7], dtype=np.uint64)
     p2 = np.array([0, 9, 3, 7], dtype=np.uint64)
     d = np.empty(4, dtype=np.uint64)

@@ -15,7 +15,6 @@ from collision_lab.prng import (
     _MAT1,
     _MAT2,
     _Mrg32k3aCore,
-    _mat_pow,
     derive_seed,
     sample_ints,
     seeds_from_base,
@@ -32,6 +31,20 @@ MT_SEED_5489_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
 
 def stream(family="mt19937", seed=5489, bits=32):
     return KBitStream(GeneratorSpec(family, seed, bits))
+
+
+def mat_pow(a, e, m):
+    """The 3x3 matrix a to the power e >= 0 mod m, by squaring in Python ints."""
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(3)) % m for j in range(3)]
+                for i in range(3)]
+    r = [[int(i == j) for j in range(3)] for i in range(3)]
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
 
 
 def make_core(family, seed):
@@ -59,19 +72,19 @@ def mix64(z):
 
 
 class AllOnesCore:
-    """A 32-bit core of all-ones words: every 2-bit draw is 3, so n=3 never
-    accepts.  The count of words handed out stops a sampler that would loop
-    for ever."""
+    """A core of all-ones words: every k-bit draw is 2^k - 1, so every 2-bit
+    draw is 3 and n=3 never accepts.  The count of draws handed out stops a
+    sampler that would loop for ever."""
 
     native_bits = 32
 
     def __init__(self):
         self.given = 0
 
-    def words(self, count):
+    def kbits(self, count, k, dtype):
         self.given += count
         assert self.given <= 10 ** 6, "sampler ignored the rejection cap"
-        return np.full(count, 2 ** 32 - 1, dtype=np.uint64)
+        return np.full(count, 2 ** k - 1, dtype=dtype)
 
 
 class TestMt19937:
@@ -130,7 +143,7 @@ class TestMrg32k3a:
     def jumped(cls, mat, m, steps):
         # A^steps x0 in Python ints: the component state `steps` words on
         return [sum(r * v for r, v in zip(row, cls.X0)) % m
-                for row in _mat_pow(mat, steps, m)]
+                for row in mat_pow(mat, steps, m)]
 
     @staticmethod
     def continues_from(core, s1, s2):
@@ -152,9 +165,9 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs, part of a 2^15-word fill in 1024
-        # lanes of 32 steps; test_lane_path_across_calls chains requests of
-        # many sizes
+        # one request of 12000 outputs: 47 lanes of 256 steps, each one
+        # jump from its start, the last part-read; test_lane_path_across_calls
+        # chains requests of many sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
@@ -169,14 +182,15 @@ class TestMrg32k3a:
         b_ = np.array([draw(s) for _ in range(9000)], dtype=np.uint64)
         assert np.array_equal(a, b_)
 
-    # the first call (one word) sets a two-word fill, each later fill twice
-    # the last up to 2^17 words; the odd counts end inside fills, part-way
-    # along a lane, and the larger ones span several fills
+    # the odd counts end part-way along a lane, whose kept words start the
+    # next call: the small calls are served from them alone, 5003 and 777
+    # also run jump lanes of 256 steps and 100001 and 99999 stepped lanes of
+    # 32
     ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
         # every call must return exactly its count and continue the
-        # canonical sequence, whatever fill it starts or ends in
+        # canonical sequence, whatever lane it starts or ends in
         m1 = 4294967087
         total = sum(self.ODD_TAKES)
         ref = [(z << 32) // m1
@@ -193,17 +207,20 @@ class TestMrg32k3a:
 
     @pytest.fixture(scope="class")
     def long_reference(self):
-        # the scaled scalar reference past the lane-cap switch at 2^20 words
+        # the scaled scalar reference past 2^20 words, where the lanes grow
+        # from 256 steps to 512
         return [(z << 32) // self.M1
                 for z in self.scalar_reference(self.X0, self.X0, 2 ** 20 + 1)]
 
-    # one request each, the boundaries of the lane rule this kernel replaced
-    # (lanes = min(8192, 8*isqrt(count), count), 2^20 words where it reached
-    # its cap); here 2^20 is eight whole 2^17-word fills, 2^20 - 1 ends one
-    # word short of the eighth and 2^20 + 1 starts a ninth, and each count
-    # below 2^16 is one fill of twice its next power of two, part-read
+    # one request each: 2^14 words is the last request of jump lanes (64 of
+    # 256 steps) and 2^14 + 1 the first of stepped ones (513 of 32);
+    # 32 * 4096 is the last with lanes of 32 steps; 2^20 is 4096 whole lanes
+    # of 256, 2^20 - 1 ends one word short of the last and 2^20 + 1 takes
+    # 2049 lanes of 512.  The rest are the boundaries of earlier lane rules
+    # (lanes = min(8192, 8*isqrt(count), count); 2^17-word fills)
     BOUNDARY_COUNTS = (8191, 8192, 8193, 2 * 8192 + 1, 2 ** 20 - 1, 2 ** 20,
-                       2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496)
+                       2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496,
+                       2 ** 14 + 1, 32 * 4096 - 1, 32 * 4096, 32 * 4096 + 1)
 
     @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
     def test_lane_and_block_boundaries(self, long_reference, count):
@@ -211,11 +228,12 @@ class TestMrg32k3a:
         assert list(core.words(count)) == long_reference[:count]
         assert self.continues_at(core, count)
 
-    def test_fills_straddled_and_started_by_one_word(self, long_reference):
-        # the first request sets 2^17-word fills; the second straddles the
-        # first fill into the next, the third ends exactly on that fill's
-        # last word, the fourth (one word) starts a fill from the kept
-        # lanes, and the fifth spans three more
+    def test_kept_words_start_the_next_request(self, long_reference):
+        # the first request runs 4096 lanes of 32 steps and keeps the last
+        # lane's 5 words past it; the second takes them and one jump lane of
+        # 256, the third takes that lane's 251 kept words and 4088 whole
+        # lanes, keeping none; the fourth (one word) runs a jump lane alone,
+        # and the fifth starts with its 255 kept words
         core = _Mrg32k3aCore.from_state(self.X0, self.X0)
         at = 0
         for count in (2 ** 17 - 5, 10, 2 ** 17 - 5, 1, 3 * 2 ** 17 + 7):
@@ -265,15 +283,17 @@ class TestMrg32k3a:
             x = np.array([[m - 1, 0], [m - 1, 1], [m - 1, m - 2]], dtype=np.uint64)
             want = [[sum(j[i][k] * int(x[k, c]) for k in range(3)) % m for c in range(2)]
                     for i in range(3)]
-            assert prng._jump(j, x, np.uint64(m)).tolist() == want
+            got = prng._jump(x.T, prng._halves(np.transpose(j)), np.uint64(m)).T
+            assert got.tolist() == want
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))
-    def test_keys_and_draws_interleaved_across_fills(self, seed):
+    def test_keys_and_draws_interleaved_across_lanes(self, seed):
         # cmrg:seed:32 draws are the core's words: keys and draws taken in
-        # turn cross fills of every size and end on the pinned digest
+        # turn at the lane geometry's boundaries end on the pinned digest;
+        # the one-word request after 10^6 words is served by their kept words
         s = KBitStream(GeneratorSpec("cmrg", seed, 32))
         parts = []
-        for count in (3, 2 ** 16 + 1, 2 ** 17 - 4, 1, 2 ** 18 + 5):
+        for count in (1, 31, 32, 33, 2 ** 14 + 1, 32 * 4096 - 1, 10 ** 6, 1):
             parts += [s.take_keys(count), s.take_kbits(count % 7 + 1)]
         parts.append(s.take_kbits(2_000_003 - s.position))
         assert self.digest(np.concatenate(parts)) == self.DIGESTS[seed][0]
@@ -297,13 +317,14 @@ class TestMrg32k3a:
 class TestCoreMemory:
     # a core's words(count) array is 4 bytes per word from the 32-bit cores
     # and 8 from splitcounter; the limits leave room for one temporary at a
-    # time, not for a second full-size copy (cmrg: 5.4 measured with its
-    # 512 KB buffer and lane windows).  A "family:bits" case measures
-    # take_kbits per draw on the two-word path: 8 bytes per draw of words
-    # paired into 8 of draws (17.3 measured with cmrg's buffer, where
-    # uint64 words took 17.9)
-    @pytest.mark.parametrize("family, limit", [("mt19937", 5), ("cmrg", 6.5),
-                                               ("splitcounter", 20), ("cmrg:40", 18)])
+    # time, not for a second full-size copy (cmrg: 5.3 measured with its
+    # 1.2 MB of lane windows, where a 512 KB buffer beside them took 5.4).
+    # A "family:bits" case measures take_kbits per draw on the two-word
+    # path: 8 bytes of draws, each block paired straight into them (9.3
+    # measured, where 2 * count uint32 words paired into a new array took
+    # 17.3)
+    @pytest.mark.parametrize("family, limit", [("mt19937", 5), ("cmrg", 5.5),
+                                               ("splitcounter", 20), ("cmrg:40", 9.5)])
     def test_words_peak_per_word(self, family, limit):
         count = 10 ** 6
         family, _, bits = family.partition(":")
@@ -317,6 +338,24 @@ class TestCoreMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak / count < limit
+
+    # take_keys(10^6) holds the keys alone, 4 bytes a draw at k <= 32:
+    # mt19937's uint32 words shifted in place (4.0 measured) and the
+    # SplitMix64 mixer's two 256 KB scratch blocks (4.5), where keys filled
+    # from uint64 draws held 4 bytes more
+    @pytest.mark.parametrize("family, bits, limit", [("mt19937", 32, 4.1),
+                                                     ("splitcounter", 24, 4.6)])
+    def test_keys_peak_per_draw(self, family, bits, limit):
+        count = 10 ** 6
+        s = stream(family, 7, bits)
+        tracemalloc.start()
+        try:
+            keys = s.take_keys(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.dtype == np.uint32
         assert peak / count < limit
 
     def test_sampler_round_bounded_in_draws(self):
@@ -345,10 +384,10 @@ def splitmix64_reference(seed, first, count):
 
 
 class TestBlocks:
-    """The mixer's 2^15-word blocks, the two-word draws' pairing blocks
-    and take_keys' 2^16-draw blocks change no draw."""
+    """The mixer's 2^15-word blocks, mt19937's 2^15-draw pairing blocks and
+    cmrg's lanes change no draw, and keys are the draws."""
 
-    EDGES = [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 16 + 5]
+    EDGES = [0, 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 5]
 
     @pytest.mark.parametrize("seed, first, count", [
         (42, 1, 2 ** 15 - 1), (42, 1, 2 ** 15 + 1), (2 ** 64 - 1, 2 ** 64 - 2 ** 15, 2 ** 16 + 3),
@@ -387,16 +426,23 @@ class TestBlocks:
         assert np.array_equal(np.concatenate(parts),
                               stream(family, seed=17, bits=40).take_kbits(3 * 2 ** 16 + 9))
 
-    # whole and part cmrg fills of 2^17 words, in one and two words a draw
-    CMRG_EDGES = [2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 2 * 2 ** 20 + 5]
+    # requests at the edges of cmrg's lanes, in one and two words a draw:
+    # up to 2^14 words run jump lanes of 256 steps (one lane up to 256
+    # words; 1, 31, 32 and 33 straddle 32 steps, the shortest stepped lane),
+    # then stepped lanes of 32 steps up to 32 * 4096 words, of 64 past it,
+    # of 256 up to 2^20 words (10^6 is 3907 lanes, the last part-read) and
+    # of 512 past it
+    CMRG_EDGES = [1, 31, 32, 33, 255, 256, 257, 2 ** 14, 2 ** 14 + 1, 32 * 4096 - 1,
+                  32 * 4096 + 1, 2 ** 20 - 1, 2 ** 20 + 1, 10 ** 6, 1]
 
     @pytest.mark.parametrize("bits", [24, 32, 40, 64])
-    def test_cmrg_keys_cross_its_fills(self, bits):
+    def test_cmrg_keys_at_lane_boundaries(self, bits):
         for count in self.CMRG_EDGES:
             keys = stream("cmrg", seed=19, bits=bits).take_keys(count)
             assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
             assert np.array_equal(keys, stream("cmrg", seed=19, bits=bits).take_kbits(count))
-        # interleaved on one stream, against one request for all
+        # interleaved on one stream, against one request for all; the last
+        # request, one draw after 10^6, is served by kept words
         s = stream("cmrg", seed=19, bits=bits)
         parts = []
         for count in self.CMRG_EDGES:
@@ -404,6 +450,31 @@ class TestBlocks:
         got = np.concatenate(parts)
         assert s.position == got.size
         assert np.array_equal(got, stream("cmrg", seed=19, bits=bits).take_kbits(got.size))
+
+    @pytest.mark.parametrize("bits", [24, 32, 40, 64])
+    def test_cmrg_keys_draws_and_words_in_turn(self, bits):
+        # keys, draws and the core's own words taken in turn are the one
+        # word sequence: draws take one word each up to 32 bits and two
+        # above, the first high; words() calls of odd counts leave a
+        # two-word draw to start on a kept word
+        counts = (1, 31, 33, 2 ** 14 + 1, 32 * 4096 + 1, 1, 5)
+        per, shift = (1, 32 - bits) if bits <= 32 else (2, 64 - bits)
+        words = stream("cmrg", seed=23, bits=32).take_kbits((2 * per + 1) * sum(counts))
+        s = stream("cmrg", seed=23, bits=bits)
+        at = 0
+        for count in counts:
+            for take in (s.take_keys, s.take_kbits):
+                got = take(count)
+                w = words[at:at + per * count]
+                want = w >> np.uint64(shift) if per == 1 else (
+                    ((w[0::2] << np.uint64(32)) | w[1::2]) >> np.uint64(shift))
+                assert np.array_equal(got, want)
+                at += per * count
+            got = s._core.words(count)
+            assert got.dtype == np.uint32
+            assert np.array_equal(got, words[at:at + count])
+            at += count
+        assert at == words.size
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_keys_cap_refused_before_drawing(self, family, monkeypatch):
@@ -488,6 +559,25 @@ class TestStreamContract:
         assert mixed == ref
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_draws_in_the_dtype_asked(self, family):
+        # uint32 up to 32 bits, uint64 at any width; the same draws either
+        # way, and no other dtype
+        for bits in (17, 32, 33):
+            s = stream(family, seed=3, bits=bits)
+            wide = stream(family, seed=3, bits=bits).take_kbits(20)
+            if bits <= 32:
+                narrow = s.take_kbits(10, np.uint32)
+                assert narrow.dtype == np.uint32 and narrow.tolist() == wide[:10].tolist()
+            else:
+                with pytest.raises(ValueError, match="uint32"):
+                    s.take_kbits(10, np.uint32)
+                s.take_kbits(10)
+            with pytest.raises(ValueError, match="int64"):
+                s.take_kbits(10, np.int64)
+            assert s.position == 10
+            assert np.array_equal(s.take_kbits(10, "uint64"), wide[10:])
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_fractional_count_refused(self, family):
         s = stream(family, seed=3, bits=16)
         s.take_kbits(4)
@@ -498,8 +588,8 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_core_returns_exactly_the_words_asked(self, family):
-        # odd and even counts, at the core's native width; MRG32k3a serves
-        # them from its fills, each into an array of its own
+        # odd and even counts, at the core's native width; MRG32k3a makes
+        # each from kept words and fresh lanes into an array of its own
         core = make_core(family, 5)
         width = np.uint32 if core.native_bits == 32 else np.uint64
         for count in (0, 1, 8191, 8192, 10001):
@@ -569,8 +659,8 @@ class TestUnitMapping:
             native_bits = 64
 
             @staticmethod
-            def words(count):
-                return np.full(count, 2 ** 64 - 1, dtype=np.uint64)
+            def kbits(count, k, dtype):
+                return np.full(count, 2 ** k - 1, dtype=dtype)
 
         s = stream("splitcounter", bits=bits)
         s._core = OnesCore()
