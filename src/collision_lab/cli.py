@@ -28,10 +28,10 @@ from .stable_math import StableEvalReport
 
 DEFAULT_N = 10 ** 6
 DEFAULT_BITS = 32
-# simulate costs --seeds x (--n + SEED_SETUP_DRAWS) draws: building an mt19937
+# simulate costs --seeds x (--n + SEED_SETUP_DRAWS) draws: building a cmrg
 # stream and counting its one draw, the dearest setup of the three families,
-# takes 0.17-0.26 ms, as long as about 20,000-30,000 draws at 7.5-8.5 ns a
-# draw (2-core x86-64)
+# takes 0.19-0.21 ms (mt19937 0.17 ms, splitcounter 0.05 ms), as long as
+# about 22,000-28,000 draws at 7.5-8.5 ns a draw (2-core x86-64)
 SEED_SETUP_DRAWS = 20_000
 # about 15 s of mt19937:32 draws, and 60 s of cmrg:40's, the slowest width
 SIMULATE_BUDGET = 2 * 10 ** 9

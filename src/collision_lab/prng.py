@@ -31,10 +31,13 @@ for k <= 32 and otherwise uint64, so no draw is widened to be narrowed.
 
 Building a core costs about 0.17 ms for mt19937 (init_genrand), 0.01 ms for
 cmrg and 1 us for splitcounter.  A single word costs about 5 us from
-mt19937, most of it ``randint``'s argument handling.  A first cmrg request
-of 1 to 130 words costs about 0.05 ms and one of 10^3 about 0.1 ms, a word
-that the words kept from the last request cover about 1 us, and 10^6 words
-about 9 ms (2-core x86-64).
+mt19937, most of it ``randint``'s argument handling.  Every cmrg request
+steps lanes of at least 16 steps: a first request of 1 or 2 words costs
+about 0.14 ms, one of 130 about 0.18 ms, of 10^3 about 0.22 ms and of 10^4
+about 0.37 ms; a word that the words kept from the last request cover
+costs about 1 us, so one-draw calls average about 11 us a draw at 32 bits
+and 24 us at 40; and 10^6 words take about 9 ms (2-core x86-64).  No caller
+makes requests that small: each stream is drawn by one ``take_keys`` call.
 
 ``sample_ints`` is the one uniform-integer sampler: rejection on
 ceil(log2 n)-bit patterns for 1 <= n < 2^64, drawing in each round at
@@ -282,16 +285,9 @@ _UM1, _UM2 = np.uint64(_M1), np.uint64(_M2)
 _UA12, _UA13N, _UA21, _UA23N = (np.uint64(v) for v in (_A12, _A13N, _A21, _A23N))
 _UC1, _UC2 = np.uint64(_M1 * _A13N), np.uint64(_M2 * _A23N)
 
-# a request's w fresh words are laid over lanes end to end: up to _JUMP_WORDS
-# words over lanes of _JUMP_STEPS steps, each made by one jump (_ROWS); more
-# over ceil(w / T) <= _MAX_LANES lanes of T steps, T the least power of two
-# >= _LANE_STEPS that allows it, stepped in blocks of _BLOCK_STEPS.  A jump
-# costs a small request the same few dozen array operations as one stepped
-# block, and its 256-word lanes keep enough words for a run of one-word
-# requests to jump once every 256; past 2^14 words stepping is cheaper
-_JUMP_STEPS = 256
-_JUMP_WORDS = 1 << 14
-_LANE_STEPS = 32
+# a request's w fresh words are laid over ceil(w / T) <= _MAX_LANES lanes of
+# T steps end to end, T the least power of two >= _BLOCK_STEPS that allows
+# it, stepped _BLOCK_STEPS steps at a time
 _MAX_LANES = 1 << 12
 _BLOCK_STEPS = 16
 
@@ -336,21 +332,8 @@ def _jump(x, j, m):
     return _mod(hi, m)
 
 
-def _rows(powers, m):
-    """The last rows of A^1 .. A^_JUMP_STEPS as the columns of a (3,
-    _JUMP_STEPS) matrix, for A's ``powers`` (_POWERS), in halves: column i
-    maps a state to the component value i + 1 steps on.  Rows n .. 2n - 1
-    are rows 0 .. n - 1 times A^n."""
-    rows = powers[0, 2:]
-    while len(rows) < _JUMP_STEPS:
-        a_n = _halves(powers[len(rows).bit_length() - 1])
-        rows = np.concatenate([rows, _jump(rows, a_n, m)])
-    return _halves(rows.T)
-
-
 # lane starts are rows, and s @ (A^(2^i))^T is the start A^(2^i) s
 _STARTS = tuple(_halves(powers.transpose(0, 2, 1)) for powers in _POWERS)
-_ROWS = _rows(_POWERS[0], _UM1), _rows(_POWERS[1], _UM2)
 
 
 def _scaled(p1, p2):
@@ -416,21 +399,16 @@ class _Mrg32k3aCore:
 
     A request's draws are made straight into its output array.  It first
     takes the words kept from the last request; its w fresh words are laid
-    over ``lanes = ceil(w / T)`` lanes of T steps end to end.  Lane r starts
-    at offset r*T, at state A^(rT) x0 (the substream jump-ahead of
-    L'Ecuyer, Simard, Chen & Kelton, Oper. Res. 50(6), 2002), so the lanes
-    together are the canonical sequence, bit for bit.  The lane starts are
-    built by doubling: with ``have`` starts built, A^(T have), a power of
-    two from the precomputed _POWERS, carries them to the next ``have``, so
-    4096 lanes take 12 rounds.
-
-    Up to 2^14 fresh words run lanes of T = 256 steps, each made by one
-    jump from its start by the rows of A^1 .. A^256 (_ROWS), so a small
-    request costs a few dozen array operations, however few its words.
-    More run at most 4096 lanes of ``T = 2^j >= 32`` steps, T the least
-    that allows it, stepped _BLOCK_STEPS steps at a time (_step_lanes).
-    Each block of scaled words is shifted, or above 32 bits paired,
-    straight into the output.
+    over ``lanes = ceil(w / T)`` lanes of T steps end to end, T the least
+    power of two >= 16 that keeps them to 4096 lanes.  Lane r starts at
+    offset r*T, at state A^(rT) x0 (the substream jump-ahead of L'Ecuyer,
+    Simard, Chen & Kelton, Oper. Res. 50(6), 2002), so the lanes together
+    are the canonical sequence, bit for bit.  The lane starts are built by
+    doubling: with ``have`` starts built, A^(T have), a power of two from
+    the precomputed _POWERS, carries them to the next ``have``, so 4096
+    lanes take 12 rounds.  The lanes step together _BLOCK_STEPS steps at
+    a time (_step_lanes), and each block of scaled words is shifted, or
+    above 32 bits paired, straight into the output.
 
     Only the last lane's words past the request, fewer than T, are kept
     (``_tail``) to start the next one, and ``_s1`` and ``_s2`` are the
@@ -483,16 +461,13 @@ class _Mrg32k3aCore:
         if done:
             out[:done] = _draws(self._tail[:per * done], per, shift, dtype)
         words = per * (count - done)
-        if words <= _JUMP_WORDS:
-            steps = _JUMP_STEPS
-        else:
-            steps = max(_LANE_STEPS, 1 << (-(-words // _MAX_LANES) - 1).bit_length())
+        steps = max(_BLOCK_STEPS, 1 << (-(-words // _MAX_LANES) - 1).bit_length())
         lanes = -(-words // steps)
         full = words // steps      # lanes that end inside the request
         at = done + full * steps // per
         grid = out[done:at].reshape(full, steps // per)
         tail = np.empty(steps if full < lanes else 0, dtype=np.uint32)
-        for a, w in self._lanes(steps, lanes, words <= _JUMP_WORDS):
+        for a, w in self._lanes(steps, lanes):
             b = a + w.shape[0]
             if tail.size:
                 tail[a:b] = w[:, -1]
@@ -508,14 +483,12 @@ class _Mrg32k3aCore:
         self._tail = tail[rest:]
         return out
 
-    def _lanes(self, steps, lanes, jump):
+    def _lanes(self, steps, lanes):
         """Lay ``lanes`` lanes of ``steps`` steps end to end from the core's
-        state and yield their words block by block, as _step_lanes does:
-        made by one jump from each lane's start if ``jump``, else stepped.
-        The core's state ends past the last lane."""
+        state and yield their words block by block (_step_lanes).  The
+        core's state ends past the last lane."""
         # row i of window c holds state entry i of component c in every lane
-        h1, h2 = (np.empty((3 if jump else 3 + _BLOCK_STEPS, lanes), dtype=np.uint64)
-                  for _ in range(2))
+        h1, h2 = (np.empty((3 + _BLOCK_STEPS, lanes), dtype=np.uint64) for _ in range(2))
         h1[:3, 0], h2[:3, 0] = self._s1, self._s2
         have, i = 1, steps.bit_length() - 1
         while have < lanes:
@@ -524,13 +497,7 @@ class _Mrg32k3aCore:
             h2[:3, have:have + n] = _jump(h2[:3, :n].T, _STARTS[1][i], _UM2).T
             have += n
             i += 1
-        if jump:
-            # lane-major products, viewed (steps, lanes) as blocks are
-            p1, p2 = _jump(h1.T, _ROWS[0], _UM1).T, _jump(h2.T, _ROWS[1], _UM2).T
-            h1[:], h2[:] = p1[-3:], p2[-3:]
-            yield 0, _scaled(p1, p2)
-        else:
-            yield from _step_lanes(h1, h2, steps)
+        yield from _step_lanes(h1, h2, steps)
         self._s1, self._s2 = h1[:3, -1].tolist(), h2[:3, -1].tolist()
 
 
@@ -615,7 +582,7 @@ class KBitStream:
         draw is rounded to a double first, and every v >= 2^k - 2^(k-54)
         rounds to exactly 1.0.
         """
-        return self.take_kbits(count).astype(np.float64) * self._unit_scale
+        return self.take_keys(count).astype(np.float64) * self._unit_scale
 
 
 # rejected patterns in a row after which the sampler gives up; a working

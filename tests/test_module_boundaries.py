@@ -1,12 +1,15 @@
 """No module of the package uses a private name of a sibling module, each
-public name has one home, and only ``errors`` builds a CapacityError.
+public name has one home, only ``errors`` builds a CapacityError, and no
+module keeps a private name it never reads.
 
 A rule that two modules need lives in one of them under a public name;
 the other imports that name.  The check parses every module with ``ast``.
 A module's ``__all__`` lists only what it defines, and the package imports
 each name it re-exports from the module whose ``__all__`` lists it.  Every
 refusal for capacity goes through ``errors.within_budget``, so no other
-module calls ``CapacityError(...)``.
+module calls ``CapacityError(...)``.  A private module-level function,
+class or constant that its own module never reads is a leftover of a
+deleted code path.
 """
 
 import ast
@@ -103,3 +106,36 @@ def test_capacity_guard_trips():
     assert capacity_errors_built("try:\n    f()\nexcept (CapacityError, ValueError):\n"
                                  "    pass\n") == []
     assert capacity_errors_built((PACKAGE / "errors.py").read_text()) != []
+
+
+def unread_privates(source: str) -> list:
+    """``(line, name)`` for every private module-level function, class or
+    constant that the module itself never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(name.lineno, name.id) for target in targets
+                        for name in ast.walk(target) if isinstance(name, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in defined
+                  if _private(name) and name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read_at_home(path):
+    assert unread_privates(path.read_text()) == []
+
+
+def test_unread_guard_trips():
+    assert unread_privates("_ROWS = 1\n") == [(1, "_ROWS")]
+    assert unread_privates("def _rows():\n    pass\n\n\nclass _Core:\n    pass\n") == [
+        (1, "_rows"), (5, "_Core")]
+    assert unread_privates("_A, (_B, c) = 1, (2, 3)\nprint(_A, c)\n") == [(1, "_B")]
+    assert unread_privates("_N: int = 3\n") == [(1, "_N")]
+    assert unread_privates("_X = 1\n\n\ndef f():\n    return _X\n") == []
+    assert unread_privates("__version__ = '1'\n\n\ndef f(_arg):\n    _y = 2\n") == []

@@ -222,10 +222,9 @@ def test_mrg_output_stage_pairs_strided_uint64_rows_in_place():
 
 
 def test_mrg_jump_einsum_of_uint64_stays_exact_uint64():
-    # prng._jump multiplies 16-bit matrix halves into (3, n) uint64 states
-    # with np.einsum, and lane-major the 16-bit halves of a transposed view
-    # of the states into the rows table; sums up to 2^50 must stay exact,
-    # with no float detour
+    # prng._jump multiplies the lane states, a transposed view of the
+    # (3, lanes) windows, into the 16-bit halves of a lane-start matrix
+    # with np.einsum; sums up to 2^50 must stay exact, with no float detour
     j = np.array([[2 ** 16 - 1] * 3, [0, 1, 2 ** 16 - 1], [3, 2 ** 15, 7]], dtype=np.uint64)
     x = np.array([[_M1 - 1, 0, 2 ** 32 - 1], [_M1 - 2, 1, 2 ** 31], [_M1 - 3, 2, 5]],
                  dtype=np.uint64)

@@ -165,9 +165,8 @@ class TestMrg32k3a:
         assert list(got) == want
 
     def test_vectorized_path_matches_scalar_reference(self):
-        # one request of 12000 outputs: 47 lanes of 256 steps, each one
-        # jump from its start, the last part-read; test_lane_path_across_calls
-        # chains requests of many sizes
+        # one request of 12000 outputs: 750 whole lanes of 16 steps;
+        # test_lane_path_across_calls chains requests of many sizes
         m1 = 4294967087
         ref_z = self.scalar_reference([12345] * 3, [12345] * 3, 12000)
         ref = [(z << 32) // m1 for z in ref_z]
@@ -183,9 +182,9 @@ class TestMrg32k3a:
         assert np.array_equal(a, b_)
 
     # the odd counts end part-way along a lane, whose kept words start the
-    # next call: the small calls are served from them alone, 5003 and 777
-    # also run jump lanes of 256 steps and 100001 and 99999 stepped lanes of
-    # 32
+    # next call: 2, 5 and 3 are served from them alone; 1 and 7 find none
+    # kept and run one lane of 16 steps, 5003, 777, 8192, 10240 and 10000
+    # also run lanes of 16 and 100001 and 99999 lanes of 32
     ODD_TAKES = (1, 2, 5003, 777, 5, 100001, 3, 7, 99999, 8192, 10240, 10000)
 
     def test_lane_path_across_calls(self):
@@ -212,15 +211,18 @@ class TestMrg32k3a:
         return [(z << 32) // self.M1
                 for z in self.scalar_reference(self.X0, self.X0, 2 ** 20 + 1)]
 
-    # one request each: 2^14 words is the last request of jump lanes (64 of
-    # 256 steps) and 2^14 + 1 the first of stepped ones (513 of 32);
-    # 32 * 4096 is the last with lanes of 32 steps; 2^20 is 4096 whole lanes
-    # of 256, 2^20 - 1 ends one word short of the last and 2^20 + 1 takes
-    # 2049 lanes of 512.  The rest are the boundaries of earlier lane rules
-    # (lanes = min(8192, 8*isqrt(count), count); 2^17-word fills)
+    # one request each: 15, 16 and 17 words end inside, at the end of and
+    # one past the one lane of 16 steps, the shortest; 2^16 words is the
+    # last request of 16-step lanes (4096 of them) and 2^16 + 1 the first of
+    # 32 (2049); 32 * 4096 is the last with lanes of 32 steps; 2^20 is 4096
+    # whole lanes of 256, 2^20 - 1 ends one word short of the last and
+    # 2^20 + 1 takes 2049 lanes of 512.  The rest are the boundaries of
+    # earlier lane rules (lanes = min(8192, 8*isqrt(count), count); 2^17-word
+    # fills; 256-step lanes each made by one jump up to 2^14 words)
     BOUNDARY_COUNTS = (8191, 8192, 8193, 2 * 8192 + 1, 2 ** 20 - 1, 2 ** 20,
                        2 ** 20 + 1, 14399, 14400, 16383, 16384, 18495, 18496,
-                       2 ** 14 + 1, 32 * 4096 - 1, 32 * 4096, 32 * 4096 + 1)
+                       2 ** 14 + 1, 32 * 4096 - 1, 32 * 4096, 32 * 4096 + 1,
+                       15, 16, 17, 2 ** 16, 2 ** 16 + 1)
 
     @pytest.mark.parametrize("count", BOUNDARY_COUNTS)
     def test_lane_and_block_boundaries(self, long_reference, count):
@@ -230,10 +232,10 @@ class TestMrg32k3a:
 
     def test_kept_words_start_the_next_request(self, long_reference):
         # the first request runs 4096 lanes of 32 steps and keeps the last
-        # lane's 5 words past it; the second takes them and one jump lane of
-        # 256, the third takes that lane's 251 kept words and 4088 whole
-        # lanes, keeping none; the fourth (one word) runs a jump lane alone,
-        # and the fifth starts with its 255 kept words
+        # lane's 5 words past it; the second takes them and one lane of 16,
+        # keeping 11; the third takes those and 4096 lanes of 32, keeping
+        # 16; the fourth (one word) is served by them alone, and the fifth
+        # starts with the 15 left before its 3072 lanes of 128
         core = _Mrg32k3aCore.from_state(self.X0, self.X0)
         at = 0
         for count in (2 ** 17 - 5, 10, 2 ** 17 - 5, 1, 3 * 2 ** 17 + 7):
@@ -358,6 +360,24 @@ class TestCoreMemory:
         assert keys.dtype == np.uint32
         assert peak / count < limit
 
+    # take_units(10^6) at k <= 32 converts uint32 keys: 4 bytes a draw
+    # beside the 8-byte doubles (12.0 measured for each family), where
+    # uint64 draws held 16
+    @pytest.mark.parametrize("family, bits", [("mt19937", 32), ("cmrg", 32),
+                                              ("splitcounter", 24)])
+    def test_units_peak_per_draw(self, family, bits):
+        count = 10 ** 6
+        s = stream(family, 7, bits)
+        want = stream(family, 7, bits).take_kbits(count).astype(np.float64) / 2.0 ** bits
+        tracemalloc.start()
+        try:
+            units = s.take_units(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(units, want)
+        assert peak / count < 12.5
+
     def test_sampler_round_bounded_in_draws(self):
         # n = 2^64 - 1 takes 64 one-bit draws per pattern; a round is capped
         # at 2^22 draws, not at 2^22 patterns of 64 draws each
@@ -427,13 +447,13 @@ class TestBlocks:
                               stream(family, seed=17, bits=40).take_kbits(3 * 2 ** 16 + 9))
 
     # requests at the edges of cmrg's lanes, in one and two words a draw:
-    # up to 2^14 words run jump lanes of 256 steps (one lane up to 256
-    # words; 1, 31, 32 and 33 straddle 32 steps, the shortest stepped lane),
-    # then stepped lanes of 32 steps up to 32 * 4096 words, of 64 past it,
-    # of 256 up to 2^20 words (10^6 is 3907 lanes, the last part-read) and
-    # of 512 past it
-    CMRG_EDGES = [1, 31, 32, 33, 255, 256, 257, 2 ** 14, 2 ** 14 + 1, 32 * 4096 - 1,
-                  32 * 4096 + 1, 2 ** 20 - 1, 2 ** 20 + 1, 10 ** 6, 1]
+    # up to 2^16 words run lanes of 16 steps (one lane up to 16 words; 15,
+    # 16 and 17 straddle it), then lanes of 32 steps up to 32 * 4096 words,
+    # of 64 past it, of 256 up to 2^20 words (10^6 is 3907 lanes, the last
+    # part-read) and of 512 past it; 31, 32, 33, 255, 256, 257, 2^14 and
+    # 2^14 + 1 are the edges of earlier lane rules
+    CMRG_EDGES = [1, 15, 16, 17, 31, 32, 33, 255, 256, 257, 2 ** 14, 2 ** 14 + 1, 2 ** 16,
+                  2 ** 16 + 1, 32 * 4096 - 1, 32 * 4096 + 1, 2 ** 20 - 1, 2 ** 20 + 1, 10 ** 6, 1]
 
     @pytest.mark.parametrize("bits", [24, 32, 40, 64])
     def test_cmrg_keys_at_lane_boundaries(self, bits):
