@@ -8,13 +8,18 @@ the exact 64-bit representation (bit patterns and a datetime's unit), never on a
 
 A stream's draws are counted as the keys ``KBitStream.take_keys`` makes
 in one request, which are sorted in place; values a caller passes in are
-never changed.
+never changed, and are sorted as a copy.  Every key sort goes through
+``_sort``: from ``_SPLIT_SORT`` keys, where a second CPU is usable, one
+selection puts the median key in the middle, and the two halves either
+side of it are sorted at once on two threads.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -111,9 +116,45 @@ def _tied_runs(equal: np.ndarray) -> np.ndarray:
     return np.diff(run_starts, append=tied.size) + 1
 
 
-def _summary(s: np.ndarray) -> TieSummary:
-    """TieSummary of sorted keys ``s``."""
-    return TieSummary.from_multiplicities(s.size, _tied_runs(s[1:] == s[:-1]))
+# CPUs this process may run on, read once: the split sort needs two
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# keys from which _sort splits, the measured crossover for uint32 keys: at
+# 10^5 the split was slower than one sort, at 2^17 about even, from
+# 1.5 * 10^5 faster (BENCH_split_sort.json)
+_SPLIT_SORT = 1 << 17
+
+
+def _sort(a: np.ndarray) -> None:
+    """Sort the 1-D array ``a`` in place, on two threads where that pays.
+
+    With at least ``_SPLIT_SORT`` keys and two usable CPUs, ``a.partition(h)``
+    at ``h = a.size // 2`` leaves ``a[:h] <= a[h] <= a[h + 1:]``; a thread
+    then sorts ``a[:h]`` while this one sorts ``a[h:]`` (numpy releases the
+    GIL in both), and the two sorted halves are the sorted array, with no
+    merge and no second array.  The thread is joined before the call returns.
+    """
+    if a.size < _SPLIT_SORT or _CPUS < 2:
+        a.sort()
+        return
+    h = a.size // 2
+    a.partition(h)
+    low = threading.Thread(target=a[:h].sort)
+    try:
+        low.start()
+    except RuntimeError:  # the process is at its thread limit: sort both halves here
+        a[:h].sort()
+        a[h:].sort()
+        return
+    try:
+        a[h:].sort()
+    finally:
+        low.join()
+
+
+def _summary(keys: np.ndarray) -> TieSummary:
+    """TieSummary of ``keys``, which are sorted in place."""
+    _sort(keys)
+    return TieSummary.from_multiplicities(keys.size, _tied_runs(keys[1:] == keys[:-1]))
 
 
 _PHI = np.uint64(0x9E3779B97F4A7C15)  # odd, so x -> x*_PHI mod 2^64 is a bijection
@@ -127,9 +168,11 @@ def _tally(keys: np.ndarray):
     ``64 - b`` bits of ``key * _PHI mod 2^64`` and the low ``b`` bits hold
     the original index, puts every value's draws in one run of equal hashes,
     in index order: the run's head is the first occurrence and every later
-    member a duplicate.  A run whose adjacent entries differ in their full
-    keys mixes values that share a hash; its draws alone, in index order, go
-    through ``np.unique``, whose first index per value is its first occurrence.
+    member a duplicate.  The words are sorted by ``_sort``, so from
+    ``_SPLIT_SORT`` draws their two halves are sorted at once on two threads.
+    A run whose adjacent entries differ in their full keys mixes values that
+    share a hash; its draws alone, in index order, go through ``np.unique``,
+    whose first index per value is its first occurrence.
     The words, and the mask of adjacent entries with equal hashes, are built
     _TALLY_BLOCK entries at a time, through one block-sized scratch array.
     """
@@ -145,7 +188,7 @@ def _tally(keys: np.ndarray):
         w &= ~low
         w |= t[:w.size]
         t += np.uint64(_TALLY_BLOCK)
-    h.sort()
+    _sort(h)
     same = np.empty(max(n - 1, 0), dtype=bool)  # adjacent entries with equal hashes
     for a in range(0, n - 1, _TALLY_BLOCK):
         e = min(a + _TALLY_BLOCK, n - 1)
@@ -175,12 +218,12 @@ def _tally(keys: np.ndarray):
 
 def count_duplicates(values: Sequence) -> int:
     """Number of elements equal to at least one earlier element."""
-    return _summary(np.sort(_keys(values))).duplicates
+    return _summary(_keys(values).copy()).duplicates
 
 
 def count_ties(values: Sequence) -> int:
     """Total multiplicity of all values appearing more than once."""
-    return _summary(np.sort(_keys(values))).ties
+    return _summary(_keys(values).copy()).ties
 
 
 def collision_positions(values: Sequence) -> list:
@@ -231,9 +274,7 @@ def collision_summary(stream: KBitStream, n: int) -> TieSummary:
     The draws arrive as the stream's keys (``take_keys``), which are ours,
     so they are sorted in place.
     """
-    keys = stream.take_keys(n)
-    keys.sort()
-    return _summary(keys)
+    return _summary(stream.take_keys(n))
 
 
 def trace_collisions(stream: KBitStream, n: int):

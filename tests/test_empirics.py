@@ -1,8 +1,10 @@
 import hashlib
 import io
 import math
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -12,12 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collision_lab import empirics
 from collision_lab.analytics import BucketSpace, expected_collisions
 from collision_lab.empirics import (
     TieSummary,
     _PHI,
+    _SPLIT_SORT,
     _key,
     _keys,
+    _sort,
     _tally,
     collision_positions,
     collision_summary,
@@ -337,15 +342,121 @@ class TestCountingKernelMatchesOracle:
                 count(make())
 
     # only a stream's own keys are sorted in place; integer and float
-    # arrays are counted through views of the caller's buffer
+    # arrays are counted through views of the caller's buffer.  At 3 * 10^5
+    # values the sorted copy is split at its median and sorted on two threads
+    @pytest.mark.parametrize("size", [8, 3 * 10 ** 5])
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64, np.float64])
-    def test_callers_array_left_as_it_was(self, dtype):
-        values = np.array([5, 3, 5, 1, 3, 3, 9, 0], dtype=dtype)
+    def test_callers_array_left_as_it_was(self, dtype, size, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 2)
+        values = np.resize(np.array([5, 3, 5, 1, 3, 3, 9, 0], dtype=dtype), size)
         before = values.copy()
-        assert count_duplicates(values) == 3
-        assert count_ties(values) == 5
-        assert collision_positions(values) == [3, 5, 6]
+        assert count_duplicates(values) == size - 5
+        assert count_ties(values) == (5 if size == 8 else size)
+        positions = collision_positions(values)
+        assert positions[:3] == [3, 5, 6] and len(positions) == size - 5
         assert np.array_equal(values, before)
+
+
+def counting_threads(monkeypatch, start_fails=False):
+    """Threads started from now on, in a list; with ``start_fails`` each
+    ``start`` raises RuntimeError, as it does at the process's thread limit."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            if start_fails:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started
+
+
+SORT_KINDS = ["random", "all-equal", "two-valued", "sorted", "reverse-sorted",
+              "run-across-median"]
+
+
+def sort_input(kind, rng, n, dtype, lo, hi):
+    """``n`` keys of one of the SORT_KINDS, in [lo, hi)."""
+    if kind == "all-equal":
+        return np.full(n, hi - 1, dtype=dtype)
+    if kind == "two-valued":
+        return np.array([lo, hi - 1], dtype=dtype)[rng.integers(0, 2, n)]
+    a = rng.integers(lo, hi, n, dtype=dtype)
+    if kind == "sorted":
+        return np.sort(a)
+    if kind == "reverse-sorted":
+        return np.sort(a)[::-1].copy()
+    if kind == "run-across-median":  # the quarter ranked around the median set to it
+        s = np.sort(a)
+        s[n // 2 - n // 8:n // 2 + n // 8 + 1] = s[n // 2]
+        return s[rng.permutation(n)]
+    return a
+
+
+class TestSplitSort:
+    """``_sort`` against ``np.sort``, and when it starts its one thread."""
+
+    @pytest.mark.parametrize("kind", SORT_KINDS)
+    @pytest.mark.parametrize("dtype, lo, hi", [(np.uint32, 0, 2 ** 32),
+                                               (np.uint64, 0, 2 ** 64),
+                                               (np.int64, -2 ** 63, 2 ** 63)])
+    def test_equals_np_sort(self, kind, dtype, lo, hi, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 2)  # the split path on any machine
+        rng = np.random.default_rng(5)
+        for n in (_SPLIT_SORT - 1, _SPLIT_SORT, _SPLIT_SORT + 1, 10 ** 6 + 3):
+            a = sort_input(kind, rng, n, dtype, lo, hi)
+            want = np.sort(a)
+            _sort(a)
+            assert a.dtype == dtype and np.array_equal(a, want)
+
+    def test_splits_only_from_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 2)
+        started = counting_threads(monkeypatch)
+        for n in (0, 1, 1000, _SPLIT_SORT - 1, _SPLIT_SORT, _SPLIT_SORT + 1):
+            del started[:]
+            _sort(np.arange(n, dtype=np.uint32)[::-1].copy())
+            assert len(started) == (n >= _SPLIT_SORT)
+
+    def test_one_cpu_never_splits(self, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 1)
+        started = counting_threads(monkeypatch)
+        for n in (_SPLIT_SORT, _SPLIT_SORT + 1, 10 ** 6):
+            a = np.arange(n, dtype=np.uint64)[::-1].copy()
+            _sort(a)
+            assert np.array_equal(a, np.arange(n, dtype=np.uint64))
+        assert started == []
+
+    def test_cpus_read_from_the_process_affinity(self, monkeypatch):
+        # under `taskset -c 0` this is the one-CPU path, read from the real affinity
+        want = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        assert empirics._CPUS == want
+        started = counting_threads(monkeypatch)
+        collision_summary(stream(), 10 ** 6)
+        assert len(started) == (want > 1)
+
+    def test_thread_refused_sorts_both_halves_here(self, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 2)
+        want_summary = collision_summary(stream(bits=24), 10 ** 6)
+        started = counting_threads(monkeypatch, start_fails=True)
+        a = np.random.default_rng(7).integers(0, 2 ** 32, _SPLIT_SORT + 1, dtype=np.uint32)
+        want = np.sort(a)
+        _sort(a)
+        assert len(started) == 1 and np.array_equal(a, want)
+        assert collision_summary(stream(bits=24), 10 ** 6) == want_summary
+        assert len(started) == 2
+
+    def test_no_thread_outlives_a_count(self, monkeypatch):
+        monkeypatch.setattr(empirics, "_CPUS", 2)
+        started = counting_threads(monkeypatch)
+        before = threading.active_count()
+        collision_summary(stream(), 10 ** 6)
+        trace_collisions(stream(), 10 ** 6)
+        assert len(started) == 2
+        assert threading.active_count() == before
+        assert not any(t.is_alive() for t in started)
 
 
 class TestPlainListKeys:

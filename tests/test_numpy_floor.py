@@ -324,6 +324,32 @@ def test_collision_summary_sorts_in_place_without_a_full_copy():
         assert peak < keys.nbytes // 8
 
 
+def test_split_sort_partition_orders_halves():
+    # empirics._sort partitions the keys at h = size // 2 and then sorts
+    # a[:h] and a[h:] apart; the two are the sorted keys only if partition
+    # leaves max(a[:h]) <= a[h] <= min(a[h + 1:]), also where equal keys
+    # fall on both sides of h and at each dtype's extremes, and it must
+    # do so without a second array
+    rnd = random.Random(12)
+    for dtype, pool in ((np.uint32, [0, 1, 2 ** 31, 2 ** 32 - 1]),
+                        (np.uint64, [0, 2 ** 63 - 1, 2 ** 63, MASK64]),
+                        (np.int64, [-2 ** 63, -1, 0, 2 ** 63 - 1])):
+        for size in (2 ** 16, 2 ** 16 + 1):
+            values = [rnd.choice(pool) for _ in range(size)]
+            a = np.array(values, dtype=dtype)
+            h = size // 2
+            tracemalloc.start()
+            try:
+                a.partition(h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (a[:h] == a[h]).any() and (a[h + 1:] == a[h]).any()
+            assert a[:h].max() <= a[h] <= a[h + 1:].min()
+            assert sorted(a.tolist()) == sorted(values)
+            assert peak < a.nbytes // 8
+
+
 def test_bool_diff_marks_run_edges():
     # cli.write_pmf_csv splits the rows into runs of zero and nonzero
     # entries where np.diff of the padded nonzero mask is True
